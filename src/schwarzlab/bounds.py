@@ -1,8 +1,26 @@
 """Coefficient and pointwise inequality checkers with slack reporting.
 
-Each classical bound is a predicate returning a :class:`BoundReport`
-carrying lhs, rhs and slack = rhs - lhs, so callers can aggregate
-worst-case margins over a corpus instead of a bare pass/fail.
+Each classical bound has one array kernel that checks a whole block of
+functions at once and returns a :class:`BoundBlock`: lhs and rhs arrays
+with one row per function and one column per check, and slack = rhs - lhs.
+The scalar checkers (:func:`livingston_gap`, :func:`schwarz_coefficient_bounds`,
+...) are one-row views of these kernels that return :class:`BoundReport`
+values, so every inequality is written once.
+
+Bit-exactness: a kernel row reproduces, bit for bit, what plain Python
+complex arithmetic gives for the same check, so batched and one-at-a-time
+runs report identical slacks.  Three rules keep it so:
+
+- the modulus of a complex value is ``np.hypot(re, im)``, which matches
+  Python's ``abs``; ``np.abs`` on complex arrays can differ in the last bit;
+- complex products are written out on float arrays as
+  ``(ar*br - ai*bi, ar*bi + ai*br)``, two separately rounded products per
+  term; numpy's complex ``*`` may fuse them (FMA) and round differently;
+- powers of a float use Python's ``**`` (libm ``pow``), not numpy's
+  ``x ** k``, which multiplies out and rounds more than once.
+
+The pointwise kernel takes the modulus with ``np.abs`` of closed-form
+values, as the pointwise check always has.
 
 Tolerance policy: inequality checks use absolute slack tolerance 1e-9
 (order-12 truncations of the sampled families sit far below this, and
@@ -16,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -38,6 +57,21 @@ class BoundReport:
     slack: float
     satisfied: bool
     equality: bool
+
+
+@dataclass(frozen=True)
+class BoundBlock:
+    """A block of checks lhs <= rhs: one row per function, one column per check.
+
+    ``rhs`` broadcasts against ``lhs`` (a scalar when the bound is a constant).
+    """
+
+    lhs: np.ndarray
+    rhs: np.ndarray | float
+
+    @property
+    def slack(self) -> np.ndarray:
+        return self.rhs - self.lhs
 
 
 def make_report(
@@ -64,17 +98,146 @@ def make_report(
     )
 
 
-def _require_schwarz_series(w: TruncatedSeries, min_order: int = 1) -> None:
-    if w.coeffs[0] != 0:
+def _row_reports(names, block: BoundBlock, tol: float = INEQUALITY_TOL) -> list[BoundReport]:
+    """Reports of the first row of a block, one per name."""
+    rhs = np.empty_like(block.lhs)
+    rhs[...] = block.rhs
+    return [
+        make_report(name, lhs, r, tol=tol)
+        for name, lhs, r in zip(names, block.lhs[0], rhs[0])
+    ]
+
+
+# ---------------------------------------------------------------------------
+# unfused complex arithmetic on (re, im) float arrays
+# ---------------------------------------------------------------------------
+
+def _parts(z) -> tuple[np.ndarray, np.ndarray]:
+    z = np.asarray(z, dtype=np.complex128)
+    return z.real, z.imag
+
+
+def _cmul(a, b):
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _modulus(z) -> np.ndarray:
+    re, im = z
+    return np.hypot(re, im)
+
+
+# ---------------------------------------------------------------------------
+# input blocks
+# ---------------------------------------------------------------------------
+
+def _schwarz_block(W, min_order: int = 1) -> np.ndarray:
+    W = np.asarray(W, dtype=np.complex128)
+    if W.ndim != 2:
+        raise ValueError("need a (functions, order + 1) coefficient block")
+    if (W[:, 0] != 0).any():
         raise ValueError("Schwarz series must have b_0 = 0")
-    if w.order < min_order:
+    if W.shape[1] - 1 < min_order:
         raise ValueError(f"need order >= {min_order}")
+    return W
 
 
-def _require_caratheodory_series(p: TruncatedSeries) -> None:
-    if p.coeffs[0] != 1:
+def _caratheodory_block(P) -> np.ndarray:
+    P = np.asarray(P, dtype=np.complex128)
+    if (P[..., 0] != 1).any():
         raise ValueError("Caratheodory series must have c_0 = 1")
+    return P
 
+
+# ---------------------------------------------------------------------------
+# array kernels
+# ---------------------------------------------------------------------------
+
+def livingston_kernel(P, pairs: Sequence[tuple[int, int]]) -> BoundBlock:
+    """Livingston's |c_s - c_t c_{s-t}| <= 2 for each (s, t) in ``pairs``.
+
+    ``P`` stacks Caratheodory coefficient rows c_0..c_N along its last
+    axis; the result has P's leading shape plus one column per pair.
+    """
+    P = _caratheodory_block(P)
+    order = P.shape[-1] - 1
+    for s, t in pairs:
+        if not (1 <= t < s <= order):
+            raise IndexError(f"need 1 <= t < s <= {order}, got (s={s}, t={t})")
+    s, t = np.array(pairs, dtype=int).reshape(-1, 2).T
+    cs, ct, cst = (_parts(P[..., idx]) for idx in (s, t, s - t))
+    prod = _cmul(ct, cst)
+    return BoundBlock(_modulus((cs[0] - prod[0], cs[1] - prod[1])), 2.0)
+
+
+def coefficient_bound_kernel(W) -> BoundBlock:
+    """|b_k| <= 1 for k = 1..N on each row of a Schwarz coefficient block."""
+    W = _schwarz_block(W)
+    return BoundBlock(_modulus(_parts(W[:, 1:])), 1.0)
+
+
+def power_bound_kernel(W, k: int) -> BoundBlock:
+    """|b_k| <= 1 - |b_1|^k (k = 2 and 3), one column per row of ``W``."""
+    W = _schwarz_block(W, min_order=k)
+    a1 = _modulus(_parts(W[:, 1])).tolist()
+    rhs = np.array([1.0 - a**k for a in a1])
+    return BoundBlock(_modulus(_parts(W[:, k, None])), rhs[:, None])
+
+
+def pointwise_contraction_kernel(
+    gens: Sequence[SchwarzGenerator],
+    radii,
+    angles_per_radius: int,
+) -> BoundBlock:
+    """|w(z)| <= |z| on a polar grid, one closed-form evaluation per generator.
+
+    Columns run over the radii, and over the angles within each radius.
+    """
+    radii = [float(r) for r in radii]
+    if any(not (0.0 < r < 1.0) for r in radii):
+        raise ValueError("radii must lie in (0, 1)")
+    if angles_per_radius < 1:
+        raise ValueError("need at least one angle per radius")
+    phases = np.exp(2j * math.pi * np.arange(angles_per_radius) / angles_per_radius)
+    z = (np.array(radii)[:, None] * phases).ravel()
+    lhs = np.abs(np.stack([evaluate_schwarz(g, z) for g in gens]))
+    return BoundBlock(lhs, np.repeat(radii, angles_per_radius))
+
+
+def fourth_coefficient_kernel(W, thetas) -> tuple[BoundBlock, BoundBlock]:
+    """The ``b4_eq1`` and ``b4_eq2`` disks, one column per rotation theta.
+
+    See :func:`fourth_coefficient_constraints` for the two inequalities.
+    """
+    W = _schwarz_block(W, min_order=4)
+    b1, b2, b3, b4 = (_parts(W[:, k, None]) for k in range(1, 5))
+    thetas = np.asarray(thetas, dtype=float)
+    e1 = _parts(np.exp(1j * thetas))
+    e2 = _parts(np.exp(2j * thetas))
+    e3 = _parts(np.exp(3j * thetas))
+    b1sq = _cmul(b1, b1)
+    b1p4 = _cmul(b1sq, b1sq)
+    e1b2sq = _cmul(e1, _cmul(b2, b2))
+    e2b1sqb2 = _cmul(_cmul(e2, b1sq), b2)
+    e3b1p4 = _cmul(e3, b1p4)
+    cross = _cmul(_cmul((2.0 * e1[0], 2.0 * e1[1]), b1), b3)
+
+    def combine(*terms):
+        # b4 + terms[0] - terms[1] - ..., summed left to right
+        re, im = b4[0] + terms[0][0], b4[1] + terms[0][1]
+        for tr, ti in terms[1:]:
+            re, im = re - tr, im - ti
+        return _modulus((re, im))
+
+    return (
+        BoundBlock(combine(e1b2sq, e2b1sqb2, e3b1p4), 1.0),
+        BoundBlock(combine(cross, e1b2sq, e2b1sqb2, e3b1p4), 1.0),
+    )
+
+
+# ---------------------------------------------------------------------------
+# scalar checkers: one-row views of the kernels
+# ---------------------------------------------------------------------------
 
 def livingston_gap(p: TruncatedSeries, s: int, t: int) -> BoundReport:
     """Livingston's inequality |c_s - c_t c_{s-t}| <= 2 on class P.
@@ -82,32 +245,25 @@ def livingston_gap(p: TruncatedSeries, s: int, t: int) -> BoundReport:
     Equality is attained for every (s, t) by the all-twos function
     (1+z)/(1-z).
     """
-    _require_caratheodory_series(p)
-    if not (1 <= t < s <= p.order):
-        raise IndexError(f"need 1 <= t < s <= {p.order}, got (s={s}, t={t})")
-    lhs = abs(p[s] - p[t] * p[s - t])
-    return make_report(f"livingston(s={s},t={t})", lhs, 2.0)
+    block = livingston_kernel(p.coeffs[None], [(s, t)])
+    return _row_reports([f"livingston(s={s},t={t})"], block)[0]
 
 
 def schwarz_coefficient_bounds(w: TruncatedSeries) -> list[BoundReport]:
     """|b_k| <= 1 for every k = 1..N, with equality only for rotations of z^k."""
-    _require_schwarz_series(w)
-    return [
-        make_report(f"coefficient_bound(k={k})", abs(w[k]), 1.0)
-        for k in range(1, w.order + 1)
-    ]
+    block = coefficient_bound_kernel(w.coeffs[None])
+    names = [f"coefficient_bound(k={k})" for k in range(1, w.order + 1)]
+    return _row_reports(names, block)
 
 
 def second_coefficient_bound(w: TruncatedSeries) -> BoundReport:
     """|b_2| <= 1 - |b_1|^2."""
-    _require_schwarz_series(w, min_order=2)
-    return make_report("b2_bound", abs(w[2]), 1.0 - abs(w[1]) ** 2)
+    return _row_reports(["b2_bound"], power_bound_kernel(w.coeffs[None], 2))[0]
 
 
 def third_coefficient_bound(w: TruncatedSeries) -> BoundReport:
     """|b_3| <= 1 - |b_1|^3."""
-    _require_schwarz_series(w, min_order=3)
-    return make_report("b3_bound", abs(w[3]), 1.0 - abs(w[1]) ** 3)
+    return _row_reports(["b3_bound"], power_bound_kernel(w.coeffs[None], 3))[0]
 
 
 def pointwise_contraction(
@@ -121,25 +277,13 @@ def pointwise_contraction(
     envelope 1e-12 rather than the corpus inequality tolerance.
     """
     radii = [float(r) for r in radii]
-    if any(not (0.0 < r < 1.0) for r in radii):
-        raise ValueError("radii must lie in (0, 1)")
-    if angles_per_radius < 1:
-        raise ValueError("need at least one angle per radius")
-    phases = np.exp(2j * math.pi * np.arange(angles_per_radius) / angles_per_radius)
-    out = []
-    for r in radii:
-        z = r * phases
-        vals = np.abs(evaluate_schwarz(g, z))
-        for j in range(angles_per_radius):
-            out.append(
-                make_report(
-                    f"pointwise(r={r:.6g},j={j})",
-                    vals[j],
-                    r,
-                    tol=POINTWISE_TOL,
-                )
-            )
-    return out
+    block = pointwise_contraction_kernel([g], radii, angles_per_radius)
+    names = [
+        f"pointwise(r={r:.6g},j={j})"
+        for r in radii
+        for j in range(angles_per_radius)
+    ]
+    return _row_reports(names, block, tol=POINTWISE_TOL)
 
 
 def harmonic_propagation(
@@ -151,7 +295,7 @@ def harmonic_propagation(
     not-applicable report is returned, since an exact boundary hit is
     unreachable in floating point except by construction.
     """
-    _require_caratheodory_series(p)
+    _caratheodory_block(p.coeffs)
     if k < 1:
         raise IndexError("k must be >= 1")
     if k > p.order:
@@ -191,14 +335,8 @@ def fourth_coefficient_constraints(
 
     reported here as ``b4_eq1`` and ``b4_eq2`` (the CLI's --mode tokens).
     """
-    _require_schwarz_series(w, min_order=4)
-    b1, b2, b3, b4 = w[1], w[2], w[3], w[4]
-    e1 = np.exp(1j * theta)
-    e2 = np.exp(2j * theta)
-    e3 = np.exp(3j * theta)
-    lhs1 = abs(b4 + e1 * b2**2 - e2 * b1**2 * b2 - e3 * b1**4)
-    lhs2 = abs(b4 + 2 * e1 * b1 * b3 - e1 * b2**2 - e2 * b1**2 * b2 - e3 * b1**4)
+    eq1, eq2 = fourth_coefficient_kernel(w.coeffs[None], [theta])
     return (
-        make_report("b4_eq1", lhs1, 1.0),
-        make_report("b4_eq2", lhs2, 1.0),
+        _row_reports(["b4_eq1"], eq1)[0],
+        _row_reports(["b4_eq2"], eq2)[0],
     )

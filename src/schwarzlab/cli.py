@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -34,13 +35,12 @@ import numpy as np
 
 from schwarzlab.bounds import (
     INEQUALITY_TOL,
-    fourth_coefficient_constraints,
+    coefficient_bound_kernel,
+    fourth_coefficient_kernel,
     harmonic_propagation,
-    livingston_gap,
-    pointwise_contraction,
-    schwarz_coefficient_bounds,
-    second_coefficient_bound,
-    third_coefficient_bound,
+    livingston_kernel,
+    pointwise_contraction_kernel,
+    power_bound_kernel,
 )
 from schwarzlab.families import (
     CayleyOfSchwarz,
@@ -74,6 +74,10 @@ VERIFY_B4_THETAS = tuple(2.0 * math.pi * k / 64 for k in range(64))
 VERIFY_CAYLEY_THETAS = (0.0, 1.0, 2.0, math.pi)
 #: Sampler degree cap for the verify corpus.
 VERIFY_MAX_DEGREE = 6
+#: Corpus functions checked per kernel call; bounds the size of temporaries.
+VERIFY_BLOCK = 16
+#: Highest index s of the Livingston pairs (s, t) checked by `verify`.
+VERIFY_LIVINGSTON_MAX_S = 10
 
 
 @dataclass
@@ -116,10 +120,10 @@ class RunConfig:
                 raise ValueError("region needs --target b3 or b4")
             if self.b1 is None:
                 raise ValueError("region needs --b1")
-            if self.target == "b3" and abs(self.b1) > 1.0 + 1e-12:
-                raise ValueError("b3 region needs |b1| <= 1")
-        if self.tol is not None and self.tol <= 0:
-            raise ValueError("tol must be positive")
+            if abs(self.b1) > 1.0 + 1e-12:
+                raise ValueError("region needs |b1| <= 1")
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be finite and positive")
 
 
 def _c2j(z: complex) -> list[float]:
@@ -176,35 +180,44 @@ def _run_expand(cfg: RunConfig, spec: str) -> tuple[int, list]:
 # ---------------------------------------------------------------------------
 
 class _SlackTable:
-    """Worst-slack accumulator per bound family, with violation counting."""
+    """Worst-slack accumulator per bound family, with violation counting.
+
+    ``add`` takes a block of slacks whose row i belongs to sample
+    ``first_index + i``.  A slack below -tol or not finite is a violation.
+    The worst slack is the smallest, with every non-finite slack ranked
+    below all finite ones; among equal ranks the first sample wins.
+    """
 
     def __init__(self, tol: float):
         self.tol = tol
         self.rows: dict[str, dict] = {}
+        self._rank: dict[str, float] = {}
 
-    def add(self, family: str, slack: float, index: int) -> None:
+    def add(self, family: str, slacks, first_index: int) -> None:
+        slacks = np.asarray(slacks, dtype=float)
+        slacks = slacks.reshape(len(slacks), -1)
         row = self.rows.setdefault(
             family,
             {"bound": family, "checks": 0, "worst_slack": math.inf,
              "worst_index": -1, "violations": 0},
         )
-        row["checks"] += 1
-        if slack < row["worst_slack"]:
-            row["worst_slack"] = slack
-            row["worst_index"] = index
-        if slack < -self.tol:
-            row["violations"] += 1
+        finite = np.isfinite(slacks)
+        row["checks"] += slacks.size
+        row["violations"] += int(np.count_nonzero(~finite | (slacks < -self.tol)))
+        rank = np.where(finite, slacks, -math.inf)
+        i = int(np.argmin(rank))
+        if rank.flat[i] < self._rank.get(family, math.inf):
+            self._rank[family] = rank.flat[i]
+            row["worst_slack"] = float(slacks.flat[i])
+            row["worst_index"] = first_index + i // slacks.shape[1]
 
     def results(self) -> list[dict]:
-        out = []
-        for name in sorted(self.rows):
-            row = dict(self.rows[name])
-            row["worst_slack"] = float(row["worst_slack"])
-            out.append(row)
-        return out
+        return [dict(self.rows[name]) for name in sorted(self.rows)]
 
     def worst(self) -> float:
-        return min((r["worst_slack"] for r in self.rows.values()), default=math.inf)
+        if not self.rows:
+            return math.inf
+        return self.rows[min(self._rank, key=self._rank.get)]["worst_slack"]
 
     def violations(self) -> list[tuple[str, int, float]]:
         return [
@@ -214,43 +227,50 @@ class _SlackTable:
         ]
 
 
+def _blocks(items: list):
+    """(first index, slice) pairs covering ``items`` in VERIFY_BLOCK steps."""
+    for first in range(0, len(items), VERIFY_BLOCK):
+        yield first, items[first : first + VERIFY_BLOCK]
+
+
 def _run_verify(cfg: RunConfig) -> tuple[int, list, float]:
     tol = cfg.tol if cfg.tol is not None else INEQUALITY_TOL
     table = _SlackTable(tol)
+    s_max = min(VERIFY_LIVINGSTON_MAX_S, cfg.order)
+    pairs = [(s, t) for s in range(2, s_max + 1) for t in range(1, s)]
 
     schwarz_gens = sample_schwarz(cfg.seed, cfg.samples, VERIFY_MAX_DEGREE)
-    for idx, gen in enumerate(schwarz_gens):
-        w = expand_schwarz(gen, cfg.order)
-        for rep in schwarz_coefficient_bounds(w):
-            table.add("coefficient_bound", rep.slack, idx)
-        table.add("b2_bound", second_coefficient_bound(w).slack, idx)
-        table.add("b3_bound", third_coefficient_bound(w).slack, idx)
-        for rep in pointwise_contraction(gen, VERIFY_RADII, VERIFY_ANGLES_PER_RADIUS):
-            table.add("pointwise_contraction", rep.slack, idx)
-        for theta in VERIFY_B4_THETAS:
-            rep1, rep2 = fourth_coefficient_constraints(w, theta)
-            table.add("b4_eq1", rep1.slack, idx)
-            table.add("b4_eq2", rep2.slack, idx)
-        for theta in VERIFY_CAYLEY_THETAS:
-            p = cayley_from_schwarz(w, theta)
-            for s in range(2, min(10, cfg.order) + 1):
-                for t in range(1, s):
-                    table.add("livingston_cayley", livingston_gap(p, s, t).slack, idx)
+    for first, gens in _blocks(schwarz_gens):
+        series = [expand_schwarz(gen, cfg.order) for gen in gens]
+        W = np.stack([w.coeffs for w in series])
+        table.add("coefficient_bound", coefficient_bound_kernel(W).slack, first)
+        table.add("b2_bound", power_bound_kernel(W, 2).slack, first)
+        table.add("b3_bound", power_bound_kernel(W, 3).slack, first)
+        pointwise = pointwise_contraction_kernel(
+            gens, VERIFY_RADII, VERIFY_ANGLES_PER_RADIUS
+        )
+        table.add("pointwise_contraction", pointwise.slack, first)
+        eq1, eq2 = fourth_coefficient_kernel(W, VERIFY_B4_THETAS)
+        table.add("b4_eq1", eq1.slack, first)
+        table.add("b4_eq2", eq2.slack, first)
+        P = np.stack([
+            [cayley_from_schwarz(w, theta).coeffs for theta in VERIFY_CAYLEY_THETAS]
+            for w in series
+        ])
+        table.add("livingston_cayley", livingston_kernel(P, pairs).slack, first)
 
-    for idx, gen in enumerate(sample_herglotz(cfg.seed, cfg.samples)):
-        p = expand_caratheodory(gen, cfg.order)
-        for s in range(2, min(10, cfg.order) + 1):
-            for t in range(1, s):
-                table.add("livingston_herglotz", livingston_gap(p, s, t).slack, idx)
+    for first, gens in _blocks(sample_herglotz(cfg.seed, cfg.samples)):
+        P = np.stack([expand_caratheodory(gen, cfg.order).coeffs for gen in gens])
+        table.add("livingston_herglotz", livingston_kernel(P, pairs).slack, first)
 
     # boundary propagation is only testable on constructed boundary
     # functions: the hypothesis set has measure zero under sampling
     for k in (1, 2, 3):
         for theta in (0.0, 2.0 * math.pi / 5):
             p = expand_caratheodory(harmonic_boundary_atoms(k, theta), cfg.order)
-            for rep in harmonic_propagation(p, k, tol):
-                # slack of an identity report is -lhs; treat per check
-                table.add("harmonic_propagation", rep.slack, k)
+            # slack of an identity report is -lhs; the row is indexed by k
+            slacks = [rep.slack for rep in harmonic_propagation(p, k, tol)]
+            table.add("harmonic_propagation", [slacks], k)
 
     status = 0
     for family, idx, slack in table.violations():
@@ -483,6 +503,26 @@ def run(cfg: RunConfig, spec: Optional[str] = None) -> tuple[int, dict]:
     return status, report
 
 
+#: Flags that take a complex value "re" or "re,im".
+_COMPLEX_FLAGS = ("--b1", "--b2", "--b3")
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _join_negative_values(argv) -> list[str]:
+    """Rewrite ``--b1 -0.3,0.2`` as ``--b1=-0.3,0.2``.
+
+    argparse reads a separate token that starts with "-" as an option
+    unless it is a plain negative number, so "-0.3,0.2" would be lost.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _COMPLEX_FLAGS and _NEGATIVE_VALUE.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def _parse_complex_flag(text: str) -> complex:
     parts = text.split(",")
     try:
@@ -539,8 +579,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     cfg = RunConfig(

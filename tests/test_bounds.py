@@ -8,11 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schwarzlab.bounds import (
+    coefficient_bound_kernel,
     fourth_coefficient_constraints,
+    fourth_coefficient_kernel,
     harmonic_propagation,
     livingston_gap,
+    livingston_kernel,
     make_report,
     pointwise_contraction,
+    pointwise_contraction_kernel,
+    power_bound_kernel,
     schwarz_coefficient_bounds,
     second_coefficient_bound,
     third_coefficient_bound,
@@ -235,6 +240,91 @@ class TestLivingstonOverCorpora:
                 for s in range(2, 11):
                     for t in range(1, s):
                         assert livingston_gap(p, s, t).satisfied
+
+
+# --- array kernels ---------------------------------------------------------
+
+KERNEL_THETAS = 2 * math.pi * np.arange(64) / 64
+PAIRS = [(s, t) for s in range(2, 11) for t in range(1, s)]
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    gens = sample_schwarz(seed=31, count=24, max_degree=6)
+    series = [expand_schwarz(g, 12) for g in gens]
+    return gens, series, np.stack([w.coeffs for w in series])
+
+
+class TestKernels:
+    def test_rows_equal_one_function_at_a_time(self, corpus):
+        gens, series, W = corpus
+        radii = np.linspace(0.1, 0.9, 8)
+        blocks = {
+            "coef": coefficient_bound_kernel(W),
+            "b2": power_bound_kernel(W, 2),
+            "b3": power_bound_kernel(W, 3),
+            "pointwise": pointwise_contraction_kernel(gens, radii, 16),
+        }
+        eq1, eq2 = fourth_coefficient_kernel(W, KERNEL_THETAS)
+        for i, (g, w) in enumerate(zip(gens, series)):
+            expected = {
+                "coef": schwarz_coefficient_bounds(w),
+                "b2": [second_coefficient_bound(w)],
+                "b3": [third_coefficient_bound(w)],
+                "pointwise": pointwise_contraction(g, radii, 16),
+            }
+            for key, reports in expected.items():
+                assert blocks[key].slack[i].tolist() == [r.slack for r in reports], key
+            reps = [fourth_coefficient_constraints(w, float(t)) for t in KERNEL_THETAS]
+            assert eq1.slack[i].tolist() == [r1.slack for r1, _ in reps]
+            assert eq2.slack[i].tolist() == [r2.slack for _, r2 in reps]
+
+    def test_livingston_rows_over_leading_axes(self, corpus):
+        _, series, _ = corpus
+        thetas = (0.0, 1.0, 2.0, math.pi)
+        P = np.stack([[cayley_from_schwarz(w, t).coeffs for t in thetas] for w in series])
+        block = livingston_kernel(P, PAIRS)
+        assert block.slack.shape == (len(series), len(thetas), len(PAIRS))
+        i, j = 5, 2
+        p = cayley_from_schwarz(series[i], thetas[j])
+        assert block.lhs[i, j].tolist() == [livingston_gap(p, s, t).lhs for s, t in PAIRS]
+
+    def test_python_complex_arithmetic_bit_for_bit(self, corpus):
+        # the kernels' modulus, products and powers round exactly as plain
+        # Python complex arithmetic does
+        _, series, W = corpus
+        eq1, eq2 = fourth_coefficient_kernel(W, KERNEL_THETAS)
+        coef = coefficient_bound_kernel(W).lhs
+        b3_rhs = power_bound_kernel(W, 3).rhs
+        for i, w in enumerate(series):
+            b1, b2, b3, b4 = w[1], w[2], w[3], w[4]
+            assert coef[i].tolist() == [abs(w[k]) for k in range(1, 13)]
+            assert b3_rhs[i, 0] == 1.0 - abs(b1) ** 3
+            for j, theta in enumerate(KERNEL_THETAS.tolist()):
+                e1, e2, e3 = np.exp(1j * theta), np.exp(2j * theta), np.exp(3j * theta)
+                lhs1 = abs(b4 + e1 * b2**2 - e2 * b1**2 * b2 - e3 * b1**4)
+                lhs2 = abs(b4 + 2 * e1 * b1 * b3 - e1 * b2**2 - e2 * b1**2 * b2
+                           - e3 * b1**4)
+                assert (eq1.lhs[i, j], eq2.lhs[i, j]) == (lhs1, lhs2)
+            p = cayley_from_schwarz(w, 1.0)
+            lhs = livingston_kernel(p.coeffs[None], PAIRS).lhs[0]
+            assert lhs.tolist() == [abs(p[s] - p[t] * p[s - t]) for s, t in PAIRS]
+
+    def test_block_validation(self, corpus):
+        _, _, W = corpus
+        with pytest.raises(ValueError):
+            coefficient_bound_kernel(W[0])
+        shifted = W.copy()
+        shifted[3, 0] = 0.1
+        with pytest.raises(ValueError):
+            fourth_coefficient_kernel(shifted, [0.0])
+        with pytest.raises(ValueError):
+            power_bound_kernel(W[:, :3], 3)
+        P = all_twos(4).coeffs[None]
+        with pytest.raises(IndexError):
+            livingston_kernel(P, [(2, 1), (5, 1)])
+        with pytest.raises(ValueError):
+            livingston_kernel(2 * P, [(2, 1)])
 
 
 # --- algebraic gap identities -------------------------------------------

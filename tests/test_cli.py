@@ -1,11 +1,27 @@
 """End-to-end tests of the command-line interface and its report formats."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from schwarzlab.cli import RunConfig, main, run
+from oracles import verify_oracle
+from schwarzlab.cli import (
+    RunConfig,
+    VERIFY_BLOCK,
+    _config_payload,
+    _SlackTable,
+    main,
+    render_json,
+    run,
+)
+
+REPO = Path(__file__).resolve().parents[1]
 
 # strip: in-process main() writes through sys.stdout; capsys captures it
 
@@ -124,6 +140,116 @@ class TestVerify:
         assert any(row["violations"] for row in report["results"])
 
 
+def _oracle_json(cfg):
+    status, results, worst = verify_oracle(cfg)
+    report = {
+        "command": "verify",
+        "config": _config_payload(cfg, None),
+        "results": results,
+        "worst_slack": float(worst),
+        "exit_status": status,
+    }
+    return status, render_json(report)
+
+
+def _verify_argv(cfg):
+    argv = ["verify", "--order", str(cfg.order), "--seed", str(cfg.seed),
+            "--samples", str(cfg.samples)]
+    if cfg.tol is not None:
+        argv += ["--tol", repr(cfg.tol)]
+    return argv
+
+
+class TestVerifyMatchesScalarOracle:
+    """The batched verify report equals the per-scalar reference byte for byte."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7, 42, 12345])
+    @pytest.mark.parametrize("samples", [5, 100])
+    def test_seeds_and_sizes(self, capsys, seed, samples):
+        cfg = RunConfig(command="verify", seed=seed, samples=samples)
+        status, expected = _oracle_json(cfg)
+        code, out, _ = run_cli(capsys, _verify_argv(cfg))
+        assert (code, out) == (status, expected)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            RunConfig(command="verify", order=4, samples=20, seed=11),
+            RunConfig(command="verify", order=16, samples=20, seed=11),
+            RunConfig(command="verify", samples=37, seed=5),
+        ],
+        ids=["order4", "order16", "samples37"],
+    )
+    def test_orders_and_partial_block(self, capsys, cfg):
+        status, expected = _oracle_json(cfg)
+        code, out, _ = run_cli(capsys, _verify_argv(cfg))
+        assert (code, out) == (status, expected)
+
+    def test_failing_rows_match(self, capsys):
+        assert 37 % VERIFY_BLOCK != 0
+        cfg = RunConfig(command="verify", samples=37, seed=42, tol=1e-17)
+        status, expected = _oracle_json(cfg)
+        code, out, err = run_cli(capsys, _verify_argv(cfg))
+        assert status == code == 1
+        assert out == expected
+        failing = [r for r in json.loads(out)["results"] if r["violations"]]
+        assert failing
+        for row in failing:
+            assert f"check failure: {row['bound']} at sample {row['worst_index']}," in err
+
+
+class TestSlackTable:
+    def test_nan_slack_is_a_violation_and_the_worst(self):
+        table = _SlackTable(1e-9)
+        table.add("x", [[0.5, 0.25], [0.1, math.nan], [-1.0, 0.3]], 4)
+        row = table.results()[0]
+        assert row["checks"] == 6
+        assert row["violations"] == 2
+        assert row["worst_index"] == 5
+        assert math.isnan(row["worst_slack"])
+        assert math.isnan(table.worst())
+        assert table.violations() == [("x", 5, row["worst_slack"])]
+
+    def test_infinite_slack_is_a_violation(self):
+        table = _SlackTable(1e-9)
+        table.add("x", [[0.5], [math.inf]], 0)
+        row = table.results()[0]
+        assert row["violations"] == 1
+        assert (row["worst_index"], row["worst_slack"]) == (1, math.inf)
+
+    def test_first_strictly_smaller_slack_wins(self):
+        table = _SlackTable(1e-9)
+        table.add("x", [[0.3, 0.2], [0.2, 0.4]], 0)
+        table.add("x", [[0.2]], 2)
+        assert table.results()[0]["worst_index"] == 0
+        table.add("x", [[0.5], [0.1], [0.1]], 3)
+        row = table.results()[0]
+        assert (row["worst_index"], row["worst_slack"]) == (4, 0.1)
+        assert row["violations"] == 0
+
+    def test_empty_table(self):
+        table = _SlackTable(1e-9)
+        assert table.results() == [] and table.worst() == math.inf
+
+
+class TestToleranceValidation:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--samples", "5", "--tol", "nan"],
+            ["verify", "--samples", "5", "--tol", "inf"],
+            ["verify", "--samples", "5", "--tol", "0"],
+            ["scan", "--samples", "5", "--angles", "64", "--tol", "inf"],
+            ["scan", "--samples", "5", "--angles", "64", "--tol", "nan"],
+        ],
+    )
+    def test_non_finite_or_non_positive_tol_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "tol" in err
+
+
 class TestRegion:
     def test_b3_json_report(self, capsys):
         code, out, _ = run_cli(
@@ -177,6 +303,30 @@ class TestRegion:
         assert code == 2 and "target" in err
         code, _, err = run_cli(capsys, ["region", "--target", "b3"])
         assert code == 2 and "b1" in err
+
+    @pytest.mark.parametrize("target", ["b3", "b4"])
+    def test_b1_outside_unit_disk_exits_2(self, capsys, target):
+        code, out, err = run_cli(
+            capsys, ["region", "--target", target, "--b1", "2,0",
+                     "--angles", "64", "--resolution", "16"],
+        )
+        assert code == 2 and out == ""
+        assert "|b1| <= 1" in err
+
+    def test_negative_complex_value_as_separate_token(self, capsys):
+        tail = ["--angles", "128", "--resolution", "32"]
+        code, joined, _ = run_cli(
+            capsys, ["region", "--target", "b4", "--b1=-0.3,0.2",
+                     "--b2=-0.1,-0.05", "--b3=-.2"] + tail,
+        )
+        assert code == 0
+        code, split, _ = run_cli(
+            capsys, ["region", "--target", "b4", "--b1", "-0.3,0.2",
+                     "--b2", "-0.1,-0.05", "--b3", "-.2"] + tail,
+        )
+        assert code == 0
+        assert split == joined
+        assert json.loads(split)["config"]["b1"] == [-0.3, 0.2]
 
     def test_region_modes(self, capsys):
         for mode in ("eq1", "eq2", "both"):
@@ -265,3 +415,17 @@ class TestRunConfigValidation:
         status, report = run(RunConfig(command="scan", samples=5, angles=512))
         assert status == 0
         assert set(report) == {"command", "config", "results", "worst_slack", "exit_status"}
+
+
+def test_corpus_verification_script_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_corpus_verification.py"),
+         "--samples", "20"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "livingston_cayley" in proc.stdout
