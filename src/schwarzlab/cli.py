@@ -55,9 +55,12 @@ from schwarzlab.families import (
 )
 from schwarzlab.grammar import GeneratorParseError, parse_generator
 from schwarzlab.regions import (
+    B4_MODES,
     DEFAULT_ANGLES,
     DEFAULT_RESOLUTION,
     MEMBERSHIP_TOL,
+    MIN_FAMILY_SIZE,
+    MIN_RESOLUTION,
     RegionEstimate,
     attainability_frontier,
     attainability_scan,
@@ -109,12 +112,12 @@ class RunConfig:
             raise ValueError("samples must be >= 1")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
-        if self.mode not in ("eq1", "eq2", "both"):
+        if self.mode not in B4_MODES:
             raise ValueError("mode must be eq1, eq2 or both")
-        if self.angles < 3:
-            raise ValueError("angles must be >= 3")
-        if self.resolution < 16:
-            raise ValueError("resolution must be >= 16")
+        if self.angles < MIN_FAMILY_SIZE:
+            raise ValueError(f"angles must be >= {MIN_FAMILY_SIZE}")
+        if self.resolution < MIN_RESOLUTION:
+            raise ValueError(f"resolution must be >= {MIN_RESOLUTION}")
         if self.command == "region":
             if self.target not in ("b3", "b4"):
                 raise ValueError("region needs --target b3 or b4")
@@ -338,11 +341,12 @@ def _run_scan(cfg: RunConfig) -> tuple[int, list, float]:
     records = attainability_scan(
         cfg.seed, cfg.samples, angle_samples=cfg.angles, tol=tol
     )
+    # ranks a non-finite margin below every finite one, as verify does
+    margins = _SlackTable(tol)
+    margins.add("b4_margin", [rec.margin for rec in records], 0)
     results = []
     status = 0
-    worst = math.inf
     for idx, rec in enumerate(records):
-        worst = min(worst, rec.margin)
         results.append(
             {
                 "kind": "sample",
@@ -352,7 +356,7 @@ def _run_scan(cfg: RunConfig) -> tuple[int, list, float]:
                 "margin": float(rec.margin),
             }
         )
-        if not rec.member:
+        if not (rec.member and math.isfinite(rec.margin)):
             print(
                 f"check failure: b4 outside constraint set at sample {idx}, "
                 f"margin {rec.margin!r}",
@@ -370,7 +374,7 @@ def _run_scan(cfg: RunConfig) -> tuple[int, list, float]:
                 "reference": float(fb.reference),
             }
         )
-    return status, results, worst
+    return status, results, margins.worst()
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--b2", type=_parse_complex_flag, default=None)
     p_region.add_argument("--b3", type=_parse_complex_flag, default=None)
     p_region.add_argument("--target", choices=("b3", "b4"), default=None)
-    p_region.add_argument("--mode", choices=("eq1", "eq2", "both"), default="both")
+    p_region.add_argument("--mode", choices=B4_MODES, default="both")
     p_region.add_argument("--angles", type=int, default=DEFAULT_ANGLES, metavar="M")
     p_region.add_argument(
         "--resolution", type=int, default=DEFAULT_RESOLUTION, metavar="R"

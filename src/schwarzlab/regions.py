@@ -38,6 +38,9 @@ MEMBERSHIP_TOL = 1e-6
 MIN_RESOLUTION = 16
 MIN_FAMILY_SIZE = 3
 
+#: Fourth-coefficient constraint families: gamma1, gamma2, or both jointly.
+B4_MODES = ("eq1", "eq2", "both")
+
 
 @dataclass(frozen=True)
 class BoundingBox:
@@ -225,17 +228,21 @@ def b4_centers(
     return g1, g2
 
 
+def _check_b4_mode(mode: str) -> None:
+    if mode not in B4_MODES:
+        raise ValueError(f"mode must be eq1, eq2 or both, got {mode!r}")
+
+
 def _b4_center_list(
     b1: complex, b2: complex, b3: complex, angle_samples: int, mode: str
 ) -> np.ndarray:
     g1, g2 = b4_centers(complex(b1), complex(b2), complex(b3), _uniform_thetas(angle_samples))
+    _check_b4_mode(mode)
     if mode == "eq1":
         return g1
     if mode == "eq2":
         return g2
-    if mode == "both":
-        return np.concatenate([g1, g2])
-    raise ValueError(f"mode must be eq1, eq2 or both, got {mode!r}")
+    return np.concatenate([g1, g2])
 
 
 def b4_feasible_region(
@@ -258,6 +265,39 @@ def b4_feasible_region(
     return intersect_disk_family(family, BoundingBox(0j, hw), resolution)
 
 
+def _angle_table(angle_samples: int) -> tuple[np.ndarray, ...]:
+    """(e^{i theta}, e^{2 i theta}, e^{3 i theta}, -2 e^{i theta}) at M uniform angles.
+
+    Built once per margin call or scan; every sampled function reuses it.
+    """
+    thetas = _uniform_thetas(angle_samples)
+    e1 = np.exp(1j * thetas)
+    return e1, np.exp(2j * thetas), np.exp(3j * thetas), -2 * e1
+
+
+def _b4_margin(
+    table: tuple[np.ndarray, ...], b1: complex, b2: complex, b3: complex, b4: complex,
+    mode: str,
+) -> float:
+    """1 - max_j |b4 - gamma_j| over the families of ``mode``.
+
+    The terms shared by gamma1 and gamma2 are formed once; the sums keep
+    the operand order of :func:`b4_centers`, so margins match it bit for
+    bit.  np.maximum keeps a NaN distance, which Python's max would drop.
+    """
+    _check_b4_mode(mode)
+    e1, e2, e3, m2e1 = table
+    p1 = e1 * b2**2
+    p2 = e2 * b1**2 * b2
+    p3 = e3 * b1**4
+    far1 = far2 = -math.inf
+    if mode != "eq2":
+        far1 = np.abs(b4 - (-p1 + p2 + p3)).max()
+    if mode != "eq1":
+        far2 = np.abs(b4 - (m2e1 * b1 * b3 + p1 + p2 + p3)).max()
+    return float(1.0 - np.maximum(far1, far2))
+
+
 def b4_margin(
     b1: complex,
     b2: complex,
@@ -271,8 +311,11 @@ def b4_margin(
     Non-negative inside the region; this is the un-rasterized membership
     test behind the grid estimate.
     """
-    centers = _b4_center_list(b1, b2, b3, angle_samples, mode)
-    return float(1.0 - np.max(np.abs(complex(b4) - centers)))
+    return _b4_margin(
+        _angle_table(angle_samples),
+        complex(b1), complex(b2), complex(b3), complex(b4),
+        mode,
+    )
 
 
 @dataclass(frozen=True)
@@ -297,11 +340,12 @@ def attainability_scan(
     margins must be >= -tol; a violation indicates a bug in the expansion
     or the region code, not new mathematics.
     """
+    table = _angle_table(angle_samples)
     records = []
     for g in sample_schwarz(seed, count, max_degree):
         w = expand_schwarz(g, 4)
         b1, b2, b3, b4 = w[1], w[2], w[3], w[4]
-        margin = b4_margin(b1, b2, b3, b4, angle_samples=angle_samples)
+        margin = _b4_margin(table, b1, b2, b3, b4, "both")
         records.append(
             ScanRecord(coeffs=(b1, b2, b3, b4), member=margin >= -tol, margin=margin)
         )

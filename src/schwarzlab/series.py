@@ -44,7 +44,7 @@ class TruncatedSeries:
         arr = np.array(self.coeffs, dtype=np.complex128)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coefficients must form a non-empty 1-d sequence")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("coefficients must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)

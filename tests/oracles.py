@@ -5,7 +5,9 @@ division, sharing no code path with the library, so that tests compare
 two genuinely different routes to the same numbers.  The verify oracle
 checks one function and one scalar check at a time through the library's
 scalar checkers, and accumulates slacks one by one, as the reference for
-the CLI's batched corpus checking.
+the CLI's batched corpus checking.  The scan oracle rebuilds every
+sample's b4 centers with :func:`schwarzlab.regions.b4_centers`, as the
+reference for the scan's shared angle table.
 """
 
 from __future__ import annotations
@@ -141,4 +143,59 @@ def verify_oracle(cfg):
     results = [dict(rows[name]) for name in sorted(rows)]
     status = int(any(row["violations"] for row in results))
     worst = min((row["worst_slack"] for row in results), default=math.inf)
+    return status, results, worst
+
+
+def b4_margin_oracle(b1, b2, b3, b4, angle_samples, mode="both"):
+    """1 - max_j |b4 - gamma_j| over freshly built center arrays."""
+    from schwarzlab.regions import b4_centers
+
+    thetas = 2.0 * math.pi * np.arange(angle_samples) / angle_samples
+    g1, g2 = b4_centers(complex(b1), complex(b2), complex(b3), thetas)
+    centers = {"eq1": g1, "eq2": g2, "both": np.concatenate([g1, g2])}[mode]
+    return float(1.0 - np.max(np.abs(complex(b4) - centers)))
+
+
+def scan_oracle(cfg):
+    """Per-sample reference for ``scan``: returns (status, results, worst).
+
+    Each sample's margin comes from :func:`b4_margin_oracle`.  A
+    non-finite margin is a failure and ranks below every finite one.
+    """
+    from schwarzlab.families import expand_schwarz, sample_schwarz
+    from schwarzlab.regions import MEMBERSHIP_TOL, ScanRecord, attainability_frontier
+
+    tol = cfg.tol if cfg.tol is not None else MEMBERSHIP_TOL
+    records = []
+    for g in sample_schwarz(cfg.seed, cfg.samples, 4):
+        w = expand_schwarz(g, 4)
+        b = (w[1], w[2], w[3], w[4])
+        margin = b4_margin_oracle(*b, cfg.angles)
+        records.append(ScanRecord(coeffs=b, member=margin >= -tol, margin=margin))
+
+    results = []
+    status = 0
+    worst, worst_rank = math.inf, math.inf
+    for idx, rec in enumerate(records):
+        results.append({
+            "kind": "sample",
+            "index": idx,
+            "b": [[c.real, c.imag] for c in rec.coeffs],
+            "member": rec.member,
+            "margin": rec.margin,
+        })
+        if not (rec.member and math.isfinite(rec.margin)):
+            status = 1
+        rank = rec.margin if math.isfinite(rec.margin) else -math.inf
+        if rank < worst_rank:
+            worst, worst_rank = rec.margin, rank
+    for fb in attainability_frontier(records):
+        results.append({
+            "kind": "frontier",
+            "lo": fb.lo,
+            "hi": fb.hi,
+            "count": fb.count,
+            "max_abs_b4": float(fb.max_abs_b4),
+            "reference": fb.reference,
+        })
     return status, results, worst

@@ -10,15 +10,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import verify_oracle
+import schwarzlab.cli as cli
+from oracles import scan_oracle, verify_oracle
 from schwarzlab.cli import (
     RunConfig,
     VERIFY_BLOCK,
     _config_payload,
     _SlackTable,
+    build_parser,
     main,
+    render_csv,
     render_json,
     run,
+)
+from schwarzlab.regions import (
+    B4_MODES,
+    MEMBERSHIP_TOL,
+    MIN_FAMILY_SIZE,
+    MIN_RESOLUTION,
+    ScanRecord,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -385,6 +395,102 @@ class TestScan:
         assert code == 1
         assert "check failure" in err
         assert json.loads(out)["exit_status"] == 1
+
+
+def _scan_oracle_reports(cfg):
+    status, results, worst = scan_oracle(cfg)
+    report = {
+        "command": "scan",
+        "config": _config_payload(cfg, None),
+        "results": results,
+        "worst_slack": float(worst),
+        "exit_status": status,
+    }
+    return status, render_json(report), render_csv("scan", results)
+
+
+def _scan_argv(cfg, fmt):
+    argv = ["scan", "--seed", str(cfg.seed), "--samples", str(cfg.samples),
+            "--angles", str(cfg.angles), "--format", fmt]
+    if cfg.tol is not None:
+        argv += ["--tol", repr(cfg.tol)]
+    return argv
+
+
+class TestScanMatchesOracle:
+    """The shared-table scan report equals the per-sample reference byte for byte."""
+
+    @pytest.mark.parametrize("seed", [1, 3, 5, 42, 12345])
+    @pytest.mark.parametrize("angles", [3, 7, 512, 4096])
+    @pytest.mark.parametrize("samples", [1, 250])
+    def test_json_and_csv(self, capsys, seed, angles, samples):
+        cfg = RunConfig(command="scan", seed=seed, samples=samples, angles=angles)
+        status, want_json, want_csv = _scan_oracle_reports(cfg)
+        assert run_cli(capsys, _scan_argv(cfg, "json"))[:2] == (status, want_json)
+        assert run_cli(capsys, _scan_argv(cfg, "csv"))[:2] == (status, want_csv)
+
+    def test_failing_samples_match(self, capsys):
+        cfg = RunConfig(command="scan", seed=3, samples=5, angles=512, tol=1e-18)
+        status, want_json, _ = _scan_oracle_reports(cfg)
+        code, out, err = run_cli(capsys, _scan_argv(cfg, "json"))
+        assert status == code == 1
+        assert out == want_json
+        assert "check failure" in err
+
+
+class TestScanNonFiniteMargin:
+    @staticmethod
+    def patch_scan(monkeypatch, margins):
+        records = [
+            ScanRecord(coeffs=(0.5 + 0j, 0j, 0j, 0.1 + 0j),
+                       member=m >= -MEMBERSHIP_TOL, margin=m)
+            for m in margins
+        ]
+        monkeypatch.setattr(cli, "attainability_scan", lambda *a, **k: records)
+
+    def test_single_nan_margin_is_worst_and_fails(self, capsys, monkeypatch):
+        self.patch_scan(monkeypatch, [math.nan])
+        code, out, err = run_cli(capsys, ["scan", "--samples", "1"])
+        report = json.loads(out)
+        assert code == report["exit_status"] == 1
+        assert math.isnan(report["worst_slack"])
+        assert "check failure" in err and "sample 0" in err
+
+    def test_nan_ranks_below_finite_margins(self, capsys, monkeypatch):
+        self.patch_scan(monkeypatch, [0.5, math.nan, -0.25, 0.2])
+        code, out, err = run_cli(capsys, ["scan", "--samples", "4"])
+        assert code == 1
+        assert math.isnan(json.loads(out)["worst_slack"])
+        assert "sample 1," in err and "sample 2," in err
+
+    def test_infinite_margin_fails(self, capsys, monkeypatch):
+        self.patch_scan(monkeypatch, [0.5, math.inf])
+        code, out, err = run_cli(capsys, ["scan", "--samples", "2"])
+        assert code == 1
+        assert json.loads(out)["worst_slack"] == math.inf
+        assert "sample 1," in err and "sample 0," not in err
+
+
+class TestSharedValidationConstants:
+    def test_region_accepts_exactly_the_b4_modes(self):
+        parser = build_parser()
+        for mode in B4_MODES:
+            assert parser.parse_args(["region", "--mode", mode]).mode == mode
+        with pytest.raises(SystemExit):
+            parser.parse_args(["region", "--mode", "all"])
+
+    def test_floors_and_messages(self, capsys):
+        code, _, err = run_cli(
+            capsys, ["scan", "--samples", "1", "--angles", str(MIN_FAMILY_SIZE - 1)]
+        )
+        assert code == 2 and "error: angles must be >= 3" in err
+        code, _, err = run_cli(
+            capsys, ["region", "--target", "b3", "--b1", "0.1", "--angles", "8",
+                     "--resolution", str(MIN_RESOLUTION - 1)],
+        )
+        assert code == 2 and "error: resolution must be >= 16" in err
+        with pytest.raises(ValueError, match="mode must be eq1, eq2 or both"):
+            RunConfig(command="scan", mode="all").validate()
 
 
 class TestOutputFile:

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from schwarzlab.families import MonomialRotation, expand_schwarz
+from oracles import b4_margin_oracle
+from schwarzlab.families import MonomialRotation, expand_schwarz, sample_schwarz
 from schwarzlab.regions import (
+    B4_MODES,
     BoundingBox,
     DiskConstraintFamily,
     FrontierBin,
@@ -230,6 +232,46 @@ class TestAttainabilityScan:
             assert fb.reference == pytest.approx(1 - ((fb.lo + fb.hi) / 2) ** 4)
             if fb.count:
                 assert 0.0 <= fb.max_abs_b4 <= 1.0 + 1e-9
+
+
+class TestB4MarginMatchesCenters:
+    """b4_margin on the shared angle table equals the b4_centers formula bit for bit."""
+
+    @staticmethod
+    def coefficient_tuples():
+        tuples = []
+        for seed in (1, 3, 42):
+            for g in sample_schwarz(seed, 20, 4):
+                w = expand_schwarz(g, 4)
+                tuples.append((w[1], w[2], w[3], w[4]))
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            z = rng.uniform(-1.5, 1.5, size=(4, 2))
+            tuples.append(tuple(complex(re, im) for re, im in z))
+        return tuples
+
+    @pytest.mark.parametrize("mode", B4_MODES)
+    @pytest.mark.parametrize("angles", [3, 7, 512, 4096])
+    def test_bit_identical_to_center_formula(self, mode, angles):
+        for b in self.coefficient_tuples():
+            got = b4_margin(*b, angle_samples=angles, mode=mode)
+            want = b4_margin_oracle(*b, angles, mode)
+            assert got.hex() == want.hex(), (b, mode, angles)
+
+    def test_nan_propagates_per_family(self):
+        # b3 enters gamma2 only: eq1 stays finite, eq2 and the joint set do not
+        b = (0.3, 0.1j, complex(math.nan, 0.0), 0.2)
+        assert math.isfinite(b4_margin(*b, angle_samples=64, mode="eq1"))
+        assert math.isnan(b4_margin(*b, angle_samples=64, mode="eq2"))
+        assert math.isnan(b4_margin(*b, angle_samples=64, mode="both"))
+        for mode in B4_MODES:
+            assert math.isnan(b4_margin(0.3, 0.1, 0.0, math.nan, 64, mode))
+
+    def test_bad_mode_and_angle_floor_rejected(self):
+        with pytest.raises(ValueError, match="mode must be eq1, eq2 or both"):
+            b4_margin(0.1, 0.0, 0.0, 0.0, angle_samples=64, mode="all")
+        with pytest.raises(ValueError, match="at least 3"):
+            b4_margin(0.1, 0.0, 0.0, 0.0, angle_samples=2)
 
 
 class TestRegionEstimateHelpers:
