@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from schwarzlab.families import SchwarzGenerator, evaluate_schwarz
-from schwarzlab.series import TruncatedSeries
+from schwarzlab.series import TruncatedSeries, pair_mul
 
 INEQUALITY_TOL = 1e-9
 EQUALITY_TOL = 1e-8
@@ -117,11 +117,6 @@ def _parts(z) -> tuple[np.ndarray, np.ndarray]:
     return z.real, z.imag
 
 
-def _cmul(a, b):
-    (ar, ai), (br, bi) = a, b
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
 def _modulus(z) -> np.ndarray:
     re, im = z
     return np.hypot(re, im)
@@ -166,7 +161,7 @@ def livingston_kernel(P, pairs: Sequence[tuple[int, int]]) -> BoundBlock:
             raise IndexError(f"need 1 <= t < s <= {order}, got (s={s}, t={t})")
     s, t = np.array(pairs, dtype=int).reshape(-1, 2).T
     cs, ct, cst = (_parts(P[..., idx]) for idx in (s, t, s - t))
-    prod = _cmul(ct, cst)
+    prod = pair_mul(ct, cst)
     return BoundBlock(_modulus((cs[0] - prod[0], cs[1] - prod[1])), 2.0)
 
 
@@ -215,12 +210,12 @@ def fourth_coefficient_kernel(W, thetas) -> tuple[BoundBlock, BoundBlock]:
     e1 = _parts(np.exp(1j * thetas))
     e2 = _parts(np.exp(2j * thetas))
     e3 = _parts(np.exp(3j * thetas))
-    b1sq = _cmul(b1, b1)
-    b1p4 = _cmul(b1sq, b1sq)
-    e1b2sq = _cmul(e1, _cmul(b2, b2))
-    e2b1sqb2 = _cmul(_cmul(e2, b1sq), b2)
-    e3b1p4 = _cmul(e3, b1p4)
-    cross = _cmul(_cmul((2.0 * e1[0], 2.0 * e1[1]), b1), b3)
+    b1sq = pair_mul(b1, b1)
+    b1p4 = pair_mul(b1sq, b1sq)
+    e1b2sq = pair_mul(e1, pair_mul(b2, b2))
+    e2b1sqb2 = pair_mul(pair_mul(e2, b1sq), b2)
+    e3b1p4 = pair_mul(e3, b1p4)
+    cross = pair_mul(pair_mul((2.0 * e1[0], 2.0 * e1[1]), b1), b3)
 
     def combine(*terms):
         # b4 + terms[0] - terms[1] - ..., summed left to right

@@ -46,7 +46,8 @@ from schwarzlab.families import (
     CayleyOfSchwarz,
     HerglotzAtoms,
     InvalidGeneratorError,
-    cayley_from_schwarz,
+    cayley_block,
+    expand_blaschke,
     expand_caratheodory,
     expand_schwarz,
     harmonic_boundary_atoms,
@@ -56,6 +57,7 @@ from schwarzlab.families import (
 from schwarzlab.grammar import GeneratorParseError, parse_generator
 from schwarzlab.regions import (
     B4_MODES,
+    CHUNK_DOUBLES,
     DEFAULT_ANGLES,
     DEFAULT_RESOLUTION,
     MEMBERSHIP_TOL,
@@ -81,6 +83,9 @@ VERIFY_MAX_DEGREE = 6
 VERIFY_BLOCK = 16
 #: Highest index s of the Livingston pairs (s, t) checked by `verify`.
 VERIFY_LIVINGSTON_MAX_S = 10
+#: A run whose estimated peak working memory (see :func:`estimate_peak_bytes`)
+#: exceeds this many bytes is refused before it allocates anything.
+MAX_PEAK_BYTES = 2 * 1024**3
 
 
 @dataclass
@@ -127,6 +132,37 @@ class RunConfig:
                 raise ValueError("region needs |b1| <= 1")
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError("tol must be finite and positive")
+        peak = estimate_peak_bytes(self)
+        if peak > MAX_PEAK_BYTES:
+            # integer GiB: a float quotient overflows for absurd settings
+            raise ValueError(
+                f"{self.command} would need about {-(-peak // 2**30)} GiB, over the "
+                f"{MAX_PEAK_BYTES // 2**30} GiB cap; lower --resolution, "
+                "--angles, --samples or --order"
+            )
+
+
+def estimate_peak_bytes(cfg: RunConfig) -> int:
+    """Rough upper estimate of a run's peak working memory, in bytes.
+
+    Pure arithmetic on the settings, so it is safe at any size.  The terms
+    are the allocations that grow with the settings, with factors measured
+    on the lab's own runs: about 64 (N+1)^2 bytes per row of a stacked
+    series product at order N, 5 kB per sampled function for the corpora,
+    records and report rows, 160 bytes per scan angle, and for a region
+    8 bytes per grid cell plus five chunks of chord temporaries of
+    8 bytes per (grid row, disk).
+    """
+    product_row = 64 * (cfg.order + 1) ** 2
+    if cfg.command == "expand":
+        return 2 * product_row
+    if cfg.command == "verify":
+        return 5000 * cfg.samples + VERIFY_BLOCK * product_row
+    if cfg.command == "scan":
+        return 5000 * cfg.samples + 160 * cfg.angles
+    disks = cfg.angles * (2 if cfg.target == "b4" and cfg.mode == "both" else 1)
+    chunk = min(cfg.resolution * disks, max(CHUNK_DOUBLES, disks))
+    return 8 * cfg.resolution**2 + 40 * chunk + 64 * disks
 
 
 def _c2j(z: complex) -> list[float]:
@@ -244,8 +280,7 @@ def _run_verify(cfg: RunConfig) -> tuple[int, list, float]:
 
     schwarz_gens = sample_schwarz(cfg.seed, cfg.samples, VERIFY_MAX_DEGREE)
     for first, gens in _blocks(schwarz_gens):
-        series = [expand_schwarz(gen, cfg.order) for gen in gens]
-        W = np.stack([w.coeffs for w in series])
+        W = expand_blaschke(gens, cfg.order)
         table.add("coefficient_bound", coefficient_bound_kernel(W).slack, first)
         table.add("b2_bound", power_bound_kernel(W, 2).slack, first)
         table.add("b3_bound", power_bound_kernel(W, 3).slack, first)
@@ -256,10 +291,7 @@ def _run_verify(cfg: RunConfig) -> tuple[int, list, float]:
         eq1, eq2 = fourth_coefficient_kernel(W, VERIFY_B4_THETAS)
         table.add("b4_eq1", eq1.slack, first)
         table.add("b4_eq2", eq2.slack, first)
-        P = np.stack([
-            [cayley_from_schwarz(w, theta).coeffs for theta in VERIFY_CAYLEY_THETAS]
-            for w in series
-        ])
+        P = cayley_block(W, VERIFY_CAYLEY_THETAS)
         table.add("livingston_cayley", livingston_kernel(P, pairs).slack, first)
 
     for first, gens in _blocks(sample_herglotz(cfg.seed, cfg.samples)):

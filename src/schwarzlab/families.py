@@ -10,13 +10,20 @@ Generators are small frozen dataclasses describing a function symbolically;
 ``expand_*`` produces its Taylor series to a requested order, while
 ``evaluate_*`` evaluates the function itself at points of the disk
 (used by pointwise checks that must not be contaminated by truncation).
+
+:func:`expand_blaschke` and :func:`cayley_block` expand whole stacks of
+Blaschke products and their Cayley transforms at once; a row's bits do
+not depend on the rows stacked with it, and the one-function paths
+(``expand_schwarz`` of a Blaschke product, :func:`cayley_from_schwarz`)
+are their one-row views.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -24,11 +31,14 @@ from schwarzlab.series import (
     CompositionDomainError,
     TruncatedSeries,
     add_scaled,
-    compose,
-    geometric_mobius,
+    from_pairs,
     mul,
+    pair_mul,
     reciprocal,
     scale,
+    stacked_mul,
+    to_pairs,
+    with_turn,
 )
 
 #: |b1| within this distance of 1 selects the rotation branch of the
@@ -157,12 +167,19 @@ def validate_caratheodory(g: CaratheodoryGenerator) -> None:
 # Cayley transform on truncated series
 # ---------------------------------------------------------------------------
 
-def cayley_from_schwarz(w: TruncatedSeries, theta: float) -> TruncatedSeries:
-    """p = (1 + e^{i theta} w)/(1 - e^{i theta} w) on truncated series.
+def cayley_block(W, thetas) -> np.ndarray:
+    """Cayley transforms of a stack of Schwarz series at several rotations.
 
-    Realized as the composition of the geometric Moebius series [1,2,2,...]
-    with u = e^{i theta} w; requires w(0) = 0 exactly.  The first output
-    coefficients expand to
+    ``W`` is an ``(S, N+1)`` complex block of Schwarz coefficient rows
+    (b_0 = 0 exactly); the result is ``(S, T, N+1)``, one Caratheodory
+    row p = (1 + u)/(1 - u), u = e^{i theta} w, per row and theta.  p
+    solves p (1 - u) = 1 + u, so p_0 = 1 and
+
+        p_k = 2 u_k + sum_{j=1..k-1} p_j u_{k-j},
+
+    summed in that order of j, each term an unfused complex product, so
+    a row's bits do not depend on the rows or angles stacked with it.
+    The first coefficients expand to
 
         c1 = 2 e^{i theta} b1
         c2 = 2 (e^{i 2 theta} b1^2 + e^{i theta} b2)
@@ -170,12 +187,41 @@ def cayley_from_schwarz(w: TruncatedSeries, theta: float) -> TruncatedSeries:
         c4 = 2 (e^{i 4 theta} b1^4 + 3 e^{i 3 theta} b1^2 b2
                 + 2 e^{i 2 theta} b1 b3 + e^{i 2 theta} b2^2 + e^{i theta} b4)
     """
-    if w.coeffs[0] != 0:
+    W = _finite(np.asarray(W, dtype=np.complex128))
+    if W.ndim != 2:
+        raise ValueError("need a (functions, order + 1) coefficient block")
+    if (W[:, 0] != 0).any():
         raise CompositionDomainError("Schwarz series must vanish at the origin")
-    if w.order < 1:
+    n = W.shape[1]
+    if n < 2:
         raise ValueError("need order >= 1")
-    u = scale(w, np.exp(1j * theta))
-    return compose(geometric_mobius(w.order), u)
+    rots = [cmath.exp(1j * float(t)) for t in thetas]
+    rot = (np.array([z.real for z in rots]), np.array([z.imag for z in rots]))
+    # u = e^{i theta_t} w_s, one row (s, t) per function and angle along the
+    # last axes; U[h, 2k:2k+2] holds the (re, im) of u_k (h = 0) and i*u_k
+    w = to_pairs(W)[..., None]
+    u = np.empty(w.shape[:-1] + (len(rots),))
+    u[:, 0], u[:, 1] = pair_mul(rot, (w[:, 0], w[:, 1]))
+    U = with_turn(u).reshape(2, 2 * n, -1)
+    # P[2k:2k+2] is final once the update of step k - 1 has run
+    P = U[0] + U[0]
+    P[:2] = ((1.0,), (0.0,))
+    terms = np.empty_like(U)
+    for k in range(1, n - 1):
+        m = 2 * (n - 1 - k)
+        np.multiply(U[:, 2 : 2 + m], P[2 * k : 2 * k + 2, None], out=terms[:, :m])
+        np.add(terms[0, :m], terms[1, :m], out=terms[0, :m])
+        np.add(P[2 * k + 2 :], terms[0, :m], out=P[2 * k + 2 :])
+    out = from_pairs(P.reshape(n, 2, -1)).reshape(len(W), len(rots), n)
+    return _finite(out)
+
+
+def cayley_from_schwarz(w: TruncatedSeries, theta: float) -> TruncatedSeries:
+    """p = (1 + e^{i theta} w)/(1 - e^{i theta} w) on truncated series.
+
+    The one-row view of :func:`cayley_block`; requires w(0) = 0 exactly.
+    """
+    return TruncatedSeries(cayley_block(w.coeffs[None], [theta])[0, 0])
 
 
 def inverse_cayley(p: TruncatedSeries, theta: float) -> TruncatedSeries:
@@ -196,18 +242,81 @@ def inverse_cayley(p: TruncatedSeries, theta: float) -> TruncatedSeries:
 # Taylor expansion of generators
 # ---------------------------------------------------------------------------
 
-def _blaschke_factor_series(a: complex, order: int) -> TruncatedSeries:
-    # (|a|/a)(a - z)/(1 - conj(a) z); for a = 0: plain z
-    if a == 0:
-        return TruncatedSeries.identity(order)
-    lin = TruncatedSeries.zero(order).coeffs.copy()
-    lin[0] = a
-    lin[1] = -1.0
-    den = TruncatedSeries.zero(order).coeffs.copy()
-    den[0] = 1.0
-    den[1] = -np.conj(a)
-    fac = mul(TruncatedSeries(lin), reciprocal(TruncatedSeries(den)))
-    return scale(fac, abs(a) / a)
+def _finite(arr: np.ndarray) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise ValueError("coefficients must be finite")
+    return arr
+
+
+def _blaschke_factors(zeros: np.ndarray, order: int) -> np.ndarray:
+    """``(order+1, 2, K)`` stack of the factors (|a|/a)(a - z)/(1 - conj(a) z).
+
+    Closed form: c_0 = |a| and c_k = (|a|/a)(|a|^2 - 1) conj(a)^{k-1};
+    a = 0 is the factor z.  The powers are built by doubling:
+    c_{1+f+i} = c_{1+i} conj(a)^f.
+    """
+    out = np.zeros((order + 1, 2, len(zeros)))
+    out[1, 0, zeros == 0] = 1.0
+    nonzero = zeros != 0
+    a = zeros[nonzero]
+    r = np.hypot(a.real, a.imag)
+    lift = r * r - 1.0
+    c = np.zeros((order + 1, 2, len(a)))
+    c[0, 0] = r
+    # |a|/a = conj(a)/|a|
+    c[1, 0] = a.real / r * lift
+    c[1, 1] = -a.imag / r * lift
+    base = (a.real, -a.imag)
+    filled = 1
+    while filled < order:
+        span = min(filled, order - filled)
+        head = c[1 : 1 + span]
+        re, im = pair_mul((head[:, 0], head[:, 1]), base)
+        c[1 + filled : 1 + filled + span, 0] = re
+        c[1 + filled : 1 + filled + span, 1] = im
+        base = pair_mul(base, base)
+        filled += span
+    out[..., nonzero] = c
+    return out
+
+
+def expand_blaschke(gens: Sequence[FiniteBlaschke], order: int) -> np.ndarray:
+    """Taylor coefficients of a stack of finite Blaschke products, ``(S, order+1)``.
+
+    Each row is e^{i phi} z^m times the product of its factors, taken
+    one factor at a time by :func:`~schwarzlab.series.stacked_mul`; a
+    row with fewer zeros than others is left alone, not multiplied by 1,
+    so its bits do not depend on the rows stacked with it.
+    """
+    for g in gens:
+        validate_schwarz(g)
+        if not isinstance(g, FiniteBlaschke):
+            raise InvalidGeneratorError(f"not a finite Blaschke product: {g!r}")
+    if order < 1:
+        raise ValueError("need order >= 1")
+    n = order + 1
+    counts = np.array([len(g.zeros) for g in gens], dtype=int)
+    acc = np.zeros((n, 2, len(gens)))
+    acc[0, 0] = 1.0
+    slots = [np.flatnonzero(counts > j) for j in range(int(counts.max(initial=0)))]
+    if slots:
+        zeros = [gens[i].zeros[j] for j, rows in enumerate(slots) for i in rows]
+        factors = _blaschke_factors(np.array(zeros, dtype=np.complex128), order)
+        first = 0
+        for j, rows in enumerate(slots):
+            block = factors[..., first : first + len(rows)]
+            acc[..., rows] = block if j == 0 else stacked_mul(acc[..., rows], block)
+            first += len(rows)
+    rots = [cmath.exp(1j * g.phi) for g in gens]
+    rot = (np.array([z.real for z in rots]), np.array([z.imag for z in rots]))
+    re, im = pair_mul(rot, (acc[:, 0], acc[:, 1]))
+    out = np.zeros((len(gens), n), dtype=np.complex128)
+    ms = np.array([g.m for g in gens], dtype=int)
+    for m in sorted({g.m for g in gens if g.m <= order}):
+        rows = ms == m
+        out.real[rows, m:] = re[: n - m, rows].T
+        out.imag[rows, m:] = im[: n - m, rows].T
+    return _finite(out)
 
 
 def expand_schwarz(g: SchwarzGenerator, order: int) -> TruncatedSeries:
@@ -216,6 +325,8 @@ def expand_schwarz(g: SchwarzGenerator, order: int) -> TruncatedSeries:
     Coefficients are exact up to roundoff: truncated arithmetic drops
     only powers beyond the order, never corrupts retained ones.
     """
+    if isinstance(g, FiniteBlaschke):
+        return TruncatedSeries(expand_blaschke([g], order)[0])
     validate_schwarz(g)
     if order < 1:
         raise ValueError("need order >= 1")
@@ -238,14 +349,6 @@ def expand_schwarz(g: SchwarzGenerator, order: int) -> TruncatedSeries:
         den[0] = 1.0
         den[1] = rot * np.conj(g.b1)
         return mul(TruncatedSeries(num), reciprocal(TruncatedSeries(den)))
-    if isinstance(g, FiniteBlaschke):
-        arr = np.zeros(order + 1, dtype=np.complex128)
-        if g.m <= order:
-            arr[g.m] = np.exp(1j * g.phi)
-        acc = TruncatedSeries(arr)
-        for a in g.zeros:
-            acc = mul(acc, _blaschke_factor_series(complex(a), order))
-        return acc
     # InverseCayley
     p = expand_caratheodory(g.inner, order)
     return inverse_cayley(p, g.theta)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from schwarzlab.families import sample_schwarz, expand_schwarz
+from schwarzlab.families import expand_blaschke, sample_schwarz
 
 #: Angle-sample and grid defaults: discretization error ~ 2/resolution + 10/M
 #: sits below the 5e-3 scale of the region checks.
@@ -117,9 +117,13 @@ class RegionEstimate:
         return bool(self.grid[lo_y : hi_y + 1, lo_x : hi_x + 1].any())
 
 
+#: Grid rows per rasterizer chunk are chosen so that each per-chunk
+#: temporary (rows x disks) holds about this many doubles (~32 MB).
+CHUNK_DOUBLES = 4_000_000
+
+
 def _row_chunk_size(m: int, resolution: int) -> int:
-    # keep per-chunk temporaries around ~4e6 doubles (~32 MB)
-    return max(1, min(resolution, int(4_000_000 // max(m, 1)) or 1))
+    return max(1, min(resolution, int(CHUNK_DOUBLES // max(m, 1)) or 1))
 
 
 def intersect_disk_family(
@@ -342,9 +346,8 @@ def attainability_scan(
     """
     table = _angle_table(angle_samples)
     records = []
-    for g in sample_schwarz(seed, count, max_degree):
-        w = expand_schwarz(g, 4)
-        b1, b2, b3, b4 = w[1], w[2], w[3], w[4]
+    W = expand_blaschke(sample_schwarz(seed, count, max_degree), 4)
+    for b1, b2, b3, b4 in W[:, 1:].tolist():
         margin = _b4_margin(table, b1, b2, b3, b4, "both")
         records.append(
             ScanRecord(coeffs=(b1, b2, b3, b4), member=margin >= -tol, margin=margin)

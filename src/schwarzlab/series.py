@@ -7,6 +7,12 @@ so that truncation stays explicit in calling code.  Within a fixed
 order everything is exact modulo ``z**(N+1)`` up to double-precision
 roundoff: the retained coefficients of a product or composition depend
 only on the retained coefficients of the operands.
+
+:func:`stacked_mul` multiplies whole stacks of series at once.  It keeps
+each row's bits independent of the rows stacked with it: it works on
+float (re, im) pairs, rounds each of the two products in a complex
+product separately, as Python's complex ``*`` does (numpy's complex
+``*`` may fuse them), and sums each coefficient in a fixed order.
 """
 
 from __future__ import annotations
@@ -144,6 +150,88 @@ def reciprocal(f: TruncatedSeries) -> TruncatedSeries:
     for k in range(1, n):
         g[k] = -np.dot(f.coeffs[1 : k + 1], g[k - 1 :: -1]) / f0
     return TruncatedSeries(g)
+
+
+def pair_mul(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Complex product of (re, im) float pairs, unfused as Python's ``*``.
+
+    ``(ar*br - ai*bi, ar*bi + ai*br)``, each product rounded on its own;
+    numpy's complex ``*`` may fuse them (FMA) and round differently.
+    """
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def to_pairs(Z) -> np.ndarray:
+    """The ``(N+1, 2, R)`` float stack of a complex ``(R, N+1)`` block.
+
+    Entry ``[k, 0, r]`` is the real part and ``[k, 1, r]`` the imaginary
+    part of coefficient k of row r; rows run along the contiguous last
+    axis, so elementwise kernels loop over all rows at once.
+    """
+    Z = np.asarray(Z, dtype=np.complex128)
+    out = np.empty((Z.shape[1], 2, Z.shape[0]))
+    out[:, 0] = Z.real.T
+    out[:, 1] = Z.imag.T
+    return out
+
+
+def from_pairs(P: np.ndarray) -> np.ndarray:
+    """The complex ``(R, N+1)`` block of an ``(N+1, 2, R)`` float stack."""
+    out = np.empty((P.shape[2], P.shape[0]), dtype=np.complex128)
+    out.real = P[:, 0].T
+    out.imag = P[:, 1].T
+    return out
+
+
+def with_turn(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``(2,) + p.shape`` stack of a pair stack ``p`` (axis 1 = re, im) and of i*p.
+
+    A complex product ``a * b`` is then ``re(a) * T[0] + im(a) * T[1]``
+    for ``T = with_turn(b)``, rounded exactly as :func:`pair_mul`.
+    """
+    if out is None:
+        out = np.empty((2,) + p.shape)
+    out[0] = p
+    # times -1, not np.negative: numpy 2.4's negative loop misreads some
+    # strided inputs when writing into a strided ``out``
+    np.multiply(p[:, 1], -1.0, out=out[1, :, 0])
+    out[1, :, 1] = p[:, 0]
+    return out
+
+
+def stacked_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise truncated Cauchy products of two stacks of series.
+
+    ``a`` and ``b`` are ``(N+1, 2, R)`` float stacks (see :func:`to_pairs`)
+    of R series each; row r of the result is the product of row r of
+    ``a`` and of ``b``, ``sum_{j=0..k} a_j b_{k-j}``, truncated at order
+    N.  Every term is an unfused complex product, and the terms of each
+    coefficient are added by one fixed pairwise tree over j, so a row's
+    bits do not depend on the rows stacked with it.
+    """
+    if a.shape != b.shape or a.ndim != 3 or a.shape[0] == 0 or a.shape[1] != 2:
+        raise OrderMismatchError(f"stack shapes differ: {a.shape} vs {b.shape}")
+    n, _, rows = a.shape
+    # padded[h, n-1+i] holds b_i (h = 0) or i*b_i (h = 1), zero below n-1,
+    # so shifted[h, j, k] = padded[h, n-1+k-j] is b_{k-j} (or i*b_{k-j})
+    # for k >= j and 0 for k < j
+    padded = np.zeros((2, 2 * n - 1, 2, rows))
+    with_turn(b, out=padded[:, n - 1 :])
+    h_step, step, c_step, r_step = padded.strides
+    shifted = np.ndarray(
+        (2, n, n, 2, rows), buffer=padded, offset=(n - 1) * step,
+        strides=(h_step, -step, step, c_step, r_step),
+    )
+    # re(a_j) scales shifted[0, j] and im(a_j) scales shifted[1, j]; their
+    # sum is the pair of a_j * b_{k-j}
+    prods = a.transpose(1, 0, 2)[:, :, None, None, :] * shifted
+    terms = np.add(prods[0], prods[1], out=prods[0])
+    while n > 1:
+        half = (n + 1) // 2
+        np.add(terms[: n - half], terms[half:n], out=terms[: n - half])
+        n = half
+    return terms[0].copy()
 
 
 def geometric_mobius(order: int) -> TruncatedSeries:

@@ -199,3 +199,70 @@ def scan_oracle(cfg):
             "reference": fb.reference,
         })
     return status, results, worst
+
+
+# ---------------------------------------------------------------------------
+# 50-digit references (mpmath)
+# ---------------------------------------------------------------------------
+
+MP_DIGITS = 50
+
+
+def _mp_product(f, g):
+    return [sum(f[j] * g[k - j] for j in range(k + 1)) for k in range(len(f))]
+
+
+def blaschke_mp(phi, m, zeros, order, dps=MP_DIGITS):
+    """Taylor coefficients of e^{i phi} z^m prod_j (|a|/a)(a - z)/(1 - conj(a) z).
+
+    Computed in mpmath at ``dps`` digits from the exact values of the float
+    parameters, factor by factor from the closed form c_0 = |a|,
+    c_k = (|a|/a)(|a|^2 - 1) conj(a)^{k-1}; returns a list of ``mpc``.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        acc = [mpmath.mpc(0)] * (order + 1)
+        if m <= order:
+            acc[m] = mpmath.expj(mpmath.mpf(phi))
+        for a in zeros:
+            a = mpmath.mpc(complex(a))
+            fac = [mpmath.mpc(0)] * (order + 1)
+            if a == 0:
+                fac[1] = mpmath.mpc(1)
+            else:
+                r = abs(a)
+                lift = (r / a) * (r * r - 1)
+                fac[0] = mpmath.mpc(r)
+                for k in range(1, order + 1):
+                    fac[k] = lift * mpmath.conj(a) ** (k - 1)
+            acc = _mp_product(acc, fac)
+        return acc
+
+
+def cayley_mp(w, theta, dps=MP_DIGITS):
+    """(1 + u)/(1 - u), u = e^{i theta} w, from p (1 - u) = 1 + u in mpmath.
+
+    ``w`` lists float coefficients from z^0 (w[0] == 0); they are taken
+    exactly, so the result isolates the error of a float transform of
+    the same ``w``.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        rot = mpmath.expj(mpmath.mpf(float(theta)))
+        u = [rot * mpmath.mpc(complex(c)) for c in w]
+        p = [mpmath.mpc(1)]
+        for k in range(1, len(u)):
+            p.append(u[k] + sum(u[j] * p[k - j] for j in range(1, k + 1)))
+        return p
+
+
+def max_abs_error(values, reference):
+    """Largest |value - reference| over paired float and ``mpc`` coefficients."""
+    import mpmath
+
+    with mpmath.workdps(MP_DIGITS):
+        return max(
+            float(abs(mpmath.mpc(complex(v)) - ref)) for v, ref in zip(values, reference)
+        )

@@ -535,3 +535,63 @@ def test_corpus_verification_script_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "livingston_cayley" in proc.stdout
+
+
+class TestPeakMemoryEstimate:
+    """The pre-flight memory gate; only the estimator sees the huge settings."""
+
+    HUGE = [
+        RunConfig(command="region", target="b4", b1=0.3, resolution=10**7),
+        RunConfig(command="region", target="b3", b1=0.3, angles=10**9),
+        RunConfig(command="region", target="b4", b1=0.3, mode="eq1", angles=10**12),
+        RunConfig(command="scan", samples=10**9),
+        RunConfig(command="scan", angles=10**10),
+        RunConfig(command="verify", samples=10**9),
+        RunConfig(command="verify", order=10**5),
+        RunConfig(command="expand", order=10**5),
+        RunConfig(command="region", target="b3", b1=0.3, resolution=10**200),
+    ]
+
+    @pytest.mark.parametrize("cfg", HUGE, ids=lambda c: c.command)
+    def test_huge_settings_are_refused(self, cfg):
+        assert cli.estimate_peak_bytes(cfg) > cli.MAX_PEAK_BYTES
+        with pytest.raises(ValueError, match="GiB cap"):
+            cfg.validate()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # the benchmark's four workloads and the CLI defaults
+            RunConfig(command="verify", samples=100, order=12),
+            RunConfig(command="scan", samples=250),
+            RunConfig(command="region", target="b4", b1=0.3, mode="both"),
+            RunConfig(command="region", target="b3", b1=0.3),
+            RunConfig(command="expand", order=64),
+        ],
+        ids=lambda c: c.command,
+    )
+    def test_workloads_sit_far_below_the_cap(self, cfg):
+        assert cli.estimate_peak_bytes(cfg) < cli.MAX_PEAK_BYTES / 8
+        cfg.validate()
+
+    def test_estimate_grows_with_every_size_setting(self):
+        def grows(base, **change):
+            bigger = RunConfig(**{**base.__dict__, **change})
+            return cli.estimate_peak_bytes(bigger) > cli.estimate_peak_bytes(base)
+
+        region = RunConfig(command="region", target="b4", b1=0.3)
+        assert grows(region, resolution=2 * region.resolution)
+        assert grows(region, angles=4 * region.angles)
+        scan = RunConfig(command="scan")
+        assert grows(scan, samples=2 * scan.samples)
+        assert grows(scan, angles=2 * scan.angles)
+        verify = RunConfig(command="verify")
+        assert grows(verify, samples=2 * verify.samples)
+        assert grows(verify, order=2 * verify.order)
+
+    def test_cli_exits_2_with_a_message(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_PEAK_BYTES", 1000)
+        code, out, err = run_cli(capsys, ["verify", "--samples", "5"])
+        assert code == 2
+        assert out == ""
+        assert "GiB cap" in err and "--samples" in err
