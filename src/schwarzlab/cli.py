@@ -150,8 +150,8 @@ def estimate_peak_bytes(cfg: RunConfig) -> int:
     on the lab's own runs: about 64 (N+1)^2 bytes per row of a stacked
     series product at order N, 5 kB per sampled function for the corpora,
     records and report rows, 160 bytes per scan angle, and for a region
-    8 bytes per grid cell plus five chunks of chord temporaries of
-    8 bytes per (grid row, disk).
+    8 bytes per grid cell plus the rasterizer's two block buffers of
+    8 bytes per (grid row, disk) in a block.
     """
     product_row = 64 * (cfg.order + 1) ** 2
     if cfg.command == "expand":
@@ -161,8 +161,8 @@ def estimate_peak_bytes(cfg: RunConfig) -> int:
     if cfg.command == "scan":
         return 5000 * cfg.samples + 160 * cfg.angles
     disks = cfg.angles * (2 if cfg.target == "b4" and cfg.mode == "both" else 1)
-    chunk = min(cfg.resolution * disks, max(CHUNK_DOUBLES, disks))
-    return 8 * cfg.resolution**2 + 40 * chunk + 64 * disks
+    block = min(cfg.resolution * disks, max(CHUNK_DOUBLES, disks))
+    return 8 * cfg.resolution**2 + 16 * block + 64 * disks
 
 
 def _c2j(z: complex) -> list[float]:
@@ -322,15 +322,17 @@ def _run_verify(cfg: RunConfig) -> tuple[int, list, float]:
 # ---------------------------------------------------------------------------
 
 def _rle_rows(grid: np.ndarray) -> list[list[list[int]]]:
-    rows = []
-    for row in grid:
-        runs = []
-        padded = np.diff(np.concatenate([[0], row.view(np.int8), [0]]))
-        starts = np.nonzero(padded == 1)[0]
-        ends = np.nonzero(padded == -1)[0]
-        for s, e in zip(starts, ends):
-            runs.append([int(s), int(e - s)])
-        rows.append(runs)
+    height, width = grid.shape
+    padded = np.zeros((height, width + 2), dtype=np.int8)
+    padded[:, 1:-1] = grid
+    edges = np.diff(padded, axis=1).ravel()
+    # flat indices in row-major order pair the k-th start with the k-th end
+    starts = np.flatnonzero(edges == 1).tolist()
+    ends = np.flatnonzero(edges == -1).tolist()
+    rows = [[] for _ in range(height)]
+    for s, e in zip(starts, ends):
+        iy, ix = divmod(s, width + 1)
+        rows[iy].append([ix, e - s])
     return rows
 
 
@@ -452,8 +454,8 @@ def _boundary_cells(payload: dict) -> list[tuple[float, float]]:
     step = 2.0 * payload["half_width"] / res
     x0 = payload["box_center"][0] - payload["half_width"]
     y0 = payload["box_center"][1] - payload["half_width"]
-    ys, xs = np.nonzero(boundary)
-    return [(x0 + (ix + 0.5) * step, y0 + (iy + 0.5) * step) for iy, ix in zip(ys, xs)]
+    cells = (divmod(k, res) for k in np.flatnonzero(boundary).tolist())
+    return [(x0 + (ix + 0.5) * step, y0 + (iy + 0.5) * step) for iy, ix in cells]
 
 
 def _csv_region(results: list) -> list[str]:

@@ -13,8 +13,9 @@ Rasterization marks a cell feasible iff its center satisfies every disk
 constraint.  Because an intersection of disks is convex, each grid row
 meets it in one interval; the row intervals are computed directly from
 the per-disk chord bounds, which is exactly equivalent to testing every
-cell center against every disk but costs O(rows * M) instead of
-O(rows^2 * M).
+cell center against every disk.  Chords are computed only on the band of
+rows that every disk reaches, found exactly from the extreme center
+ordinates, in L2-sized blocks: O(band rows * M) instead of O(rows^2 * M).
 """
 
 from __future__ import annotations
@@ -117,13 +118,9 @@ class RegionEstimate:
         return bool(self.grid[lo_y : hi_y + 1, lo_x : hi_x + 1].any())
 
 
-#: Grid rows per rasterizer chunk are chosen so that each per-chunk
-#: temporary (rows x disks) holds about this many doubles (~32 MB).
-CHUNK_DOUBLES = 4_000_000
-
-
-def _row_chunk_size(m: int, resolution: int) -> int:
-    return max(1, min(resolution, int(CHUNK_DOUBLES // max(m, 1)) or 1))
+#: Grid rows per rasterizer block are chosen so that each of the two block
+#: buffers (rows x disks) holds about this many doubles (256 KiB, L2-sized).
+CHUNK_DOUBLES = 32_768
 
 
 def intersect_disk_family(
@@ -143,37 +140,43 @@ def intersect_disk_family(
     cx = box.center.real
     cy = box.center.imag
     step = 2.0 * hw / resolution
-    xs = cx - hw + (np.arange(resolution) + 0.5) * step
+    xs = (cx - hw + (np.arange(resolution) + 0.5) * step).tolist()
     ys = cy - hw + (np.arange(resolution) + 0.5) * step
     gx = centers.real
     gy = centers.imag
 
+    # fl(y - gy_j) is monotone in gy_j, so a row's smallest r^2 - (y - gy_j)^2
+    # sits at gy.min() or gy.max(): the rows where every chord exists, exactly
+    far = np.maximum(np.abs(ys - gy.min()), np.abs(ys - gy.max()))
+    band = np.flatnonzero(radius * radius - far * far >= 0.0)
+    rows = max(1, CHUNK_DOUBLES // m)
+    buf = np.empty((2, min(rows, len(band)), m))
+    lo, hi = np.empty((2, len(band)))
+    for k0 in range(0, len(band), rows):
+        yy = ys[band[k0 : k0 + rows]]
+        s, e = buf[:, : len(yy)]
+        np.subtract(yy[:, None], gy, out=s)
+        np.multiply(s, s, out=s)
+        np.subtract(radius * radius, s, out=s)
+        np.sqrt(s, out=s)
+        np.subtract(gx, s, out=e).max(axis=1, out=lo[k0 : k0 + rows])
+        np.add(gx, s, out=e).min(axis=1, out=hi[k0 : k0 + rows])
+
     grid = np.zeros((resolution, resolution), dtype=bool)
     max_mod = 0.0
     cells = 0
-    chunk = _row_chunk_size(m, resolution)
     x_origin = cx - hw
-    for j0 in range(0, resolution, chunk):
-        yy = ys[j0 : j0 + chunk]
-        dy = yy[:, None] - gy[None, :]
-        s2 = radius * radius - dy * dy
-        row_ok = (s2 >= 0.0).all(axis=1)
-        s = np.sqrt(np.maximum(s2, 0.0))
-        lo = (gx[None, :] - s).max(axis=1)
-        hi = (gx[None, :] + s).min(axis=1)
-        for r in range(len(yy)):
-            if not row_ok[r] or lo[r] > hi[r]:
-                continue
-            i0 = int(math.ceil((lo[r] - x_origin) / step - 0.5))
-            i1 = int(math.floor((hi[r] - x_origin) / step - 0.5))
-            i0 = max(i0, 0)
-            i1 = min(i1, resolution - 1)
-            if i0 > i1:
-                continue
-            grid[j0 + r, i0 : i1 + 1] = True
-            cells += i1 - i0 + 1
-            y = yy[r]
-            max_mod = max(max_mod, math.hypot(xs[i0], y), math.hypot(xs[i1], y))
+    for iy, l, h in zip(band.tolist(), lo.tolist(), hi.tolist()):
+        if l > h:
+            continue
+        i0 = max(math.ceil((l - x_origin) / step - 0.5), 0)
+        i1 = min(math.floor((h - x_origin) / step - 0.5), resolution - 1)
+        if i0 > i1:
+            continue
+        grid[iy, i0 : i1 + 1] = True
+        cells += i1 - i0 + 1
+        y = ys[iy]
+        max_mod = max(max_mod, math.hypot(xs[i0], y), math.hypot(xs[i1], y))
     grid.setflags(write=False)
     return RegionEstimate(
         grid=grid,

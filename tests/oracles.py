@@ -7,7 +7,10 @@ checks one function and one scalar check at a time through the library's
 scalar checkers, and accumulates slacks one by one, as the reference for
 the CLI's batched corpus checking.  The scan oracle rebuilds every
 sample's b4 centers with :func:`schwarzlab.regions.b4_centers`, as the
-reference for the scan's shared angle table.
+reference for the scan's shared angle table.  The raster and RLE oracles
+keep the full-grid, large-chunk rasterizer, the per-row run-length
+encoder and the numpy-index boundary listing as the reference for the
+row-band, block-sized rasterizer and the flat-index renderers.
 """
 
 from __future__ import annotations
@@ -201,6 +204,121 @@ def scan_oracle(cfg):
     return status, results, worst
 
 
+def raster_oracle(family, box, resolution):
+    """Every grid row against every disk, in chunks of about 4e6 doubles.
+
+    Keeps the ``row_ok`` mask of s2 = r^2 - (y - gy_j)^2 >= 0 over all
+    disks and clamps s2 at 0 before the square root.
+    """
+    from schwarzlab.regions import MIN_RESOLUTION, RegionEstimate
+
+    if resolution < MIN_RESOLUTION:
+        raise ValueError(f"resolution must be >= {MIN_RESOLUTION}")
+    centers = family.centers
+    radius = family.radius
+    m = len(centers)
+    hw = box.half_width
+    cx = box.center.real
+    cy = box.center.imag
+    step = 2.0 * hw / resolution
+    xs = cx - hw + (np.arange(resolution) + 0.5) * step
+    ys = cy - hw + (np.arange(resolution) + 0.5) * step
+    gx = centers.real
+    gy = centers.imag
+
+    grid = np.zeros((resolution, resolution), dtype=bool)
+    max_mod = 0.0
+    cells = 0
+    chunk = max(1, min(resolution, int(4_000_000 // max(m, 1)) or 1))
+    x_origin = cx - hw
+    for j0 in range(0, resolution, chunk):
+        yy = ys[j0 : j0 + chunk]
+        dy = yy[:, None] - gy[None, :]
+        s2 = radius * radius - dy * dy
+        row_ok = (s2 >= 0.0).all(axis=1)
+        s = np.sqrt(np.maximum(s2, 0.0))
+        lo = (gx[None, :] - s).max(axis=1)
+        hi = (gx[None, :] + s).min(axis=1)
+        for r in range(len(yy)):
+            if not row_ok[r] or lo[r] > hi[r]:
+                continue
+            i0 = int(math.ceil((lo[r] - x_origin) / step - 0.5))
+            i1 = int(math.floor((hi[r] - x_origin) / step - 0.5))
+            i0 = max(i0, 0)
+            i1 = min(i1, resolution - 1)
+            if i0 > i1:
+                continue
+            grid[j0 + r, i0 : i1 + 1] = True
+            cells += i1 - i0 + 1
+            y = yy[r]
+            max_mod = max(max_mod, math.hypot(xs[i0], y), math.hypot(xs[i1], y))
+    grid.setflags(write=False)
+    return RegionEstimate(
+        grid=grid,
+        box=box,
+        resolution=resolution,
+        max_modulus=max_mod,
+        feasible_area_cells=cells,
+        samples_used=m,
+        quantization=hw * math.sqrt(2.0) / resolution,
+    )
+
+
+def rle_oracle(grid):
+    """Per-row run-length encoding: [start, length] runs of True cells."""
+    rows = []
+    for row in grid:
+        runs = []
+        padded = np.diff(np.concatenate([[0], row.view(np.int8), [0]]))
+        starts = np.nonzero(padded == 1)[0]
+        ends = np.nonzero(padded == -1)[0]
+        for s, e in zip(starts, ends):
+            runs.append([int(s), int(e - s)])
+        rows.append(runs)
+    return rows
+
+
+def boundary_oracle(payload):
+    """Feasible cells 4-adjacent to an infeasible cell or the grid edge.
+
+    The grid is rebuilt from the report's RLE rows; cell centres are
+    formed from numpy indices.
+    """
+    res = payload["resolution"]
+    grid = np.zeros((res, res), dtype=bool)
+    for iy, runs in enumerate(payload["grid_rle"]):
+        for start, length in runs:
+            grid[iy, start : start + length] = True
+    padded = np.zeros((res + 2, res + 2), dtype=bool)
+    padded[1:-1, 1:-1] = grid
+    interior = (
+        padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
+    )
+    boundary = grid & ~interior
+    step = 2.0 * payload["half_width"] / res
+    x0 = payload["box_center"][0] - payload["half_width"]
+    y0 = payload["box_center"][1] - payload["half_width"]
+    ys, xs = np.nonzero(boundary)
+    return [(x0 + (ix + 0.5) * step, y0 + (iy + 0.5) * step) for iy, ix in zip(ys, xs)]
+
+
+def feasible_cells_brute(centers, box, resolution, radius=1.0):
+    """Cell-by-cell test: a cell is feasible iff |x - gamma_j| <= radius for all j.
+
+    Shares nothing with the rasterizer's chord bounds; costs O(R^2 M).
+    """
+    hw = box.half_width
+    step = 2.0 * hw / resolution
+    xs = box.center.real - hw + (np.arange(resolution) + 0.5) * step
+    ys = box.center.imag - hw + (np.arange(resolution) + 0.5) * step
+    grid = np.ones((resolution, resolution), dtype=bool)
+    for g in np.asarray(centers, dtype=complex):
+        dx2 = (xs - g.real) ** 2
+        dy2 = (ys - g.imag) ** 2
+        grid &= dy2[:, None] + dx2[None, :] <= radius * radius
+    return grid
+
+
 # ---------------------------------------------------------------------------
 # 50-digit references (mpmath)
 # ---------------------------------------------------------------------------
@@ -256,6 +374,40 @@ def cayley_mp(w, theta, dps=MP_DIGITS):
         for k in range(1, len(u)):
             p.append(u[k] + sum(u[j] * p[k - j] for j in range(1, k + 1)))
         return p
+
+
+def inverse_cayley_mp(p, theta, dps=MP_DIGITS):
+    """e^{-i theta} (p - 1)/(p + 1) by long division in mpmath.
+
+    ``p`` lists float coefficients from z^0 (p[0] == 1); they are taken
+    exactly, so the result isolates the error of a float inverse
+    transform of the same ``p``.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        c = [mpmath.mpc(complex(v)) for v in p]
+        num = [c[0] - 1] + c[1:]
+        den = [c[0] + 1] + c[1:]
+        q = []
+        for k in range(len(c)):
+            q.append((num[k] - sum(den[j] * q[k - j] for j in range(1, k + 1))) / den[0])
+        rot = mpmath.expj(-mpmath.mpf(float(theta)))
+        return [rot * v for v in q]
+
+
+def herglotz_mp(atoms, order, dps=MP_DIGITS):
+    """c_0 = 1, c_k = sum_j 2 lambda_j e^{i k alpha_j} in mpmath.
+
+    ``atoms`` lists (weight, angle) float pairs, taken exactly.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        pairs = [(mpmath.mpf(float(w)), mpmath.mpf(float(a))) for w, a in atoms]
+        return [mpmath.mpc(1)] + [
+            2 * sum(w * mpmath.expj(k * a) for w, a in pairs) for k in range(1, order + 1)
+        ]
 
 
 def max_abs_error(values, reference):

@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 import schwarzlab.cli as cli
-from oracles import scan_oracle, verify_oracle
+import schwarzlab.regions as regions
+from oracles import (
+    boundary_oracle,
+    raster_oracle,
+    rle_oracle,
+    scan_oracle,
+    verify_oracle,
+)
 from schwarzlab.cli import (
     RunConfig,
     VERIFY_BLOCK,
@@ -436,6 +443,40 @@ class TestScanMatchesOracle:
         assert status == code == 1
         assert out == want_json
         assert "check failure" in err
+
+
+class TestRegionMatchesOracle:
+    """Region reports equal those of the full-grid rasterizer and per-row RLE."""
+
+    @pytest.mark.parametrize(
+        "target, mode, angles, resolution",
+        [
+            ("b3", None, 7, 17),
+            ("b3", None, 512, 128),
+            ("b4", "eq1", 3, 16),
+            ("b4", "eq1", 512, 128),
+            ("b4", "eq2", 7, 17),
+            ("b4", "eq2", 512, 128),
+            ("b4", "both", 7, 16),
+            ("b4", "both", 512, 256),
+            ("b4", "both", 4096, 1024),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_json_and_csv(self, capsys, monkeypatch, target, mode, angles, resolution, fmt):
+        argv = ["region", "--target", target, "--b1=0.3,0.1", "--b2=0.2,-0.1",
+                "--b3=0.05,0", "--angles", str(angles), "--resolution",
+                str(resolution), "--format", fmt]
+        if mode:
+            argv += ["--mode", mode]
+        got = run_cli(capsys, argv)
+        with monkeypatch.context() as patched:
+            patched.setattr(regions, "intersect_disk_family", raster_oracle)
+            patched.setattr(cli, "_rle_rows", rle_oracle)
+            patched.setattr(cli, "_boundary_cells", boundary_oracle)
+            want = run_cli(capsys, argv)
+        assert want[0] == 0
+        assert got == want
 
 
 class TestScanNonFiniteMargin:

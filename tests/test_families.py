@@ -25,7 +25,13 @@ from schwarzlab.families import (
 )
 from schwarzlab.series import CompositionDomainError, TruncatedSeries
 
-from oracles import cayley_oracle, division_oracle
+from oracles import (
+    cayley_oracle,
+    division_oracle,
+    herglotz_mp,
+    inverse_cayley_mp,
+    max_abs_error,
+)
 
 # Hand-derived expansion of (0.5 z - z^2)/(1 - 0.5 z): multiply the
 # numerator by the geometric series in 0.5 z.
@@ -173,6 +179,50 @@ class TestExpandCaratheodory:
             p = expand_caratheodory(g, 12)
             assert p.coeffs[0] == 1
             assert np.max(np.abs(p.coeffs[1:])) <= 2.0 + 1e-12
+
+
+#: Twice the worst errors measured against the 50-digit references on the
+#: corpora below: Herglotz expansion 2.90e-15, 1.41e-14, 2.62e-14 and the
+#: inverse Cayley transform 1.65e-16, 2.19e-16, 2.73e-16 at orders 4, 12,
+#: 40.  The Herglotz error grows with k because k * alpha is rounded
+#: before the exponential.
+HERGLOTZ_BOUND = {4: 5.8e-15, 12: 2.9e-14, 40: 5.3e-14}
+INVERSE_CAYLEY_BOUND = {4: 3.3e-16, 12: 4.4e-16, 40: 5.5e-16}
+ENVELOPE_THETAS = (0.0, 1.0, 2.0, math.pi)
+
+
+class TestFiftyDigitEnvelopes:
+    @staticmethod
+    def caratheodory_corpus(order, count):
+        atoms = list(sample_herglotz(order, count))
+        atoms += [harmonic_boundary_atoms(k, 0.7) for k in (1, 2, 3, 5)]
+        cayleys = [
+            cayley_from_schwarz(expand_schwarz(g, order), 0.4)
+            for g in sample_schwarz(order + 100, count // 2, 6)
+        ]
+        return atoms, cayleys
+
+    @pytest.mark.parametrize("order, count", [(4, 40), (12, 40), (40, 12)])
+    def test_herglotz_expansion(self, order, count):
+        pytest.importorskip("mpmath")
+        atoms, _ = self.caratheodory_corpus(order, count)
+        err = max(
+            max_abs_error(expand_caratheodory(g, order).coeffs, herglotz_mp(g.atoms, order))
+            for g in atoms
+        )
+        assert err <= HERGLOTZ_BOUND[order]
+
+    @pytest.mark.parametrize("order, count", [(4, 40), (12, 40), (40, 12)])
+    def test_inverse_cayley(self, order, count):
+        pytest.importorskip("mpmath")
+        atoms, cayleys = self.caratheodory_corpus(order, count)
+        series = [expand_caratheodory(g, order) for g in atoms] + cayleys
+        err = max(
+            max_abs_error(inverse_cayley(p, theta).coeffs, inverse_cayley_mp(p.coeffs, theta))
+            for p in series
+            for theta in ENVELOPE_THETAS
+        )
+        assert err <= INVERSE_CAYLEY_BOUND[order]
 
 
 class TestValidation:

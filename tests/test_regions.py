@@ -5,15 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from oracles import b4_margin_oracle
-from schwarzlab.families import MonomialRotation, expand_schwarz, sample_schwarz
+from oracles import b4_margin_oracle, feasible_cells_brute, raster_oracle
+from schwarzlab.families import (
+    FiniteBlaschke,
+    MonomialRotation,
+    expand_schwarz,
+    sample_schwarz,
+)
 from schwarzlab.regions import (
     B4_MODES,
+    CHUNK_DOUBLES,
     BoundingBox,
     DiskConstraintFamily,
     FrontierBin,
     attainability_frontier,
     attainability_scan,
+    b3_centers,
     b3_region,
     b4_centers,
     b4_feasible_region,
@@ -283,3 +290,136 @@ class TestRegionEstimateHelpers:
         assert est.cell_index(2.0 + 0j) is None
         iy, ix = est.cell_index(0j)
         assert est.grid[iy, ix]
+
+
+def _thetas(m):
+    return 2.0 * math.pi * np.arange(m) / m
+
+
+def _workload_b(seed):
+    """b1, b2, b3 of z times a product of 2 to 4 factors with zeros below 0.9."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 5))
+    radii = 0.9 * np.sqrt(rng.uniform(size=k))
+    zeros = tuple(complex(z) for z in radii * np.exp(2j * math.pi * rng.uniform(size=k)))
+    w = expand_schwarz(FiniteBlaschke(float(rng.uniform(0.0, 2.0 * math.pi)), 1, zeros), 4)
+    return complex(w[1]), complex(w[2]), complex(w[3])
+
+
+def _b4_family(b, m, mode):
+    g1, g2 = b4_centers(*b, _thetas(m))
+    centers = {"eq1": g1, "eq2": g2, "both": np.concatenate([g1, g2])}[mode]
+    return centers, BoundingBox(0j, 1.0 + float(np.max(np.abs(centers))))
+
+
+def assert_same_estimate(got, want):
+    assert np.array_equal(got.grid, want.grid)
+    assert float.hex(got.max_modulus) == float.hex(want.max_modulus)
+    assert got.feasible_area_cells == want.feasible_area_cells
+    assert got.samples_used == want.samples_used
+    assert got.quantization == want.quantization
+
+
+class TestRasterMatchesOracle:
+    """The row-band, block-sized rasterizer equals the full-grid one bit for bit."""
+
+    B1 = 0.5 + 0.2j
+    B4_TUPLES = [(0.3 + 0.1j, 0.2 - 0.1j, 0.05 + 0j), _workload_b(3)]
+
+    @pytest.mark.parametrize("angles", [3, 7, 512, 4096])
+    @pytest.mark.parametrize("resolution", [16, 17, 128, 1024])
+    def test_b3_family(self, angles, resolution):
+        centers = b3_centers(self.B1, _thetas(angles))
+        box = BoundingBox(0j, 1.0 + float(np.max(np.abs(centers))))
+        want = raster_oracle(DiskConstraintFamily(centers, 1.0), box, resolution)
+        got = b3_region(self.B1, angle_samples=angles, resolution=resolution)
+        assert_same_estimate(got, want)
+
+    @pytest.mark.parametrize("mode", B4_MODES)
+    @pytest.mark.parametrize("angles", [3, 7, 512, 4096])
+    @pytest.mark.parametrize("resolution", [16, 17, 128, 1024])
+    def test_b4_families(self, mode, angles, resolution):
+        for b in self.B4_TUPLES:
+            centers, box = _b4_family(b, angles, mode)
+            want = raster_oracle(DiskConstraintFamily(centers, 1.0), box, resolution)
+            got = b4_feasible_region(*b, angle_samples=angles, resolution=resolution, mode=mode)
+            assert want.feasible_area_cells > 0 or angles == 3
+            assert_same_estimate(got, want)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("resolution", [16, 17, 128])
+    def test_other_radii_and_off_centre_boxes(self, seed, resolution):
+        rng = np.random.default_rng(seed)
+        radius = (1e-3, 0.37, 2.5)[seed % 3]
+        m = int(rng.integers(3, 600))
+        offset = complex(*rng.normal(size=2)) * radius
+        centers = offset + 0.4 * radius * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m))
+        fam = DiskConstraintFamily(centers, radius)
+        box = BoundingBox(offset + complex(*rng.normal(size=2)) * 0.3 * radius, 1.2 * radius)
+        assert_same_estimate(
+            intersect_disk_family(fam, box, resolution), raster_oracle(fam, box, resolution)
+        )
+
+    @pytest.mark.parametrize(
+        "centers",
+        [
+            [0j, 0j, 5.0 + 0j],  # every row has chords, but they do not overlap
+            [0j, 0j, 3.0j],  # no row has a chord of every disk
+        ],
+        ids=["disjoint-chords", "empty-band"],
+    )
+    def test_empty_intersections(self, centers):
+        fam = DiskConstraintFamily(np.array(centers), 1.0)
+        box = BoundingBox(1.5j, 4.0)
+        got = intersect_disk_family(fam, box, 64)
+        assert_same_estimate(got, raster_oracle(fam, box, 64))
+        assert got.feasible_area_cells == 0 and not got.grid.any()
+
+    def test_row_tangent_to_every_disk(self):
+        # the row y = -0.875 is at distance exactly 1 from every center, so
+        # its chords are the single point x = 0.125, a cell center
+        fam = DiskConstraintFamily(np.full(3, 0.125 + 0.125j), 1.0)
+        box = BoundingBox(0j, 2.0)
+        got = intersect_disk_family(fam, box, 16)
+        assert_same_estimate(got, raster_oracle(fam, box, 16))
+        assert got.grid[4].tolist() == [i == 8 for i in range(16)]
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("resolution", [17, 64])
+    def test_box_of_a_few_ulps_around_a_chord_end(self, seed, resolution):
+        # cells one ulp apart: any change in a chord end's rounding moves
+        # the edge of the grid
+        rng = np.random.default_rng(seed)
+        b = _workload_b(seed)
+        centers, _ = _b4_family(b, int(rng.integers(64, 2048)), B4_MODES[seed % 3])
+        y = float(rng.uniform(-0.3, 0.3))
+        chord = np.sqrt(1.0 - (y - centers.imag) ** 2)
+        end = float((centers.real - chord).max() if seed % 2 else (centers.real + chord).min())
+        fam = DiskConstraintFamily(centers, 1.0)
+        box = BoundingBox(complex(end, y), resolution * math.ulp(end) / 2)
+        got = intersect_disk_family(fam, box, resolution)
+        assert_same_estimate(got, raster_oracle(fam, box, resolution))
+        assert 0 < got.feasible_area_cells < resolution**2
+
+    def test_family_wider_than_one_block(self):
+        fam = circle_family(0.3, m=CHUNK_DOUBLES + 5)
+        box = BoundingBox(0.01j, 1.3)
+        got = intersect_disk_family(fam, box, 64)
+        assert_same_estimate(got, raster_oracle(fam, box, 64))
+        assert got.feasible_area_cells > 0
+
+
+class TestRasterMatchesCellTest:
+    """Every cell agrees with the direct test |x - gamma_j| <= 1 for all j."""
+
+    @pytest.mark.parametrize("resolution, angles", [(128, 512), (256, 64)])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_workload_families(self, seed, resolution, angles):
+        b = _workload_b(seed)
+        est = b4_feasible_region(*b, angle_samples=angles, resolution=resolution)
+        centers, box = _b4_family(b, angles, "both")
+        assert est.box == box
+        brute = feasible_cells_brute(centers, box, resolution)
+        assert brute.any()
+        assert np.array_equal(est.grid, brute)
+        assert est.feasible_area_cells == int(brute.sum())
