@@ -150,8 +150,8 @@ def estimate_peak_bytes(cfg: RunConfig) -> int:
     on the lab's own runs: about 64 (N+1)^2 bytes per row of a stacked
     series product at order N, 5 kB per sampled function for the corpora,
     records and report rows, 160 bytes per scan angle, and for a region
-    8 bytes per grid cell plus the rasterizer's two block buffers of
-    8 bytes per (grid row, disk) in a block.
+    8 bytes per grid cell, 64 per disk and the rasterizer's two block
+    buffers of 8 bytes per (grid row, disk) in a block.
     """
     product_row = 64 * (cfg.order + 1) ** 2
     if cfg.command == "expand":
@@ -438,24 +438,23 @@ def _csv_verify(results: list) -> list[str]:
 
 
 def _boundary_cells(payload: dict) -> list[tuple[float, float]]:
-    # feasible cells adjacent (4-neighborhood) to an infeasible cell or the
-    # grid edge, reconstructed from the RLE rows
+    # feasible cells 4-adjacent to an infeasible cell or the edge, occupied rows only
     res = payload["resolution"]
-    grid = np.zeros((res, res), dtype=bool)
-    for iy, runs in enumerate(payload["grid_rle"]):
+    occupied = [iy for iy, runs in enumerate(payload["grid_rle"]) if runs] or [0]
+    r0, r1 = occupied[0], occupied[-1]
+    padded = np.zeros((r1 - r0 + 3, res + 2), dtype=bool)
+    for iy, runs in enumerate(payload["grid_rle"][r0 : r1 + 1], 1):
         for start, length in runs:
-            grid[iy, start : start + length] = True
-    padded = np.zeros((res + 2, res + 2), dtype=bool)
-    padded[1:-1, 1:-1] = grid
+            padded[iy, start + 1 : start + 1 + length] = True
     interior = (
         padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
     )
-    boundary = grid & ~interior
+    boundary = padded[1:-1, 1:-1] & ~interior
     step = 2.0 * payload["half_width"] / res
     x0 = payload["box_center"][0] - payload["half_width"]
     y0 = payload["box_center"][1] - payload["half_width"]
     cells = (divmod(k, res) for k in np.flatnonzero(boundary).tolist())
-    return [(x0 + (ix + 0.5) * step, y0 + (iy + 0.5) * step) for iy, ix in cells]
+    return [(x0 + (ix + 0.5) * step, y0 + (r0 + iy + 0.5) * step) for iy, ix in cells]
 
 
 def _csv_region(results: list) -> list[str]:
@@ -473,8 +472,7 @@ def _csv_region(results: list) -> list[str]:
     lines.append(f"quantization,{_f2csv(payload['quantization'])}")
     lines.append("")
     lines.append("boundary_x,boundary_y")
-    for x, y in _boundary_cells(payload):
-        lines.append(f"{_f2csv(x)},{_f2csv(y)}")
+    lines.extend(f"{x!r},{y!r}" for x, y in _boundary_cells(payload))
     return lines
 
 

@@ -10,12 +10,25 @@ so this module reports the rasterized constraint region and, separately,
 empirically attained coefficients, without claiming the two sets agree.
 
 Rasterization marks a cell feasible iff its center satisfies every disk
-constraint.  Because an intersection of disks is convex, each grid row
-meets it in one interval; the row intervals are computed directly from
-the per-disk chord bounds, which is exactly equivalent to testing every
-cell center against every disk.  Chords are computed only on the band of
-rows that every disk reaches, found exactly from the extreme center
-ordinates, in L2-sized blocks: O(band rows * M) instead of O(rows^2 * M).
+constraint.  Because an intersection of disks is convex, each grid row y
+meets it in one interval [lo, hi], lo = max_j L_j(y), hi = min_j H_j(y),
+where L_j, H_j = gx_j -/+ sqrt(r^2 - (y - gy_j)^2) are the ends of disk
+j's chord; this is exactly equivalent to testing every cell center against
+every disk.  Chords are computed only on the band of rows that every disk
+reaches, found exactly from the extreme center ordinates.
+
+The band is screened in blocks of 16 rows: all chords are computed on the
+rows that end a block, and between them only those that a bound admits.
+L_j is convex in y and H_j concave (rounding past a tangent gives L_j =
+H_j = gx_j), so on a block [ya, yb] L_j <= max(L_j(ya), L_j(yb)) and lo >=
+LB = max_k L_k(clip(gy_k, ya, yb)) over the maximizers k of lo at ya and
+yb; alike for hi.  Float chord ends are within eps = 2.3 sqrt(u) r +
+2u(|gx| + 2r) of the exact ones (u = 2^-53; sqrt(u) from a square root
+near a tangent), so with slack = 1e-6 r + 1e-12 (max|gx| + r) > 4 eps a
+disk whose float max(L_j(ya), L_j(yb)) < LB - slack is strictly below the
+float lo on every row between: lo and hi stay bit-identical.  A block
+keeping over 3/4 of the disks is computed whole, the next twice as tall.
+Cost: O(band/16 * M + band * kept).
 """
 
 from __future__ import annotations
@@ -121,6 +134,56 @@ class RegionEstimate:
 #: Grid rows per rasterizer block are chosen so that each of the two block
 #: buffers (rows x disks) holds about this many doubles (256 KiB, L2-sized).
 CHUNK_DOUBLES = 32_768
+#: Band rows per screening block (see the module docstring).
+_SCREEN_ROWS = 16
+
+
+def _chord_ends(ys, gx, gy, r2, buf, lo, hi) -> None:
+    """Per row y: lo, hi = max_j, min_j of gx_j -/+ sqrt(r2 - (y - gy_j)^2)."""
+    rows = max(1, buf.shape[1] // len(gx))
+    for k0 in range(0, len(ys), rows):
+        yy = ys[k0 : k0 + rows]
+        s, e = buf[:, : len(yy) * len(gx)].reshape(2, len(yy), -1)
+        np.subtract(yy[:, None], gy, out=s)
+        np.multiply(s, s, out=s)
+        np.subtract(r2, s, out=s)
+        np.sqrt(s, out=s)
+        np.subtract(gx, s, out=e).max(axis=1, out=lo[k0 : k0 + rows])
+        np.add(gx, s, out=e).min(axis=1, out=hi[k0 : k0 + rows])
+
+
+def _screened_chord_ends(yband, gx, gy, radius):
+    """lo, hi of each band row, screened per block; returning frees the buffers before the grid."""
+    n, m, r2 = len(yband), len(gx), radius * radius
+    buf = np.empty((2, min(max(1, CHUNK_DOUBLES // m), n) * m))
+    lo, hi = np.empty((2, n))
+    slack = 1e-6 * radius + 1e-12 * (float(np.abs(gx).max()) + radius)
+
+    def end_row(k):
+        # every chord on band row k: half-chords, and the disks setting lo, hi
+        s = np.sqrt(r2 - (yband[k] - gy) ** 2)
+        jl, jh = int((gx - s).argmax()), int((gx + s).argmin())
+        lo[k], hi[k] = gx[jl] - s[jl], gx[jh] + s[jh]
+        return s, jl, jh
+
+    a, height = 0, _SCREEN_ROWS
+    s_a, la, ha = end_row(0) if n else (None, 0, 0)
+    while a < n - 1:
+        b = min(a + height, n - 1)
+        s_b, lb, hb = end_row(b)
+        height = _SCREEN_ROWS
+        if b > a + 1:
+            k = np.array([la, lb, ha, hb])
+            near = np.sqrt(r2 - (np.clip(gy[k], yband[a], yband[b]) - gy[k]) ** 2)
+            low, high = (gx[k[:2]] - near[:2]).max(), (gx[k[2:]] + near[2:]).min()
+            s_min = np.minimum(s_a, s_b)
+            keep = np.flatnonzero((gx - s_min >= low - slack) | (gx + s_min <= high + slack))
+            if len(keep) > 3 * m // 4:  # not worth a gather; screen less often
+                keep, height = slice(None), 2 * (b - a)
+            rows = slice(a + 1, b)
+            _chord_ends(yband[rows], gx[keep], gy[keep], r2, buf, lo[rows], hi[rows])
+        a, s_a, la, ha = b, s_b, lb, hb
+    return lo, hi
 
 
 def intersect_disk_family(
@@ -149,18 +212,7 @@ def intersect_disk_family(
     # sits at gy.min() or gy.max(): the rows where every chord exists, exactly
     far = np.maximum(np.abs(ys - gy.min()), np.abs(ys - gy.max()))
     band = np.flatnonzero(radius * radius - far * far >= 0.0)
-    rows = max(1, CHUNK_DOUBLES // m)
-    buf = np.empty((2, min(rows, len(band)), m))
-    lo, hi = np.empty((2, len(band)))
-    for k0 in range(0, len(band), rows):
-        yy = ys[band[k0 : k0 + rows]]
-        s, e = buf[:, : len(yy)]
-        np.subtract(yy[:, None], gy, out=s)
-        np.multiply(s, s, out=s)
-        np.subtract(radius * radius, s, out=s)
-        np.sqrt(s, out=s)
-        np.subtract(gx, s, out=e).max(axis=1, out=lo[k0 : k0 + rows])
-        np.add(gx, s, out=e).min(axis=1, out=hi[k0 : k0 + rows])
+    lo, hi = _screened_chord_ends(ys[band], gx, gy, radius)
 
     grid = np.zeros((resolution, resolution), dtype=bool)
     max_mod = 0.0

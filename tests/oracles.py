@@ -282,7 +282,8 @@ def boundary_oracle(payload):
     """Feasible cells 4-adjacent to an infeasible cell or the grid edge.
 
     The grid is rebuilt from the report's RLE rows; cell centres are
-    formed from numpy indices.
+    formed from numpy indices and returned as Python floats, the type the
+    CSV renderer formats with repr.
     """
     res = payload["resolution"]
     grid = np.zeros((res, res), dtype=bool)
@@ -299,7 +300,10 @@ def boundary_oracle(payload):
     x0 = payload["box_center"][0] - payload["half_width"]
     y0 = payload["box_center"][1] - payload["half_width"]
     ys, xs = np.nonzero(boundary)
-    return [(x0 + (ix + 0.5) * step, y0 + (iy + 0.5) * step) for iy, ix in zip(ys, xs)]
+    return [
+        (float(x0 + (ix + 0.5) * step), float(y0 + (iy + 0.5) * step))
+        for iy, ix in zip(ys, xs)
+    ]
 
 
 def feasible_cells_brute(centers, box, resolution, radius=1.0):

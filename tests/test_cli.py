@@ -479,6 +479,38 @@ class TestRegionMatchesOracle:
         assert got == want
 
 
+class TestBoundaryCellsMatchOracle:
+    """The boundary listing over the occupied rows equals the full-grid one."""
+
+    RES = 16
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            {},
+            {0: [[3, 5]], 1: [[2, 9]]},
+            {14: [[0, 16]], 15: [[0, 16]]},
+            {0: [[0, 2]], 15: [[14, 2]]},
+            {7: [[1, 3], [6, 1], [9, 7]]},
+            {9: [[4, 8]]},
+            {iy: [[6 - iy % 3, 3 + iy % 5]] for iy in range(2, 12)},
+            {iy: [[0, 16]] for iy in range(16)},
+        ],
+        ids=["empty", "row-0", "row-R-1", "both-edge-rows", "runs-in-one-row",
+             "one-row", "blob", "full"],
+    )
+    def test_payloads(self, rows):
+        payload = {
+            "resolution": self.RES,
+            "half_width": 1.25,
+            "box_center": [0.3, -0.7],
+            "grid_rle": [rows.get(iy, []) for iy in range(self.RES)],
+        }
+        got = cli._boundary_cells(payload)
+        assert got == boundary_oracle(payload)
+        assert all(type(v) is float for cell in got for v in cell)
+        assert bool(got) == bool(rows)
+
 class TestScanNonFiniteMargin:
     @staticmethod
     def patch_scan(monkeypatch, margins):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import schwarzlab.regions as regions
 from oracles import b4_margin_oracle, feasible_cells_brute, raster_oracle
 from schwarzlab.families import (
     FiniteBlaschke,
@@ -15,6 +16,7 @@ from schwarzlab.families import (
 from schwarzlab.regions import (
     B4_MODES,
     CHUNK_DOUBLES,
+    MIN_RESOLUTION,
     BoundingBox,
     DiskConstraintFamily,
     FrontierBin,
@@ -320,6 +322,72 @@ def assert_same_estimate(got, want):
     assert got.quantization == want.quantization
 
 
+def _band_box(centers, radius, rows, resolution=64):
+    """A box whose grid has exactly ``rows`` rows that every disk reaches.
+
+    The band [max gy - r, min gy + r] is (rows - 1/2) steps tall and its
+    rows sit at its bottom + (i + 1/4) step, i < rows; the middle column
+    is centred on the mean center abscissa.
+    """
+    centers = np.asarray(centers)
+    bottom = float(centers.imag.max()) - radius
+    step = (float(centers.imag.min()) + radius - bottom) / (rows - 0.5)
+    hw = resolution * step / 2
+    first = (resolution - rows) // 2
+    cx = float(centers.real.mean()) - 0.5 * step
+    return BoundingBox(complex(cx, bottom + (0.25 - first - 0.5) * step + hw), hw)
+
+
+def _band_rows(centers, radius, box, resolution):
+    """Number of grid rows that every disk reaches, by the direct test."""
+    step = 2.0 * box.half_width / resolution
+    ys = box.center.imag - box.half_width + (np.arange(resolution) + 0.5) * step
+    dy = ys[:, None] - np.asarray(centers).imag
+    return int((radius * radius - dy * dy >= 0.0).all(axis=1).sum())
+
+
+#: Families that stress the rasterizer's per-block screen; see _screen_case.
+SCREEN_CASES = [
+    "coincident", "duplicates", "radius0.001", "radius2.5", "angles3", "angles7",
+    "band1", "band2", "band15", "band16", "band17", "band18", "band33",
+    "tangent", "wide",
+]
+
+
+def _screen_case(name):
+    """(centers, radius, box, resolution) of a family named in SCREEN_CASES."""
+    rng = np.random.default_rng(11)
+    b = _workload_b(4)
+    if name == "coincident":  # b3 with b1 = 0: every center is 0
+        return b3_centers(0j, _thetas(512)), 1.0, BoundingBox(0j, 1.0), 256
+    if name == "duplicates":  # every disk twice, so each row's extremes tie
+        centers, box = _b4_family(b, 256, "both")
+        return np.repeat(centers, 2), 1.0, box, 256
+    if name.startswith("radius"):  # a lobed center curve, off-centre box
+        radius = float(name[len("radius"):])
+        t = _thetas(2000)
+        offset = complex(0.7, -1.3) * radius
+        centers = offset + 0.3 * radius * (1 + 0.5 * np.cos(3 * t)) * np.exp(1j * t)
+        return centers, radius, BoundingBox(offset + complex(0.2, 0.1) * radius, 1.1 * radius), 256
+    if name.startswith("angles"):
+        centers, box = _b4_family(b, int(name[len("angles"):]), "both")
+        return centers, 1.0, box, 256
+    if name.startswith("band"):  # the disks near the ends of a flat curve bind
+        t = _thetas(600)
+        centers = 0.5 * np.cos(t) + 0.02j * np.sin(3 * t)
+        rows = int(name[len("band"):])
+        if rows < MIN_RESOLUTION:  # the whole band inside a coarse grid
+            return centers, 1.0, _band_box(centers, 1.0, rows), 64
+        return centers, 1.0, BoundingBox(0j, 0.01 * rows), rows  # a grid inside the band
+    if name == "tangent":
+        # rows sit at multiples of 1/64; the band's first and last rows,
+        # y = -7/8 and 7/8, touch the disks centred at ordinates 1/8 and -1/8
+        gy = np.concatenate([[0.125, -0.125], rng.uniform(-0.125, 0.125, 400)])
+        gx = rng.uniform(-0.2, 0.2, len(gy))
+        return gx + 1j * gy, 1.0, BoundingBox(1j / 128, 2.0), 256
+    assert name == "wide"  # more disks than a block buffer holds doubles
+    return circle_family(0.3, m=CHUNK_DOUBLES + 5).centers, 1.0, BoundingBox(0.01j, 1.3), 256
+
 class TestRasterMatchesOracle:
     """The row-band, block-sized rasterizer equals the full-grid one bit for bit."""
 
@@ -409,6 +477,18 @@ class TestRasterMatchesOracle:
         assert got.feasible_area_cells > 0
 
 
+    @pytest.mark.parametrize("name", SCREEN_CASES)
+    def test_screen_families(self, name):
+        centers, radius, box, resolution = _screen_case(name)
+        if name.startswith("band"):
+            assert _band_rows(centers, radius, box, resolution) == int(name[len("band"):])
+        if name == "tangent":
+            assert _band_rows(centers, radius, box, resolution) == 113
+        fam = DiskConstraintFamily(centers, radius)
+        got = intersect_disk_family(fam, box, resolution)
+        assert_same_estimate(got, raster_oracle(fam, box, resolution))
+        assert got.feasible_area_cells > 0
+
 class TestRasterMatchesCellTest:
     """Every cell agrees with the direct test |x - gamma_j| <= 1 for all j."""
 
@@ -423,3 +503,103 @@ class TestRasterMatchesCellTest:
         assert brute.any()
         assert np.array_equal(est.grid, brute)
         assert est.feasible_area_cells == int(brute.sum())
+
+    @pytest.mark.parametrize("name", [c for c in SCREEN_CASES if c != "wide"])
+    def test_screen_families(self, name):
+        centers, radius, box, resolution = _screen_case(name)
+        est = intersect_disk_family(DiskConstraintFamily(centers, radius), box, resolution)
+        brute = feasible_cells_brute(centers, box, resolution, radius)
+        assert brute.any()
+        assert np.array_equal(est.grid, brute)
+
+
+class TestScreenDropsOnlyNonBindingDisks:
+    """White box: every disk the per-block screen leaves out lies strictly
+    below the row's lo and strictly above its hi on every row of its block."""
+
+    @staticmethod
+    def screened_blocks(monkeypatch, centers, radius, box, resolution):
+        """(rows, kept gx, kept gy) of each block computed over a subset."""
+        calls = []
+        real = regions._chord_ends
+
+        def spy(ys, gx, gy, *rest):
+            calls.append((ys.copy(), gx.copy(), gy.copy()))
+            return real(ys, gx, gy, *rest)
+
+        monkeypatch.setattr(regions, "_chord_ends", spy)
+        intersect_disk_family(DiskConstraintFamily(centers, radius), box, resolution)
+        return calls
+
+    def dropped_disks(self, monkeypatch, centers, radius, box, resolution):
+        gx, gy = centers.real, centers.imag
+        dropped = 0
+        for ys, kept_x, kept_y in self.screened_blocks(
+            monkeypatch, centers, radius, box, resolution
+        ):
+            # the screen is a function of (gx_j, gy_j), so equal centers are
+            # kept or dropped together and a disk is identified by its center
+            kept = set(zip(kept_x.tolist(), kept_y.tolist()))
+            drop = np.array([c not in kept for c in zip(gx.tolist(), gy.tolist())])
+            d = ys[:, None] - gy
+            s = np.sqrt(radius * radius - d * d)
+            lo = (gx - s).max(axis=1)
+            hi = (gx + s).min(axis=1)
+            assert ((gx - s)[:, drop] < lo[:, None]).all()
+            assert ((gx + s)[:, drop] > hi[:, None]).all()
+            dropped += int(drop.sum())
+        return dropped
+
+    @pytest.mark.parametrize("name", SCREEN_CASES)
+    def test_screen_families(self, monkeypatch, name):
+        dropped = self.dropped_disks(monkeypatch, *_screen_case(name))
+        # coincident centers tie everywhere; of six disks (three angles) more
+        # than three quarters may bind in every block; one or two band rows
+        # leave no row between block ends, and fifteen that span the whole
+        # band meet tangent rows at both block ends, where every disk may bind
+        assert (dropped == 0) == (name in ("coincident", "angles3", "band1", "band2", "band15"))
+
+    @pytest.mark.parametrize("seed", range(1, 5))
+    def test_workload_families(self, monkeypatch, seed):
+        centers, box = _b4_family(_workload_b(seed), 4096, "both")
+        assert self.dropped_disks(monkeypatch, centers, 1.0, box, 1024) > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_box_of_a_few_ulps(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        centers, _ = _b4_family(_workload_b(seed), 1024, B4_MODES[seed % 3])
+        y = float(rng.uniform(-0.3, 0.3))
+        chord = np.sqrt(1.0 - (y - centers.imag) ** 2)
+        end = float((centers.real - chord).max())
+        box = BoundingBox(complex(end, y), 64 * math.ulp(end) / 2)
+        assert self.dropped_disks(monkeypatch, centers, 1.0, box, 64) > 0
+
+
+class TestChordEndErrorBound:
+    """A float chord end is within eps = 2.3 sqrt(u) r + 2u(|gx| + 2r) of the
+    exact one at the float row, also at rows next to a disk's tangent: the
+    error budget behind the screen's slack."""
+
+    def test_rows_approaching_tangency(self):
+        import mpmath
+
+        u = 2.0**-53
+        rng = np.random.default_rng(5)
+        for radius in (1e-3, 1.0, 2.5):
+            gx = rng.uniform(-3.0, 3.0, 40) * radius
+            gy = rng.uniform(-1.0, 1.0, 40) * radius
+            for k in range(1, 60):
+                ys = gy + radius * (1.0 - 2.0**-k)
+                d = ys - gy
+                s2 = radius * radius - d * d
+                reach = s2 >= 0.0
+                s = np.sqrt(np.where(reach, s2, 0.0))
+                for x, y, c, lo_f, hi_f in zip(
+                    gx[reach], ys[reach], gy[reach], (gx - s)[reach], (gx + s)[reach]
+                ):
+                    with mpmath.workdps(40):
+                        dm = mpmath.mpf(y) - mpmath.mpf(c)
+                        half = mpmath.sqrt(max(mpmath.mpf(radius) ** 2 - dm * dm, 0))
+                        eps = 2.3 * math.sqrt(u) * radius + 2 * u * (abs(x) + 2 * radius)
+                        assert abs(lo_f - (mpmath.mpf(x) - half)) <= eps
+                        assert abs(hi_f - (mpmath.mpf(x) + half)) <= eps
