@@ -3,9 +3,8 @@
 Each classical bound has one array kernel that checks a whole block of
 functions at once and returns a :class:`BoundBlock`: lhs and rhs arrays
 with one row per function and one column per check, and slack = rhs - lhs.
-The scalar checkers (:func:`livingston_gap`, :func:`schwarz_coefficient_bounds`,
-...) are one-row views of these kernels that return :class:`BoundReport`
-values, so every inequality is written once.
+Every inequality is written once, as its kernel; a single function is a
+one-row block.
 
 Bit-exactness: a kernel row reproduces, bit for bit, what plain Python
 complex arithmetic gives for the same check, so batched and one-at-a-time
@@ -22,12 +21,12 @@ runs report identical slacks.  Three rules keep it so:
 The pointwise kernel takes the modulus with ``np.abs`` of closed-form
 values, as the pointwise check always has.
 
-Tolerance policy: inequality checks use absolute slack tolerance 1e-9
-(order-12 truncations of the sampled families sit far below this, and
-tighter settings produce false failures near extremal configurations);
-equality detection uses the looser 1e-8 since equality cases sit where
-cancellation error peaks.  Pointwise checks evaluate generators in
-closed form, so they avoid truncation entirely and run at 1e-12.
+Tolerance: the kernels only compute slacks; ``verify`` counts a slack
+below -tol as a violation, with one absolute tolerance for every family
+(``--tol``, default :data:`INEQUALITY_TOL` = 1e-9: order-12 truncations
+of the sampled families sit far below it, and tighter settings produce
+false failures near extremal configurations).  The same tolerance gates
+the boundary hypothesis of :func:`harmonic_propagation`.
 """
 
 from __future__ import annotations
@@ -42,21 +41,6 @@ from schwarzlab.families import SchwarzGenerator, evaluate_schwarz
 from schwarzlab.series import TruncatedSeries, pair_mul
 
 INEQUALITY_TOL = 1e-9
-EQUALITY_TOL = 1e-8
-POINTWISE_TOL = 1e-12
-IDENTITY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Outcome of one inequality check: lhs <= rhs with slack = rhs - lhs."""
-
-    name: str
-    lhs: float
-    rhs: float
-    slack: float
-    satisfied: bool
-    equality: bool
 
 
 @dataclass(frozen=True)
@@ -72,40 +56,6 @@ class BoundBlock:
     @property
     def slack(self) -> np.ndarray:
         return self.rhs - self.lhs
-
-
-def make_report(
-    name: str,
-    lhs: float,
-    rhs: float,
-    tol: float = INEQUALITY_TOL,
-    eq_tol: float = EQUALITY_TOL,
-) -> BoundReport:
-    lhs = float(lhs)
-    rhs = float(rhs)
-    slack = rhs - lhs
-    satisfied = slack >= -tol
-    # equality additionally requires satisfaction: with eq_tol looser than
-    # tol, a clear violation inside the equality band must not pass as an
-    # attained bound.
-    return BoundReport(
-        name=name,
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        satisfied=satisfied,
-        equality=satisfied and abs(slack) <= eq_tol,
-    )
-
-
-def _row_reports(names, block: BoundBlock, tol: float = INEQUALITY_TOL) -> list[BoundReport]:
-    """Reports of the first row of a block, one per name."""
-    rhs = np.empty_like(block.lhs)
-    rhs[...] = block.rhs
-    return [
-        make_report(name, lhs, r, tol=tol)
-        for name, lhs, r in zip(names, block.lhs[0], rhs[0])
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +150,17 @@ def pointwise_contraction_kernel(
 
 
 def fourth_coefficient_kernel(W, thetas) -> tuple[BoundBlock, BoundBlock]:
-    """The ``b4_eq1`` and ``b4_eq2`` disks, one column per rotation theta.
+    """The two unit-disk constraints on b_4, one column per rotation theta.
 
-    See :func:`fourth_coefficient_constraints` for the two inequalities.
+    Pushing |c_4 - c_1 c_3| <= 2 and |c_4 - c_2^2| <= 2 through the Cayley
+    expansion gives, for every theta,
+
+        |b_4 + e^{i theta} b_2^2 - e^{i 2 theta} b_1^2 b_2 - e^{i 3 theta} b_1^4| <= 1
+        |b_4 + 2 e^{i theta} b_1 b_3 - e^{i theta} b_2^2
+             - e^{i 2 theta} b_1^2 b_2 - e^{i 3 theta} b_1^4| <= 1
+
+    returned in that order as the ``b4_eq1`` and ``b4_eq2`` blocks (the
+    CLI's --mode tokens).
     """
     W = _schwarz_block(W, min_order=4)
     b1, b2, b3, b4 = (_parts(W[:, k, None]) for k in range(1, 5))
@@ -230,65 +188,15 @@ def fourth_coefficient_kernel(W, thetas) -> tuple[BoundBlock, BoundBlock]:
     )
 
 
-# ---------------------------------------------------------------------------
-# scalar checkers: one-row views of the kernels
-# ---------------------------------------------------------------------------
-
-def livingston_gap(p: TruncatedSeries, s: int, t: int) -> BoundReport:
-    """Livingston's inequality |c_s - c_t c_{s-t}| <= 2 on class P.
-
-    Equality is attained for every (s, t) by the all-twos function
-    (1+z)/(1-z).
-    """
-    block = livingston_kernel(p.coeffs[None], [(s, t)])
-    return _row_reports([f"livingston(s={s},t={t})"], block)[0]
-
-
-def schwarz_coefficient_bounds(w: TruncatedSeries) -> list[BoundReport]:
-    """|b_k| <= 1 for every k = 1..N, with equality only for rotations of z^k."""
-    block = coefficient_bound_kernel(w.coeffs[None])
-    names = [f"coefficient_bound(k={k})" for k in range(1, w.order + 1)]
-    return _row_reports(names, block)
-
-
-def second_coefficient_bound(w: TruncatedSeries) -> BoundReport:
-    """|b_2| <= 1 - |b_1|^2."""
-    return _row_reports(["b2_bound"], power_bound_kernel(w.coeffs[None], 2))[0]
-
-
-def third_coefficient_bound(w: TruncatedSeries) -> BoundReport:
-    """|b_3| <= 1 - |b_1|^3."""
-    return _row_reports(["b3_bound"], power_bound_kernel(w.coeffs[None], 3))[0]
-
-
-def pointwise_contraction(
-    g: SchwarzGenerator,
-    radii,
-    angles_per_radius: int,
-) -> list[BoundReport]:
-    """|w(z)| <= |z| on a polar grid, via closed-form evaluation.
-
-    Truncated series never enter, so the tolerance is the bare roundoff
-    envelope 1e-12 rather than the corpus inequality tolerance.
-    """
-    radii = [float(r) for r in radii]
-    block = pointwise_contraction_kernel([g], radii, angles_per_radius)
-    names = [
-        f"pointwise(r={r:.6g},j={j})"
-        for r in radii
-        for j in range(angles_per_radius)
-    ]
-    return _row_reports(names, block, tol=POINTWISE_TOL)
-
-
 def harmonic_propagation(
     p: TruncatedSeries, k: int, tol: float = INEQUALITY_TOL
-) -> list[BoundReport]:
+) -> BoundBlock:
     """If c_k sits on the boundary (c_k = 2 e^{i theta}) then c_{nk} = 2 e^{i n theta}.
 
-    The hypothesis is gated at |c_k| >= 2 - tol; below the gate a single
-    not-applicable report is returned, since an exact boundary hit is
-    unreachable in floating point except by construction.
+    One row, one column per n = 1..N/k with lhs |c_{nk} - 2 e^{i n theta}|
+    and rhs 0.  The hypothesis is gated at |c_k| >= 2 - tol; below the gate
+    the single column checks |c_k| <= 2 instead, since an exact boundary
+    hit is unreachable in floating point except by construction.
     """
     _caratheodory_block(p.coeffs)
     if k < 1:
@@ -297,41 +205,10 @@ def harmonic_propagation(
         raise IndexError(f"k={k} exceeds series order {p.order}")
     ck = p[k]
     if abs(ck) < 2.0 - tol:
-        return [
-            make_report(
-                f"harmonic_propagation(k={k},not_applicable)", abs(ck), 2.0
-            )
-        ]
+        return BoundBlock(np.array([[abs(ck)]]), 2.0)
     theta = np.angle(ck / 2.0)
-    out = []
-    n = 1
-    while n * k <= p.order:
-        lhs = abs(p[n * k] - 2.0 * np.exp(1j * n * theta))
-        out.append(
-            make_report(
-                f"harmonic_propagation(k={k},n={n})", lhs, 0.0, tol=tol
-            )
-        )
-        n += 1
-    return out
-
-
-def fourth_coefficient_constraints(
-    w: TruncatedSeries, theta: float
-) -> tuple[BoundReport, BoundReport]:
-    """The two unit-disk constraints on b_4 produced by the Livingston gaps.
-
-    Pushing |c_4 - c_1 c_3| <= 2 and |c_4 - c_2^2| <= 2 through the Cayley
-    expansion gives, for every theta,
-
-        |b_4 + e^{i theta} b_2^2 - e^{i 2 theta} b_1^2 b_2 - e^{i 3 theta} b_1^4| <= 1
-        |b_4 + 2 e^{i theta} b_1 b_3 - e^{i theta} b_2^2
-             - e^{i 2 theta} b_1^2 b_2 - e^{i 3 theta} b_1^4| <= 1
-
-    reported here as ``b4_eq1`` and ``b4_eq2`` (the CLI's --mode tokens).
-    """
-    eq1, eq2 = fourth_coefficient_kernel(w.coeffs[None], [theta])
-    return (
-        _row_reports(["b4_eq1"], eq1)[0],
-        _row_reports(["b4_eq2"], eq2)[0],
-    )
+    lhs = [
+        abs(p[n * k] - 2.0 * np.exp(1j * n * theta))
+        for n in range(1, p.order // k + 1)
+    ]
+    return BoundBlock(np.array([lhs]), 0.0)

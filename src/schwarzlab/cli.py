@@ -13,12 +13,15 @@ scan     sample Schwarz functions and test their b4 against the joint
 Reports are emitted as JSON (default) or CSV.  JSON reports always have
 the shape {command, config, results, worst_slack, exit_status} with
 complex numbers as [re, im] pairs; CSV cells render complex numbers as
-"re+imi" strings.  Angles are radians everywhere.  Output is
-byte-identical across runs for identical configuration, seed included.
+"re+imi" strings.  JSON is strict: a non-finite slack or margin is
+written as null (an empty CSV cell).  Angles are radians everywhere.
+Output is byte-identical across runs for identical configuration, seed
+included.
 
 Exit status: 0 all checks satisfied / computation completed, 1 a check
 failed (the report carries the violating sample index and slack),
-2 configuration or generator-expression parse failure.
+2 configuration or generator-expression parse failure, or settings whose
+numbers overflow.
 """
 
 from __future__ import annotations
@@ -176,7 +179,18 @@ def _c2csv(z: complex) -> str:
 
 
 def _f2csv(x) -> str:
-    return repr(float(x))
+    return "" if x is None else repr(float(x))
+
+
+def _finite(x) -> Optional[float]:
+    """``x`` as a float, or None (JSON null) when it is not finite."""
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
+def _flag2j(z: Optional[complex]) -> Optional[list]:
+    # a flag that the target or mode ignores may hold nan or inf
+    return None if z is None else [_finite(z.real), _finite(z.imag)]
 
 
 def _config_payload(cfg: RunConfig, spec: Optional[str]) -> dict:
@@ -188,9 +202,9 @@ def _config_payload(cfg: RunConfig, spec: Optional[str]) -> dict:
         "format": cfg.format,
         "out": cfg.out,
         "spec": spec,
-        "b1": None if cfg.b1 is None else _c2j(cfg.b1),
-        "b2": None if cfg.b2 is None else _c2j(cfg.b2),
-        "b3": None if cfg.b3 is None else _c2j(cfg.b3),
+        "b1": _flag2j(cfg.b1),
+        "b2": _flag2j(cfg.b2),
+        "b3": _flag2j(cfg.b3),
         "target": cfg.target,
         "mode": cfg.mode if cfg.command in ("region", "scan") else None,
         "angles": cfg.angles if cfg.command in ("region", "scan") else None,
@@ -303,9 +317,8 @@ def _run_verify(cfg: RunConfig) -> tuple[int, list, float]:
     for k in (1, 2, 3):
         for theta in (0.0, 2.0 * math.pi / 5):
             p = expand_caratheodory(harmonic_boundary_atoms(k, theta), cfg.order)
-            # slack of an identity report is -lhs; the row is indexed by k
-            slacks = [rep.slack for rep in harmonic_propagation(p, k, tol)]
-            table.add("harmonic_propagation", [slacks], k)
+            # the one-row block is indexed by k
+            table.add("harmonic_propagation", harmonic_propagation(p, k, tol).slack, k)
 
     status = 0
     for family, idx, slack in table.violations():
@@ -387,7 +400,7 @@ def _run_scan(cfg: RunConfig) -> tuple[int, list, float]:
                 "index": idx,
                 "b": [_c2j(c) for c in rec.coeffs],
                 "member": rec.member,
-                "margin": float(rec.margin),
+                "margin": _finite(rec.margin),
             }
         )
         if not (rec.member and math.isfinite(rec.margin)):
@@ -416,7 +429,7 @@ def _run_scan(cfg: RunConfig) -> tuple[int, list, float]:
 # ---------------------------------------------------------------------------
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
 def _csv_expand(results: list) -> list[str]:
@@ -523,12 +536,13 @@ def run(cfg: RunConfig, spec: Optional[str] = None) -> tuple[int, dict]:
         status, results = _run_expand(cfg, spec)
     elif cfg.command == "verify":
         status, results, worst_val = _run_verify(cfg)
-        worst = float(worst_val)
+        results = [dict(row, worst_slack=_finite(row["worst_slack"])) for row in results]
+        worst = _finite(worst_val)
     elif cfg.command == "region":
         status, results = _run_region(cfg)
     else:
         status, results, worst_val = _run_scan(cfg)
-        worst = float(worst_val)
+        worst = _finite(worst_val)
     report = {
         "command": cfg.command,
         "config": _config_payload(cfg, spec),
@@ -639,14 +653,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     try:
         status, report = run(cfg, getattr(args, "spec", None))
-    except (GeneratorParseError, InvalidGeneratorError, ValueError) as exc:
+        # strict JSON refuses what overflows past the nulls set in the report
+        text = (
+            render_json(report)
+            if cfg.format == "json"
+            else render_csv(cfg.command, report["results"])
+        )
+    except (GeneratorParseError, InvalidGeneratorError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = (
-        render_json(report)
-        if cfg.format == "json"
-        else render_csv(cfg.command, report["results"])
-    )
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(text)

@@ -8,6 +8,9 @@ families arise (from the gaps c4 - c1 c3 and c4 - c2^2); the exact shape
 of their joint intersection over all admissible (b1, b2, b3) is unknown,
 so this module reports the rasterized constraint region and, separately,
 empirically attained coefficients, without claiming the two sets agree.
+The scan tests each sampled b4 un-rasterized: its margin
+1 - max_j |b4 - gamma_j| over both families is taken against one angle
+table shared by every sample (non-negative inside the sampled region).
 
 Rasterization marks a cell feasible iff its center satisfies every disk
 constraint.  Because an intersection of disks is convex, each grid row y
@@ -327,7 +330,7 @@ def b4_feasible_region(
 def _angle_table(angle_samples: int) -> tuple[np.ndarray, ...]:
     """(e^{i theta}, e^{2 i theta}, e^{3 i theta}, -2 e^{i theta}) at M uniform angles.
 
-    Built once per margin call or scan; every sampled function reuses it.
+    Built once per scan; every sampled function reuses it.
     """
     thetas = _uniform_thetas(angle_samples)
     e1 = np.exp(1j * thetas)
@@ -338,7 +341,8 @@ def _b4_margin(
     table: tuple[np.ndarray, ...], b1: complex, b2: complex, b3: complex, b4: complex,
     mode: str,
 ) -> float:
-    """1 - max_j |b4 - gamma_j| over the families of ``mode``.
+    """1 - max_j |b4 - gamma_j| over the families of ``mode``: the signed
+    distance of b4 to the sampled constraint set, non-negative inside it.
 
     The terms shared by gamma1 and gamma2 are formed once; the sums keep
     the operand order of :func:`b4_centers`, so margins match it bit for
@@ -355,26 +359,6 @@ def _b4_margin(
     if mode != "eq1":
         far2 = np.abs(b4 - (m2e1 * b1 * b3 + p1 + p2 + p3)).max()
     return float(1.0 - np.maximum(far1, far2))
-
-
-def b4_margin(
-    b1: complex,
-    b2: complex,
-    b3: complex,
-    b4: complex,
-    angle_samples: int = DEFAULT_ANGLES,
-    mode: str = "both",
-) -> float:
-    """Signed distance of b4 to the sampled constraint set: min_j (1 - |b4 - gamma_j|).
-
-    Non-negative inside the region; this is the un-rasterized membership
-    test behind the grid estimate.
-    """
-    return _b4_margin(
-        _angle_table(angle_samples),
-        complex(b1), complex(b2), complex(b3), complex(b4),
-        mode,
-    )
 
 
 @dataclass(frozen=True)

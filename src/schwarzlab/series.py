@@ -5,7 +5,7 @@ for ``k = 0..N``, where ``N`` is the truncation order.  All operations
 require equal orders; mixing orders raises :class:`OrderMismatchError`
 so that truncation stays explicit in calling code.  Within a fixed
 order everything is exact modulo ``z**(N+1)`` up to double-precision
-roundoff: the retained coefficients of a product or composition depend
+roundoff: the retained coefficients of a product or reciprocal depend
 only on the retained coefficients of the operands.
 
 :func:`stacked_mul` multiplies whole stacks of series at once.  It keeps
@@ -33,7 +33,7 @@ class OrderMismatchError(ValueError):
 
 
 class CompositionDomainError(ValueError):
-    """Inner series of a composition must vanish at the origin."""
+    """A series substituted into another must vanish at the origin."""
 
 
 class NotInvertibleError(ValueError):
@@ -113,26 +113,6 @@ def mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """
     _require_same_order(f, g)
     return TruncatedSeries(np.convolve(f.coeffs, g.coeffs)[: len(f.coeffs)])
-
-
-def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
-    """Substitute ``inner`` into ``outer``: sum_k outer[k]*inner**k, truncated.
-
-    Evaluated by Horner's rule in the truncated series ring.  The inner
-    series must have constant term exactly zero, otherwise the truncated
-    composition is ill-defined (every inner power would contribute to
-    every output coefficient).
-    """
-    _require_same_order(outer, inner)
-    if inner.coeffs[0] != 0:
-        raise CompositionDomainError("inner series must vanish at the origin")
-    n = len(outer.coeffs)
-    acc = np.zeros(n, dtype=np.complex128)
-    acc[0] = outer.coeffs[-1]
-    for k in range(outer.order - 1, -1, -1):
-        acc = np.convolve(acc, inner.coeffs)[:n]
-        acc[0] = acc[0] + outer.coeffs[k]
-    return TruncatedSeries(acc)
 
 
 def reciprocal(f: TruncatedSeries) -> TruncatedSeries:
@@ -233,9 +213,3 @@ def stacked_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         n = half
     return terms[0].copy()
 
-
-def geometric_mobius(order: int) -> TruncatedSeries:
-    """The series of ``(1+u)/(1-u)``: coefficients ``[1, 2, 2, ...]``."""
-    arr = np.full(order + 1, 2.0, dtype=np.complex128)
-    arr[0] = 1.0
-    return TruncatedSeries(arr)

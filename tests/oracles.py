@@ -3,11 +3,12 @@
 The series oracles are deliberately written as plain double loops / long
 division, sharing no code path with the library, so that tests compare
 two genuinely different routes to the same numbers.  The verify oracle
-checks one function and one scalar check at a time through the library's
-scalar checkers, and accumulates slacks one by one, as the reference for
-the CLI's batched corpus checking.  The scan oracle rebuilds every
-sample's b4 centers with :func:`schwarzlab.regions.b4_centers`, as the
-reference for the scan's shared angle table.  The raster and RLE oracles
+checks one function and one scalar check at a time in plain Python complex
+arithmetic, without the library's bound kernels, and accumulates slacks
+one by one, as the reference for the CLI's batched corpus checking.  The
+scan oracle rebuilds every sample's b4 centers with
+:func:`schwarzlab.regions.b4_centers`, as the reference for the scan's
+shared angle table.  The raster and RLE oracles
 keep the full-grid, large-chunk rasterizer, the per-row run-length
 encoder and the numpy-index boundary listing as the reference for the
 row-band, block-sized rasterizer and the flat-index renderers.
@@ -65,23 +66,48 @@ def random_series(rng, order, magnitude=2.0, fixed_constant=None):
     return c
 
 
+def schwarz_slacks(gen, w, radii, angles_per_radius, thetas):
+    """Plain-Python slacks of one Schwarz function, per verify family.
+
+    Each list follows its kernel's column order: b_1..b_N; the pointwise
+    grid radius by radius, ``angles_per_radius`` uniform angles each; the
+    rotations ``thetas`` for the two b4 families.
+    """
+    from schwarzlab.families import evaluate_schwarz
+
+    b1, b2, b3, b4 = w[1], w[2], w[3], w[4]
+    radii = [float(r) for r in radii]
+    phases = np.exp(2j * math.pi * np.arange(angles_per_radius) / angles_per_radius)
+    values = np.abs(evaluate_schwarz(gen, (np.array(radii)[:, None] * phases).ravel()))
+    eq1, eq2 = [], []
+    for theta in thetas:
+        e1, e2, e3 = np.exp(1j * theta), np.exp(2j * theta), np.exp(3j * theta)
+        lhs1 = abs(b4 + e1 * b2**2 - e2 * b1**2 * b2 - e3 * b1**4)
+        lhs2 = abs(b4 + 2 * e1 * b1 * b3 - e1 * b2**2 - e2 * b1**2 * b2 - e3 * b1**4)
+        eq1.append(1.0 - lhs1)
+        eq2.append(1.0 - lhs2)
+    return {
+        "coefficient_bound": [1.0 - abs(w[k]) for k in range(1, w.order + 1)],
+        "b2_bound": [(1.0 - abs(b1) ** 2) - abs(b2)],
+        "b3_bound": [(1.0 - abs(b1) ** 3) - abs(b3)],
+        "pointwise_contraction": [
+            radii[j // angles_per_radius] - v for j, v in enumerate(values.tolist())
+        ],
+        "b4_eq1": eq1,
+        "b4_eq2": eq2,
+    }
+
+
 def verify_oracle(cfg):
     """Per-scalar reference for ``verify``: returns (status, results, worst).
 
-    Every check produces its own report, and the worst slack of a family
-    is replaced only by a strictly smaller one, so ties keep the first
-    sample.
+    Every check is its own plain-Python expression on one function's
+    coefficients (:func:`schwarz_slacks`, the Livingston gaps and the
+    boundary harmonics below), sharing no code with the array kernels of
+    :mod:`schwarzlab.bounds`.  Slacks are accumulated one by one, and the
+    worst slack of a family is replaced only by a strictly smaller one, so
+    ties keep the first sample.
     """
-    from schwarzlab.bounds import (
-        INEQUALITY_TOL,
-        fourth_coefficient_constraints,
-        harmonic_propagation,
-        livingston_gap,
-        pointwise_contraction,
-        schwarz_coefficient_bounds,
-        second_coefficient_bound,
-        third_coefficient_bound,
-    )
     from schwarzlab.cli import (
         VERIFY_ANGLES_PER_RADIUS,
         VERIFY_B4_THETAS,
@@ -98,7 +124,7 @@ def verify_oracle(cfg):
         sample_schwarz,
     )
 
-    tol = cfg.tol if cfg.tol is not None else INEQUALITY_TOL
+    tol = cfg.tol if cfg.tol is not None else 1e-9  # verify's default --tol
     rows = {}
 
     def add(family, slack, index):
@@ -117,31 +143,34 @@ def verify_oracle(cfg):
     def livingston(family, p, index):
         for s in range(2, min(10, cfg.order) + 1):
             for t in range(1, s):
-                add(family, livingston_gap(p, s, t).slack, index)
+                add(family, 2.0 - abs(p[s] - p[t] * p[s - t]), index)
 
     for idx, gen in enumerate(sample_schwarz(cfg.seed, cfg.samples, VERIFY_MAX_DEGREE)):
         w = expand_schwarz(gen, cfg.order)
-        for rep in schwarz_coefficient_bounds(w):
-            add("coefficient_bound", rep.slack, idx)
-        add("b2_bound", second_coefficient_bound(w).slack, idx)
-        add("b3_bound", third_coefficient_bound(w).slack, idx)
-        for rep in pointwise_contraction(gen, VERIFY_RADII, VERIFY_ANGLES_PER_RADIUS):
-            add("pointwise_contraction", rep.slack, idx)
-        for theta in VERIFY_B4_THETAS:
-            rep1, rep2 = fourth_coefficient_constraints(w, theta)
-            add("b4_eq1", rep1.slack, idx)
-            add("b4_eq2", rep2.slack, idx)
+        checks = schwarz_slacks(
+            gen, w, VERIFY_RADII, VERIFY_ANGLES_PER_RADIUS, VERIFY_B4_THETAS
+        )
+        for family, slacks in checks.items():
+            for slack in slacks:
+                add(family, slack, idx)
         for theta in VERIFY_CAYLEY_THETAS:
             livingston("livingston_cayley", cayley_from_schwarz(w, theta), idx)
 
     for idx, gen in enumerate(sample_herglotz(cfg.seed, cfg.samples)):
         livingston("livingston_herglotz", expand_caratheodory(gen, cfg.order), idx)
 
+    # c_k = 2 e^{i theta} forces c_nk = 2 e^{i n theta}; off the boundary
+    # (|c_k| < 2 - tol) only |c_k| <= 2 is checked
     for k in (1, 2, 3):
         for theta in (0.0, 2.0 * math.pi / 5):
             p = expand_caratheodory(harmonic_boundary_atoms(k, theta), cfg.order)
-            for rep in harmonic_propagation(p, k, tol):
-                add("harmonic_propagation", rep.slack, k)
+            if abs(p[k]) < 2.0 - tol:
+                add("harmonic_propagation", 2.0 - abs(p[k]), k)
+                continue
+            phase = np.angle(p[k] / 2.0)
+            for n in range(1, cfg.order // k + 1):
+                gap = abs(p[n * k] - 2.0 * np.exp(1j * n * phase))
+                add("harmonic_propagation", 0.0 - gap, k)
 
     results = [dict(rows[name]) for name in sorted(rows)]
     status = int(any(row["violations"] for row in results))

@@ -12,6 +12,7 @@ import pytest
 
 import schwarzlab.cli as cli
 import schwarzlab.regions as regions
+from schwarzlab.bounds import BoundBlock
 from oracles import (
     boundary_oracle,
     raster_oracle,
@@ -47,6 +48,14 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """Parse a report, refusing the NaN and Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestExpand:
@@ -155,6 +164,27 @@ class TestVerify:
         report = json.loads(out)
         assert report["exit_status"] == 1
         assert any(row["violations"] for row in report["results"])
+
+    def test_nan_slack_is_null_in_strict_json(self, capsys, monkeypatch):
+        real = cli.coefficient_bound_kernel
+
+        def with_nan(W):
+            block = real(W)
+            lhs = block.lhs.copy()
+            lhs[0, 0] = math.nan
+            return BoundBlock(lhs, block.rhs)
+
+        monkeypatch.setattr(cli, "coefficient_bound_kernel", with_nan)
+        code, out, err = run_cli(capsys, ["verify", "--samples", "5"])
+        report = strict_json(out)
+        assert code == report["exit_status"] == 1
+        assert report["worst_slack"] is None
+        row = {r["bound"]: r for r in report["results"]}["coefficient_bound"]
+        assert (row["worst_slack"], row["worst_index"], row["violations"]) == (None, 0, 1)
+        assert "check failure: coefficient_bound at sample 0, slack nan" in err
+        code, out, _ = run_cli(capsys, ["verify", "--samples", "5", "--format", "csv"])
+        assert code == 1
+        assert "coefficient_bound,60,,0,1" in out.splitlines()
 
 
 def _oracle_json(cfg):
@@ -526,22 +556,41 @@ class TestScanNonFiniteMargin:
         code, out, err = run_cli(capsys, ["scan", "--samples", "1"])
         report = json.loads(out)
         assert code == report["exit_status"] == 1
-        assert math.isnan(report["worst_slack"])
+        assert report["worst_slack"] is None
         assert "check failure" in err and "sample 0" in err
 
     def test_nan_ranks_below_finite_margins(self, capsys, monkeypatch):
         self.patch_scan(monkeypatch, [0.5, math.nan, -0.25, 0.2])
         code, out, err = run_cli(capsys, ["scan", "--samples", "4"])
         assert code == 1
-        assert math.isnan(json.loads(out)["worst_slack"])
+        assert json.loads(out)["worst_slack"] is None
         assert "sample 1," in err and "sample 2," in err
 
     def test_infinite_margin_fails(self, capsys, monkeypatch):
         self.patch_scan(monkeypatch, [0.5, math.inf])
         code, out, err = run_cli(capsys, ["scan", "--samples", "2"])
         assert code == 1
-        assert json.loads(out)["worst_slack"] == math.inf
+        assert json.loads(out)["worst_slack"] is None
         assert "sample 1," in err and "sample 0," not in err
+
+
+class TestNonFiniteRegionSettings:
+    SMALL = ["--angles", "8", "--resolution", "16"]
+
+    def test_ignored_non_finite_flags_are_null(self, capsys):
+        argv = ["region", "--target", "b3", "--b1=0.5,0", "--b2", "nan", "--b3=inf,1"]
+        code, out, _ = run_cli(capsys, argv + self.SMALL)
+        assert code == 0
+        config = strict_json(out)["config"]
+        assert (config["b2"], config["b3"]) == ([None, 0.0], [None, 1.0])
+
+    @pytest.mark.parametrize("b2", ["1.2e154", "1e160"])
+    def test_overflowing_region_exits_2(self, capsys, b2):
+        # 1.2e154: half_width * sqrt(2) overflows; 1e160: b2**2 overflows
+        argv = ["region", "--target", "b4", "--b1=0.5,0", f"--b2={b2}"]
+        code, out, err = run_cli(capsys, argv + self.SMALL)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
 
 class TestSharedValidationConstants:

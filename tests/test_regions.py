@@ -26,9 +26,16 @@ from schwarzlab.regions import (
     b3_region,
     b4_centers,
     b4_feasible_region,
-    b4_margin,
     intersect_disk_family,
 )
+
+
+def sampled_margin(b1, b2, b3, b4, angle_samples=regions.DEFAULT_ANGLES, mode="both"):
+    """The scan's margin of one coefficient tuple, on its own angle table."""
+    table = regions._angle_table(angle_samples)
+    return regions._b4_margin(
+        table, complex(b1), complex(b2), complex(b3), complex(b4), mode
+    )
 
 
 def circle_family(radius_of_centers, m=256, disk_radius=1.0):
@@ -180,8 +187,8 @@ class TestB4Region:
         # every feasible cell center, if any, must lie within quantization
         # of the pinned value.
         b1, b2, b3, b4 = 0.5, -0.75, -0.375, -0.1875
-        assert b4_margin(b1, b2, b3, b4, angle_samples=4096) >= -1e-12
-        assert abs(b4_margin(b1, b2, b3, b4, angle_samples=4096)) < 1e-12
+        assert sampled_margin(b1, b2, b3, b4, angle_samples=4096) >= -1e-12
+        assert abs(sampled_margin(b1, b2, b3, b4, angle_samples=4096)) < 1e-12
         est = b4_feasible_region(b1, b2, b3, angle_samples=4096, resolution=512)
         ys, xs = np.nonzero(est.grid)
         step = est.cell_step()
@@ -218,12 +225,12 @@ class TestAttainabilityScan:
 
     def test_rotated_quartic_monomial_sits_on_boundary(self):
         w = expand_schwarz(MonomialRotation(k=4, theta=1.1), 4)
-        margin = b4_margin(w[1], w[2], w[3], w[4])
+        margin = sampled_margin(w[1], w[2], w[3], w[4])
         assert abs(margin) < 1e-12
 
     def test_identity_map_has_zero_margin(self):
         # b = (1, 0, 0, 0): the constraint circles pass through b4 = 0
-        margin = b4_margin(1.0, 0.0, 0.0, 0.0)
+        margin = sampled_margin(1.0, 0.0, 0.0, 0.0)
         assert abs(margin) < 1e-12
 
     def test_determinism(self):
@@ -244,7 +251,7 @@ class TestAttainabilityScan:
 
 
 class TestB4MarginMatchesCenters:
-    """b4_margin on the shared angle table equals the b4_centers formula bit for bit."""
+    """The scan's margin on a shared angle table equals the b4_centers formula bit for bit."""
 
     @staticmethod
     def coefficient_tuples():
@@ -263,24 +270,24 @@ class TestB4MarginMatchesCenters:
     @pytest.mark.parametrize("angles", [3, 7, 512, 4096])
     def test_bit_identical_to_center_formula(self, mode, angles):
         for b in self.coefficient_tuples():
-            got = b4_margin(*b, angle_samples=angles, mode=mode)
+            got = sampled_margin(*b, angle_samples=angles, mode=mode)
             want = b4_margin_oracle(*b, angles, mode)
             assert got.hex() == want.hex(), (b, mode, angles)
 
     def test_nan_propagates_per_family(self):
         # b3 enters gamma2 only: eq1 stays finite, eq2 and the joint set do not
         b = (0.3, 0.1j, complex(math.nan, 0.0), 0.2)
-        assert math.isfinite(b4_margin(*b, angle_samples=64, mode="eq1"))
-        assert math.isnan(b4_margin(*b, angle_samples=64, mode="eq2"))
-        assert math.isnan(b4_margin(*b, angle_samples=64, mode="both"))
+        assert math.isfinite(sampled_margin(*b, angle_samples=64, mode="eq1"))
+        assert math.isnan(sampled_margin(*b, angle_samples=64, mode="eq2"))
+        assert math.isnan(sampled_margin(*b, angle_samples=64, mode="both"))
         for mode in B4_MODES:
-            assert math.isnan(b4_margin(0.3, 0.1, 0.0, math.nan, 64, mode))
+            assert math.isnan(sampled_margin(0.3, 0.1, 0.0, math.nan, 64, mode))
 
     def test_bad_mode_and_angle_floor_rejected(self):
         with pytest.raises(ValueError, match="mode must be eq1, eq2 or both"):
-            b4_margin(0.1, 0.0, 0.0, 0.0, angle_samples=64, mode="all")
+            sampled_margin(0.1, 0.0, 0.0, 0.0, angle_samples=64, mode="all")
         with pytest.raises(ValueError, match="at least 3"):
-            b4_margin(0.1, 0.0, 0.0, 0.0, angle_samples=2)
+            sampled_margin(0.1, 0.0, 0.0, 0.0, angle_samples=2)
 
 
 class TestRegionEstimateHelpers:

@@ -6,13 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schwarzlab.series import (
-    CompositionDomainError,
     NotInvertibleError,
     OrderMismatchError,
     TruncatedSeries,
     add_scaled,
-    compose,
-    geometric_mobius,
     mul,
     reciprocal,
 )
@@ -81,38 +78,6 @@ class TestMul:
             assoc = np.max(np.abs(mul(mul(f, g), h).coeffs - mul(f, mul(g, h)).coeffs))
             assert comm < 1e-12
             assert assoc < 1e-12
-
-
-class TestCompose:
-    def test_geometric_at_identity(self):
-        mob = geometric_mobius(4)
-        ident = TruncatedSeries.identity(4)
-        out = compose(mob, ident)
-        assert np.array_equal(out.coeffs, mob.coeffs)
-
-    def test_zero_inner_gives_constant(self):
-        out = compose(S(3, 1, 4, 1), TruncatedSeries.zero(3))
-        assert np.array_equal(out.coeffs, np.array([3, 0, 0, 0], dtype=complex))
-
-    def test_substitute_z_squared(self):
-        # (1+u)/(1-u) at u = z^2 keeps only even powers: 1 + 2z^2 + 2z^4 -> order 4
-        out = compose(geometric_mobius(4), S(0, 0, 1, 0, 0))
-        assert np.array_equal(out.coeffs, np.array([1, 0, 2, 0, 2], dtype=complex))
-
-    def test_nonzero_inner_constant_rejected(self):
-        with pytest.raises(CompositionDomainError):
-            compose(S(1, 1, 1), S(1, 1, 0))
-
-    def test_order_mismatch(self):
-        with pytest.raises(OrderMismatchError):
-            compose(S(1, 1, 1), S(0, 1))
-
-    def test_identity_composition_exact_for_random_series(self):
-        rng = np.random.default_rng(19)
-        for _ in range(25):
-            f = TruncatedSeries(random_series(rng, 12))
-            out = compose(f, TruncatedSeries.identity(12))
-            assert np.array_equal(out.coeffs, f.coeffs)
 
 
 class TestReciprocal:
@@ -185,13 +150,6 @@ series_coeffs = st.lists(finite_complex, min_size=13, max_size=13)
 def test_self_cancellation_exact(coeffs):
     f = TruncatedSeries(np.array(coeffs))
     assert np.array_equal(add_scaled(f, f, -1.0).coeffs, np.zeros(13, dtype=complex))
-
-
-@settings(deadline=None)
-@given(series_coeffs)
-def test_compose_with_identity_exact(coeffs):
-    f = TruncatedSeries(np.array(coeffs))
-    assert np.array_equal(compose(f, TruncatedSeries.identity(12)).coeffs, f.coeffs)
 
 
 @settings(deadline=None)
