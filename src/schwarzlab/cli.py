@@ -27,6 +27,7 @@ numbers overflow.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import re
@@ -131,6 +132,15 @@ class RunConfig:
                 raise ValueError("region needs --target b3 or b4")
             if self.b1 is None:
                 raise ValueError("region needs --b1")
+            # flags the target or mode ignores are only echoed (null if not finite)
+            read = {"b1": self.b1}
+            if self.target == "b4":
+                read["b2"] = self.b2
+                if self.mode != "eq1":
+                    read["b3"] = self.b3
+            for flag, z in read.items():
+                if z is not None and not cmath.isfinite(z):
+                    raise ValueError(f"--{flag} must be finite")
             if abs(self.b1) > 1.0 + 1e-12:
                 raise ValueError("region needs |b1| <= 1")
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
@@ -334,21 +344,6 @@ def _run_verify(cfg: RunConfig) -> tuple[int, list, float]:
 # region
 # ---------------------------------------------------------------------------
 
-def _rle_rows(grid: np.ndarray) -> list[list[list[int]]]:
-    height, width = grid.shape
-    padded = np.zeros((height, width + 2), dtype=np.int8)
-    padded[:, 1:-1] = grid
-    edges = np.diff(padded, axis=1).ravel()
-    # flat indices in row-major order pair the k-th start with the k-th end
-    starts = np.flatnonzero(edges == 1).tolist()
-    ends = np.flatnonzero(edges == -1).tolist()
-    rows = [[] for _ in range(height)]
-    for s, e in zip(starts, ends):
-        iy, ix = divmod(s, width + 1)
-        rows[iy].append([ix, e - s])
-    return rows
-
-
 def _region_payload(est: RegionEstimate, target: str, mode: Optional[str]) -> dict:
     return {
         "target": target,
@@ -360,7 +355,7 @@ def _region_payload(est: RegionEstimate, target: str, mode: Optional[str]) -> di
         "box_center": _c2j(est.box.center),
         "half_width": float(est.box.half_width),
         "quantization": float(est.quantization),
-        "grid_rle": _rle_rows(est.grid),
+        "grid_rle": [[[a, b - a + 1]] if a <= b else [] for a, b in est.spans.tolist()],
     }
 
 
@@ -428,8 +423,33 @@ def _run_scan(cfg: RunConfig) -> tuple[int, list, float]:
 # rendering
 # ---------------------------------------------------------------------------
 
+#: One [start, length] run of ``grid_rle`` as ``json.dumps(indent=2)`` writes it
+#: at its depth in a region report, results[0]["grid_rle"][iy][k].
+_RLE_RUN = "\n          [\n            {},\n            {}\n          ]"
+_RLE_MARK = "grid_rle rows"
+
+
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(report, indent=2, allow_nan=False)`` plus a newline.
+
+    ``indent`` makes json fall back to its pure-Python encoder, so the
+    ``grid_rle`` rows that make up most of a region report are written from
+    a template and spliced in where json writes a placeholder.
+    """
+    if report["command"] != "region":
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    payload = report["results"][0]
+    head = dict(report, results=[dict(payload, grid_rle=_RLE_MARK)])
+    # rpartition: an echoed flag such as --out may hold the same text, but
+    # only numbers and null follow grid_rle
+    before, _, after = json.dumps(head, indent=2, allow_nan=False).rpartition(
+        json.dumps(_RLE_MARK)
+    )
+    rows = ",\n        ".join(
+        "[" + ",".join(_RLE_RUN.format(*run) for run in runs) + "\n        ]" if runs else "[]"
+        for runs in payload["grid_rle"]
+    )
+    return f"{before}[\n        {rows}\n      ]{after}\n"
 
 
 def _csv_expand(results: list) -> list[str]:
@@ -450,24 +470,36 @@ def _csv_verify(results: list) -> list[str]:
     return lines
 
 
-def _boundary_cells(payload: dict) -> list[tuple[float, float]]:
-    # feasible cells 4-adjacent to an infeasible cell or the edge, occupied rows only
+def _boundary_lines(payload: dict) -> list[str]:
+    """CSV lines "x,y" of the feasible cells 4-adjacent to an infeasible cell
+    or the grid edge, in row-major order.
+
+    Each row holds at most one run [a, b] (the region is convex).  Its
+    interior cells are [a + 1, b - 1] within the runs of the rows above and
+    below, a missing row counting as empty; the rest of [a, b] is boundary.
+    """
     res = payload["resolution"]
-    occupied = [iy for iy, runs in enumerate(payload["grid_rle"]) if runs] or [0]
-    r0, r1 = occupied[0], occupied[-1]
-    padded = np.zeros((r1 - r0 + 3, res + 2), dtype=bool)
-    for iy, runs in enumerate(payload["grid_rle"][r0 : r1 + 1], 1):
-        for start, length in runs:
-            padded[iy, start + 1 : start + 1 + length] = True
-    interior = (
-        padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
-    )
-    boundary = padded[1:-1, 1:-1] & ~interior
+    spans = [(0, -1)]
+    for runs in payload["grid_rle"]:
+        if runs:
+            [(a, n)] = runs
+            spans.append((a, a + n - 1))
+        else:
+            spans.append((0, -1))
+    spans.append((0, -1))
     step = 2.0 * payload["half_width"] / res
     x0 = payload["box_center"][0] - payload["half_width"]
     y0 = payload["box_center"][1] - payload["half_width"]
-    cells = (divmod(k, res) for k in np.flatnonzero(boundary).tolist())
-    return [(x0 + (ix + 0.5) * step, y0 + (r0 + iy + 0.5) * step) for iy, ix in cells]
+    xs = [repr(x0 + (ix + 0.5) * step) for ix in range(res)]
+    lines = []
+    for iy, ((ua, ub), (a, b), (da, db)) in enumerate(zip(spans, spans[1:], spans[2:])):
+        if a > b:
+            continue
+        p, q = max(a + 1, ua, da), min(b - 1, ub, db)
+        cols = xs[a : b + 1] if p > q else xs[a:p] + xs[q + 1 : b + 1]
+        y = "," + repr(y0 + (iy + 0.5) * step)
+        lines += [x + y for x in cols]
+    return lines
 
 
 def _csv_region(results: list) -> list[str]:
@@ -485,7 +517,7 @@ def _csv_region(results: list) -> list[str]:
     lines.append(f"quantization,{_f2csv(payload['quantization'])}")
     lines.append("")
     lines.append("boundary_x,boundary_y")
-    lines.extend(f"{x!r},{y!r}" for x, y in _boundary_cells(payload))
+    lines.extend(_boundary_lines(payload))
     return lines
 
 

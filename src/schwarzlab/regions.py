@@ -17,8 +17,11 @@ constraint.  Because an intersection of disks is convex, each grid row y
 meets it in one interval [lo, hi], lo = max_j L_j(y), hi = min_j H_j(y),
 where L_j, H_j = gx_j -/+ sqrt(r^2 - (y - gy_j)^2) are the ends of disk
 j's chord; this is exactly equivalent to testing every cell center against
-every disk.  Chords are computed only on the band of rows that every disk
-reaches, found exactly from the extreme center ordinates.
+every disk.  The rasterizer's output is that interval, rounded to one
+span of feasible columns per row (``RegionEstimate.spans``); no cell grid
+is built unless one is asked for.  Chords are computed only on the band of
+rows that every disk reaches, found exactly from the extreme center
+ordinates.
 
 The band is screened in blocks of 16 rows: all chords are computed on the
 rows that end a block, and between them only those that a bound admits.
@@ -36,6 +39,7 @@ Cost: O(band/16 * M + band * kept).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,22 +90,33 @@ class DiskConstraintFamily:
 
 @dataclass(frozen=True, eq=False)
 class RegionEstimate:
-    """Occupancy-grid estimate of a feasible set.
+    """Row-span estimate of a convex feasible set.
 
-    ``grid[iy, ix]`` covers the cell centered at
-    box.center + (-hw + (ix + 1/2) step) + i(-hw + (iy + 1/2) step),
-    step = 2 hw / resolution.  ``max_modulus`` is the largest |cell
-    center| over feasible cells (0 when the grid is empty) and carries a
-    quantization uncertainty of about half_width * sqrt(2) / resolution.
+    ``spans[iy] = (first, last)`` are the first and last feasible columns
+    of row iy, and first > last marks an empty row; cell (iy, ix) is
+    centered at box.center + (-hw + (ix + 1/2) step) + i(-hw + (iy + 1/2)
+    step), step = 2 hw / resolution.  A convex set meets each row in one
+    interval, so the spans hold the whole estimate.  ``max_modulus`` is the
+    largest |cell center| over feasible cells (0 when every row is empty)
+    and carries a quantization uncertainty of about half_width * sqrt(2) /
+    resolution.
     """
 
-    grid: np.ndarray
+    spans: np.ndarray
     box: BoundingBox
     resolution: int
     max_modulus: float
     feasible_area_cells: int
     samples_used: int
     quantization: float
+
+    @functools.cached_property
+    def grid(self) -> np.ndarray:
+        """Boolean occupancy grid ``grid[iy, ix]``, built from the spans on first use."""
+        cols = np.arange(self.resolution)
+        grid = (self.spans[:, :1] <= cols) & (cols <= self.spans[:, 1:])
+        grid.setflags(write=False)
+        return grid
 
     def cell_step(self) -> float:
         return 2.0 * self.box.half_width / self.resolution
@@ -156,7 +171,7 @@ def _chord_ends(ys, gx, gy, r2, buf, lo, hi) -> None:
 
 
 def _screened_chord_ends(yband, gx, gy, radius):
-    """lo, hi of each band row, screened per block; returning frees the buffers before the grid."""
+    """lo, hi of each band row, screened per block."""
     n, m, r2 = len(yband), len(gx), radius * radius
     buf = np.empty((2, min(max(1, CHUNK_DOUBLES // m), n) * m))
     lo, hi = np.empty((2, n))
@@ -195,7 +210,8 @@ def intersect_disk_family(
     """Rasterize the common intersection of the family over the box.
 
     A cell is feasible iff its center x satisfies |x - center_j| <= radius
-    for every j; adding centers can only shrink the feasible set.
+    for every j; adding centers can only shrink the feasible set.  Returns
+    the first and last feasible column of each row.
     """
     if resolution < MIN_RESOLUTION:
         raise ValueError(f"resolution must be >= {MIN_RESOLUTION}")
@@ -206,7 +222,6 @@ def intersect_disk_family(
     cx = box.center.real
     cy = box.center.imag
     step = 2.0 * hw / resolution
-    xs = (cx - hw + (np.arange(resolution) + 0.5) * step).tolist()
     ys = cy - hw + (np.arange(resolution) + 0.5) * step
     gx = centers.real
     gy = centers.imag
@@ -217,28 +232,26 @@ def intersect_disk_family(
     band = np.flatnonzero(radius * radius - far * far >= 0.0)
     lo, hi = _screened_chord_ends(ys[band], gx, gy, radius)
 
-    grid = np.zeros((resolution, resolution), dtype=bool)
-    max_mod = 0.0
-    cells = 0
+    # first and last column whose center lies in [lo, hi]; empty rows stay (0, -1)
     x_origin = cx - hw
-    for iy, l, h in zip(band.tolist(), lo.tolist(), hi.tolist()):
-        if l > h:
-            continue
-        i0 = max(math.ceil((l - x_origin) / step - 0.5), 0)
-        i1 = min(math.floor((h - x_origin) / step - 0.5), resolution - 1)
-        if i0 > i1:
-            continue
-        grid[iy, i0 : i1 + 1] = True
-        cells += i1 - i0 + 1
-        y = ys[iy]
-        max_mod = max(max_mod, math.hypot(xs[i0], y), math.hypot(xs[i1], y))
-    grid.setflags(write=False)
+    i0 = np.maximum(np.ceil((lo - x_origin) / step - 0.5), 0)
+    i1 = np.minimum(np.floor((hi - x_origin) / step - 0.5), resolution - 1)
+    ok = (lo <= hi) & (i0 <= i1)
+    rows = band[ok]
+    spans = np.tile(np.array([0, -1], dtype=np.int64), (resolution, 1))
+    spans[rows] = np.column_stack([i0, i1])[ok]
+    spans.setflags(write=False)
+
+    xs = cx - hw + (np.arange(resolution) + 0.5) * step
+    # math.hypot, not np.hypot: the two may differ in the last bit
+    ends = xs[spans[rows].ravel()].tolist(), ys[rows].repeat(2).tolist()
+    max_mod = max(map(math.hypot, *ends), default=0.0)
     return RegionEstimate(
-        grid=grid,
+        spans=spans,
         box=box,
         resolution=resolution,
         max_modulus=max_mod,
-        feasible_area_cells=cells,
+        feasible_area_cells=int((spans[:, 1] - spans[:, 0] + 1).sum()),
         samples_used=m,
         quantization=hw * math.sqrt(2.0) / resolution,
     )

@@ -237,7 +237,8 @@ def raster_oracle(family, box, resolution):
     """Every grid row against every disk, in chunks of about 4e6 doubles.
 
     Keeps the ``row_ok`` mask of s2 = r^2 - (y - gy_j)^2 >= 0 over all
-    disks and clamps s2 at 0 before the square root.
+    disks and clamps s2 at 0 before the square root.  The spans are read
+    back from the cell grid this builds.
     """
     from schwarzlab.regions import MIN_RESOLUTION, RegionEstimate
 
@@ -281,9 +282,8 @@ def raster_oracle(family, box, resolution):
             cells += i1 - i0 + 1
             y = yy[r]
             max_mod = max(max_mod, math.hypot(xs[i0], y), math.hypot(xs[i1], y))
-    grid.setflags(write=False)
     return RegionEstimate(
-        grid=grid,
+        spans=_one_span_per_row(grid),
         box=box,
         resolution=resolution,
         max_modulus=max_mod,
@@ -291,6 +291,21 @@ def raster_oracle(family, box, resolution):
         samples_used=m,
         quantization=hw * math.sqrt(2.0) / resolution,
     )
+
+
+def _one_span_per_row(grid):
+    """(first, last) feasible column of each row, (0, -1) for an empty row.
+
+    Fails unless every row holds at most one run of feasible cells.
+    """
+    spans = np.zeros((len(grid), 2), dtype=np.int64)
+    spans[:, 1] = -1
+    for iy, runs in enumerate(rle_oracle(grid)):
+        assert len(runs) <= 1, f"row {iy} holds {len(runs)} runs"
+        for start, length in runs:
+            spans[iy] = start, start + length - 1
+    spans.setflags(write=False)
+    return spans
 
 
 def rle_oracle(grid):

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import schwarzlab.cli as cli
 import schwarzlab.regions as regions
@@ -25,6 +27,7 @@ from schwarzlab.cli import (
     VERIFY_BLOCK,
     _config_payload,
     _SlackTable,
+    _c2csv,
     build_parser,
     main,
     render_csv,
@@ -475,8 +478,58 @@ class TestScanMatchesOracle:
         assert "check failure" in err
 
 
+def _region_oracle_reports(monkeypatch, cfg):
+    """JSON and CSV region reports from the full-grid rasterizer, the per-row
+    RLE, the full-grid boundary and the stock JSON encoder."""
+    with monkeypatch.context() as patched:
+        patched.setattr(regions, "intersect_disk_family", raster_oracle)
+        if cfg.target == "b3":
+            est = regions.b3_region(cfg.b1, cfg.angles, cfg.resolution)
+        else:
+            est = regions.b4_feasible_region(
+                cfg.b1, cfg.b2, cfg.b3, cfg.angles, cfg.resolution, cfg.mode
+            )
+    mode = cfg.mode if cfg.target == "b4" else None
+    payload = {
+        "target": cfg.target,
+        "mode": mode,
+        "max_modulus": est.max_modulus,
+        "feasible_area_cells": est.feasible_area_cells,
+        "samples_used": est.samples_used,
+        "resolution": est.resolution,
+        "box_center": [est.box.center.real, est.box.center.imag],
+        "half_width": est.box.half_width,
+        "quantization": est.quantization,
+        "grid_rle": rle_oracle(est.grid),
+    }
+    report = {
+        "command": "region",
+        "config": _config_payload(cfg, None),
+        "results": [payload],
+        "worst_slack": None,
+        "exit_status": 0,
+    }
+    csv = [
+        "key,value",
+        f"target,{cfg.target}",
+        f"mode,{mode or ''}",
+        f"max_modulus,{est.max_modulus!r}",
+        f"feasible_area_cells,{est.feasible_area_cells}",
+        f"samples_used,{est.samples_used}",
+        f"resolution,{est.resolution}",
+        f"box_center,{_c2csv(est.box.center)}",
+        f"half_width,{est.box.half_width!r}",
+        f"quantization,{est.quantization!r}",
+        "",
+        "boundary_x,boundary_y",
+    ]
+    csv += [f"{x!r},{y!r}" for x, y in boundary_oracle(payload)]
+    return json.dumps(report, indent=2, allow_nan=False) + "\n", "\n".join(csv) + "\n"
+
+
 class TestRegionMatchesOracle:
-    """Region reports equal those of the full-grid rasterizer and per-row RLE."""
+    """Region reports equal those built from the full-grid rasterizer, the
+    per-row RLE, the full-grid boundary and the stock JSON encoder."""
 
     @pytest.mark.parametrize(
         "target, mode, angles, resolution",
@@ -499,20 +552,45 @@ class TestRegionMatchesOracle:
                 str(resolution), "--format", fmt]
         if mode:
             argv += ["--mode", mode]
-        got = run_cli(capsys, argv)
-        with monkeypatch.context() as patched:
-            patched.setattr(regions, "intersect_disk_family", raster_oracle)
-            patched.setattr(cli, "_rle_rows", rle_oracle)
-            patched.setattr(cli, "_boundary_cells", boundary_oracle)
-            want = run_cli(capsys, argv)
-        assert want[0] == 0
-        assert got == want
+        cfg = RunConfig(
+            command="region", format=fmt, b1=0.3 + 0.1j, b2=0.2 - 0.1j, b3=0.05 + 0j,
+            target=target, mode=mode or "both", angles=angles, resolution=resolution,
+        )
+        want_json, want_csv = _region_oracle_reports(monkeypatch, cfg)
+        assert run_cli(capsys, argv) == (0, want_json if fmt == "json" else want_csv, "")
+
+
+def _one_run_rows(res):
+    """(res, rows) with at most one run per row: empty, full width, one cell or any run."""
+    col = st.integers(0, res - 1)
+    span = st.one_of(
+        st.none(),
+        st.just((0, res - 1)),
+        col.map(lambda c: (c, c)),
+        st.tuples(col, col).map(sorted),
+    )
+    rows = st.lists(span, min_size=res, max_size=res).map(
+        lambda spans: {iy: [[s[0], s[1] - s[0] + 1]] for iy, s in enumerate(spans) if s}
+    )
+    return st.tuples(st.just(res), rows)
 
 
 class TestBoundaryCellsMatchOracle:
-    """The boundary listing over the occupied rows equals the full-grid one."""
+    """The boundary taken from the row runs equals the full-grid one."""
 
     RES = 16
+
+    @staticmethod
+    def check(res, rows):
+        payload = {
+            "resolution": res,
+            "half_width": 1.25,
+            "box_center": [0.3, -0.7],
+            "grid_rle": [rows.get(iy, []) for iy in range(res)],
+        }
+        got = cli._boundary_lines(payload)
+        assert got == [f"{x!r},{y!r}" for x, y in boundary_oracle(payload)]
+        assert bool(got) == bool(rows)
 
     @pytest.mark.parametrize(
         "rows",
@@ -521,25 +599,26 @@ class TestBoundaryCellsMatchOracle:
             {0: [[3, 5]], 1: [[2, 9]]},
             {14: [[0, 16]], 15: [[0, 16]]},
             {0: [[0, 2]], 15: [[14, 2]]},
-            {7: [[1, 3], [6, 1], [9, 7]]},
             {9: [[4, 8]]},
             {iy: [[6 - iy % 3, 3 + iy % 5]] for iy in range(2, 12)},
             {iy: [[0, 16]] for iy in range(16)},
         ],
-        ids=["empty", "row-0", "row-R-1", "both-edge-rows", "runs-in-one-row",
-             "one-row", "blob", "full"],
+        ids=["empty", "row-0", "row-R-1", "both-edge-rows", "one-row", "blob", "full"],
     )
     def test_payloads(self, rows):
-        payload = {
-            "resolution": self.RES,
-            "half_width": 1.25,
-            "box_center": [0.3, -0.7],
-            "grid_rle": [rows.get(iy, []) for iy in range(self.RES)],
-        }
-        got = cli._boundary_cells(payload)
-        assert got == boundary_oracle(payload)
-        assert all(type(v) is float for cell in got for v in cell)
-        assert bool(got) == bool(rows)
+        self.check(self.RES, rows)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.sampled_from([16, 17]).flatmap(_one_run_rows))
+    def test_random_one_run_rows(self, case):
+        self.check(*case)
+
+    def test_several_runs_in_a_row_are_refused(self):
+        payload = {"resolution": 16, "half_width": 1.0, "box_center": [0.0, 0.0],
+                   "grid_rle": [[[1, 3], [6, 1]]] + [[]] * 15}
+        with pytest.raises(ValueError):
+            cli._boundary_lines(payload)
+
 
 class TestScanNonFiniteMargin:
     @staticmethod
@@ -584,6 +663,30 @@ class TestNonFiniteRegionSettings:
         config = strict_json(out)["config"]
         assert (config["b2"], config["b3"]) == ([None, 0.0], [None, 1.0])
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--target", "b3", "--b1", "nan"], "--b1"),
+            (["--target", "b4", "--b1=inf,0"], "--b1"),
+            (["--target", "b4", "--b1=0.3,nan"], "--b1"),
+            (["--target", "b4", "--mode", "eq1", "--b1=0.3", "--b2=0,inf"], "--b2"),
+            (["--target", "b4", "--mode", "eq2", "--b1=0.3", "--b2", "nan"], "--b2"),
+            (["--target", "b4", "--mode", "both", "--b1=0.3", "--b2=-inf"], "--b2"),
+            (["--target", "b4", "--mode", "eq2", "--b1=0.3", "--b3", "nan"], "--b3"),
+            (["--target", "b4", "--mode", "both", "--b1=0.3", "--b3=0,-inf"], "--b3"),
+        ],
+    )
+    def test_non_finite_read_flag_exits_2(self, capsys, flags, name):
+        code, out, err = run_cli(capsys, ["region", *flags, *self.SMALL])
+        assert (code, out) == (2, "")
+        assert err == f"error: {name} must be finite\n"
+
+    def test_b3_ignored_by_eq1_is_null(self, capsys):
+        argv = ["region", "--target", "b4", "--mode", "eq1", "--b1=0.3", "--b3", "nan"]
+        code, out, _ = run_cli(capsys, argv + self.SMALL)
+        assert code == 0
+        assert strict_json(out)["config"]["b3"] == [None, 0.0]
+
     @pytest.mark.parametrize("b2", ["1.2e154", "1e160"])
     def test_overflowing_region_exits_2(self, capsys, b2):
         # 1.2e154: half_width * sqrt(2) overflows; 1e160: b2**2 overflows
@@ -591,6 +694,42 @@ class TestNonFiniteRegionSettings:
         code, out, err = run_cli(capsys, argv + self.SMALL)
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
+
+
+class TestRenderJson:
+    """render_json writes what the stock indent-2 encoder writes."""
+
+    @staticmethod
+    def stock(report):
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("resolution", [16, 17, 1024])
+    @pytest.mark.parametrize("rows", ["computed", "empty", "full-width"])
+    @pytest.mark.parametrize("out", [None, "grid_rle rows"])
+    def test_region_reports(self, resolution, rows, out):
+        cfg = RunConfig(command="region", target="b4", b1=0.3 + 0.1j, b2=0.2 - 0.1j,
+                        b3=0.05 + 0j, angles=64, resolution=resolution, out=out)
+        _, report = run(cfg)
+        payload = report["results"][0]
+        if rows == "empty":
+            payload["grid_rle"] = [[] for _ in range(resolution)]
+        elif rows == "full-width":
+            payload["grid_rle"] = [[[0, resolution]] for _ in range(resolution)]
+        assert any(payload["grid_rle"]) == (rows != "empty")
+        assert render_json(report) == self.stock(report)
+
+    @pytest.mark.parametrize(
+        "cfg, spec",
+        [
+            (RunConfig(command="expand", order=6), "blaschke(phi=1.0, m=1, zeros=[0.3])"),
+            (RunConfig(command="verify", samples=3), None),
+            (RunConfig(command="scan", samples=3, angles=16), None),
+        ],
+        ids=["expand", "verify", "scan"],
+    )
+    def test_other_reports(self, cfg, spec):
+        _, report = run(cfg, spec)
+        assert render_json(report) == self.stock(report)
 
 
 class TestSharedValidationConstants:

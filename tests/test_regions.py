@@ -322,6 +322,7 @@ def _b4_family(b, m, mode):
 
 
 def assert_same_estimate(got, want):
+    assert np.array_equal(got.spans, want.spans)
     assert np.array_equal(got.grid, want.grid)
     assert float.hex(got.max_modulus) == float.hex(want.max_modulus)
     assert got.feasible_area_cells == want.feasible_area_cells
