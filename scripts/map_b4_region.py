@@ -27,7 +27,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--samples", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--angles", type=int, default=4096)
+    ap.add_argument("--angles", type=int, default=4096,
+                    help="rotation samples of the region (scan margins are exact)")
     ap.add_argument("--resolution", type=int, default=512)
     ap.add_argument("--b1-steps", type=int, default=5)
     args = ap.parse_args()
@@ -42,7 +43,7 @@ def main() -> int:
         )
         print(f"{b1:5.2f} {est.max_modulus:12.6f} {1 - b1**4:10.6f}")
 
-    records = attainability_scan(args.seed, args.samples, angle_samples=args.angles)
+    records = attainability_scan(args.seed, args.samples)
     violations = [r for r in records if not r.member]
     worst = min(r.margin for r in records)
     print(f"\nattainability scan: {len(records)} samples, "

@@ -163,8 +163,9 @@ def estimate_peak_bytes(cfg: RunConfig) -> int:
     on the lab's own runs: about 64 (N+1)^2 bytes per row of a stacked
     series product at order N, 5 kB per sampled function for the corpora,
     records and report rows, 160 bytes per scan angle, and for a region
-    8 bytes per grid cell, 64 per disk and the rasterizer's two block
-    buffers of 8 bytes per (grid row, disk) in a block.
+    2 kB per grid row (its span, report rows and text; 960 at most measured),
+    64 per disk and the rasterizer's two block buffers of 8 bytes per
+    (grid row, disk) in a block.
     """
     product_row = 64 * (cfg.order + 1) ** 2
     if cfg.command == "expand":
@@ -175,7 +176,7 @@ def estimate_peak_bytes(cfg: RunConfig) -> int:
         return 5000 * cfg.samples + 160 * cfg.angles
     disks = cfg.angles * (2 if cfg.target == "b4" and cfg.mode == "both" else 1)
     block = min(cfg.resolution * disks, max(CHUNK_DOUBLES, disks))
-    return 8 * cfg.resolution**2 + 16 * block + 64 * disks
+    return 2048 * cfg.resolution + 16 * block + 64 * disks
 
 
 def _c2j(z: complex) -> list[float]:
@@ -380,9 +381,7 @@ def _run_region(cfg: RunConfig) -> tuple[int, list]:
 
 def _run_scan(cfg: RunConfig) -> tuple[int, list, float]:
     tol = cfg.tol if cfg.tol is not None else MEMBERSHIP_TOL
-    records = attainability_scan(
-        cfg.seed, cfg.samples, angle_samples=cfg.angles, tol=tol
-    )
+    records = attainability_scan(cfg.seed, cfg.samples, tol=tol)
     # ranks a non-finite margin below every finite one, as verify does
     margins = _SlackTable(tol)
     margins.add("b4_margin", [rec.margin for rec in records], 0)
@@ -427,29 +426,56 @@ def _run_scan(cfg: RunConfig) -> tuple[int, list, float]:
 #: at its depth in a region report, results[0]["grid_rle"][iy][k].
 _RLE_RUN = "\n          [\n            {},\n            {}\n          ]"
 _RLE_MARK = "grid_rle rows"
+#: One scan sample row as ``json.dumps(indent=2)`` writes it at results[i].
+_SAMPLE_ROW = (
+    '{{\n      "kind": "sample",\n      "index": {},\n      "b": ['
+    + ",".join(["\n        [\n          {},\n          {}\n        ]"] * 4)
+    + '\n      ],\n      "member": {},\n      "margin": {}\n    }}'
+)
+_SAMPLE_MARK = "sample rows"
+
+
+def _sample_json(row: dict) -> str:
+    b = [x for pair in row["b"] for x in pair]
+    if not all(map(math.isfinite, b)):
+        raise ValueError(f"Out of range float values are not JSON compliant: {b!r}")
+    margin = row["margin"]
+    return _SAMPLE_ROW.format(
+        row["index"], *map(repr, b), "true" if row["member"] else "false",
+        "null" if margin is None else repr(margin),
+    )
 
 
 def render_json(report: dict) -> str:
     """``json.dumps(report, indent=2, allow_nan=False)`` plus a newline.
 
-    ``indent`` makes json fall back to its pure-Python encoder, so the
-    ``grid_rle`` rows that make up most of a region report are written from
-    a template and spliced in where json writes a placeholder.
+    ``indent`` makes json fall back to its pure-Python encoder, so the bulk
+    of a report (a region's ``grid_rle`` rows, a scan's sample rows, which
+    lead its results) is written from a template and spliced in where json
+    writes a placeholder.
     """
-    if report["command"] != "region":
+    results = report["results"]
+    if report["command"] == "region":
+        mark = _RLE_MARK
+        head = dict(report, results=[dict(results[0], grid_rle=mark)])
+        rows = ",\n        ".join(
+            "[" + ",".join(_RLE_RUN.format(*run) for run in runs) + "\n        ]" if runs else "[]"
+            for runs in results[0]["grid_rle"]
+        )
+        body = f"[\n        {rows}\n      ]"
+    elif report["command"] == "scan":
+        n = sum(row["kind"] == "sample" for row in results)
+        mark = _SAMPLE_MARK
+        head = dict(report, results=[mark, *results[n:]])
+        body = ",\n    ".join(map(_sample_json, results[:n]))
+    else:
         return json.dumps(report, indent=2, allow_nan=False) + "\n"
-    payload = report["results"][0]
-    head = dict(report, results=[dict(payload, grid_rle=_RLE_MARK)])
     # rpartition: an echoed flag such as --out may hold the same text, but
-    # only numbers and null follow grid_rle
+    # nothing after the placeholder does
     before, _, after = json.dumps(head, indent=2, allow_nan=False).rpartition(
-        json.dumps(_RLE_MARK)
+        json.dumps(mark)
     )
-    rows = ",\n        ".join(
-        "[" + ",".join(_RLE_RUN.format(*run) for run in runs) + "\n        ]" if runs else "[]"
-        for runs in payload["grid_rle"]
-    )
-    return f"{before}[\n        {rows}\n      ]{after}\n"
+    return f"{before}{body}{after}\n"
 
 
 def _csv_expand(results: list) -> list[str]:
@@ -654,7 +680,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="attainability scan for b4")
     common(p_scan)
-    p_scan.add_argument("--angles", type=int, default=DEFAULT_ANGLES, metavar="M")
+    p_scan.add_argument("--angles", type=int, default=DEFAULT_ANGLES, metavar="M",
+                        help="validated and echoed only: scan margins are exact")
 
     return parser
 

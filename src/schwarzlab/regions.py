@@ -8,9 +8,10 @@ families arise (from the gaps c4 - c1 c3 and c4 - c2^2); the exact shape
 of their joint intersection over all admissible (b1, b2, b3) is unknown,
 so this module reports the rasterized constraint region and, separately,
 empirically attained coefficients, without claiming the two sets agree.
-The scan tests each sampled b4 un-rasterized: its margin
-1 - max_j |b4 - gamma_j| over both families is taken against one angle
-table shared by every sample (non-negative inside the sampled region).
+The scan tests each sampled b4 un-rasterized and unsampled: its margin
+1 - max_theta |b4 - gamma(theta)| over both families is the exact signed
+distance to the constraint set (non-negative inside it), found from the
+roots of a trigonometric polynomial's derivative, so no angle count enters.
 
 Rasterization marks a cell feasible iff its center satisfies every disk
 constraint.  Because an intersection of disks is convex, each grid row y
@@ -47,8 +48,8 @@ import numpy as np
 
 from schwarzlab.families import expand_blaschke, sample_schwarz
 
-#: Angle-sample and grid defaults: discretization error ~ 2/resolution + 10/M
-#: sits below the 5e-3 scale of the region checks.
+#: Region angle-sample and grid defaults: discretization error ~ 2/resolution
+#: + 10/M sits below the 5e-3 scale of the region checks.
 DEFAULT_ANGLES = 4096
 DEFAULT_RESOLUTION = 1024
 
@@ -340,38 +341,50 @@ def b4_feasible_region(
     return intersect_disk_family(family, BoundingBox(0j, hw), resolution)
 
 
-def _angle_table(angle_samples: int) -> tuple[np.ndarray, ...]:
-    """(e^{i theta}, e^{2 i theta}, e^{3 i theta}, -2 e^{i theta}) at M uniform angles.
+#: Points e^{i k pi/2} added to every row's candidates: they cover a constant
+#: |A| and rows whose roots are not computed.
+_FIXED_POINTS = np.array([1, 1j, -1, -1j])
 
-    Built once per scan; every sampled function reuses it.
+
+def _exact_margins(B: np.ndarray) -> np.ndarray:
+    """1 - max_theta |b4 - gamma_f(theta)| for each row (b1, b2, b3, b4) of B.
+
+    Returns an (S, 2) array, column f for the gamma_{f+1} family; a row
+    holding nan or inf gets a nan or -inf margin.  b4 - gamma_f(theta) =
+    A(e^{i theta}), A(z) = b4 + a1 z - b1^2 b2 z^2 - b1^4 z^3 with a1 = b2^2
+    (gamma1) or 2 b1 b3 - b2^2 (gamma2).  G = |A|^2 = c_0 + 2 Re sum_{d=1..3}
+    C_d z^d, C_d = sum_k a_{k+d} conj(a_k), so G'(theta) = 0 iff z is a
+    unimodular root of Q(z) = sum_d d (C_d z^{3+d} - conj(C_d) z^{3-d}).
+    Rows are grouped by their top nonzero C_d (b1 = 0 leaves d = 1), and the
+    2d roots of Q / z^{3-d} are companion-matrix eigenvalues.  |A| is taken
+    at every root projected onto the circle and at the fixed points: all
+    real points, so the maximum is never overstated, and as G' = 0 at a
+    maximizer, a root error moves it only at second order.
     """
-    thetas = _uniform_thetas(angle_samples)
-    e1 = np.exp(1j * thetas)
-    return e1, np.exp(2j * thetas), np.exp(3j * thetas), -2 * e1
-
-
-def _b4_margin(
-    table: tuple[np.ndarray, ...], b1: complex, b2: complex, b3: complex, b4: complex,
-    mode: str,
-) -> float:
-    """1 - max_j |b4 - gamma_j| over the families of ``mode``: the signed
-    distance of b4 to the sampled constraint set, non-negative inside it.
-
-    The terms shared by gamma1 and gamma2 are formed once; the sums keep
-    the operand order of :func:`b4_centers`, so margins match it bit for
-    bit.  np.maximum keeps a NaN distance, which Python's max would drop.
-    """
-    _check_b4_mode(mode)
-    e1, e2, e3, m2e1 = table
-    p1 = e1 * b2**2
-    p2 = e2 * b1**2 * b2
-    p3 = e3 * b1**4
-    far1 = far2 = -math.inf
-    if mode != "eq2":
-        far1 = np.abs(b4 - (-p1 + p2 + p3)).max()
-    if mode != "eq1":
-        far2 = np.abs(b4 - (m2e1 * b1 * b3 + p1 + p2 + p3)).max()
-    return float(1.0 - np.maximum(far1, far2))
+    with np.errstate(all="ignore"):  # non-finite rows stay non-finite
+        b1, b2, b3, b4 = np.asarray(B, dtype=complex).T
+        a = np.empty((len(b1), 2, 4), dtype=complex)
+        a[..., 0], a[..., 2], a[..., 3] = b4[:, None], (-b1 * b1 * b2)[:, None], (-b1**4)[:, None]
+        a[:, 0, 1], a[:, 1, 1] = b2 * b2, 2 * b1 * b3 - b2 * b2
+        C = np.stack([(a[..., d:] * a[..., : 4 - d].conj()).sum(-1) for d in (1, 2, 3)], -1)
+        C = C.reshape(-1, 3)
+        top = np.where(C[:, 2] != 0, 3, np.where(C[:, 1] != 0, 2, (C[:, 0] != 0).astype(int)))
+        roots = np.ones((len(C), 6), dtype=complex)
+        for d in (1, 2, 3):
+            rows = np.flatnonzero(top == d)
+            lead = C[rows, d - 1 :: -1] * np.arange(d, 0, -1)  # d C_d, ..., 1 C_1
+            monic = np.hstack([lead[:, 1:], 0 * lead[:, :1], -lead[:, ::-1].conj()]) / lead[:, :1]
+            ok = np.isfinite(monic).all(axis=1)  # eigvals refuses nan and inf
+            comp = np.eye(2 * d, k=-1, dtype=complex) * np.ones((ok.sum(), 1, 1))
+            comp[:, 0] = -monic[ok]
+            roots[rows[ok], : 2 * d] = np.linalg.eigvals(comp)
+        roots = roots.reshape(-1, 12)
+        size = np.abs(roots)
+        z = np.hstack([np.ones_like(roots), np.broadcast_to(_FIXED_POINTS, (len(roots), 4))])
+        np.divide(roots, size, out=z[:, :12], where=(size > 0) & (size < np.inf))
+        z = z[:, None]
+        A = ((a[..., 3:] * z + a[..., 2:3]) * z + a[..., 1:2]) * z + a[..., :1]
+        return 1.0 - np.abs(A).max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -386,7 +399,6 @@ class ScanRecord:
 def attainability_scan(
     seed: int,
     count: int,
-    angle_samples: int = DEFAULT_ANGLES,
     tol: float = MEMBERSHIP_TOL,
     max_degree: int = 4,
 ) -> list[ScanRecord]:
@@ -396,15 +408,12 @@ def attainability_scan(
     margins must be >= -tol; a violation indicates a bug in the expansion
     or the region code, not new mathematics.
     """
-    table = _angle_table(angle_samples)
-    records = []
-    W = expand_blaschke(sample_schwarz(seed, count, max_degree), 4)
-    for b1, b2, b3, b4 in W[:, 1:].tolist():
-        margin = _b4_margin(table, b1, b2, b3, b4, "both")
-        records.append(
-            ScanRecord(coeffs=(b1, b2, b3, b4), member=margin >= -tol, margin=margin)
-        )
-    return records
+    B = expand_blaschke(sample_schwarz(seed, count, max_degree), 4)[:, 1:]
+    margins = _exact_margins(B).min(axis=1)  # np.min keeps a nan margin
+    return [
+        ScanRecord(coeffs=tuple(b), member=m >= -tol, margin=m)
+        for b, m in zip(B.tolist(), margins.tolist())
+    ]
 
 
 @dataclass(frozen=True)

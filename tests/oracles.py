@@ -6,9 +6,12 @@ two genuinely different routes to the same numbers.  The verify oracle
 checks one function and one scalar check at a time in plain Python complex
 arithmetic, without the library's bound kernels, and accumulates slacks
 one by one, as the reference for the CLI's batched corpus checking.  The
-scan oracle rebuilds every sample's b4 centers with
-:func:`schwarzlab.regions.b4_centers`, as the reference for the scan's
-shared angle table.  The raster and RLE oracles
+scan's exact margins have three references: the sampled margin on a
+shared angle table (an upper bound at every angle count M), equal bit for
+bit to the same margin over freshly built
+:func:`schwarzlab.regions.b4_centers`; a dense 2^20-angle maximum written
+as a real trigonometric polynomial; and a 50-digit mpmath maximum polished
+from a grid with ``findroot``.  The raster and RLE oracles
 keep the full-grid, large-chunk rasterizer, the per-row run-length
 encoder and the numpy-index boundary listing as the reference for the
 row-band, block-sized rasterizer and the flat-index renderers.
@@ -188,21 +191,83 @@ def b4_margin_oracle(b1, b2, b3, b4, angle_samples, mode="both"):
     return float(1.0 - np.max(np.abs(complex(b4) - centers)))
 
 
-def scan_oracle(cfg):
+def angle_table(angle_samples):
+    """(e^{i theta}, e^{2 i theta}, e^{3 i theta}, -2 e^{i theta}) at M uniform
+    angles, shared by every :func:`sampled_b4_margin` call of a scan."""
+    from schwarzlab.regions import _uniform_thetas
+
+    thetas = _uniform_thetas(angle_samples)
+    e1 = np.exp(1j * thetas)
+    return e1, np.exp(2j * thetas), np.exp(3j * thetas), -2 * e1
+
+
+def sampled_b4_margin(table, b1, b2, b3, b4, mode):
+    """1 - max_j |b4 - gamma_j| over the families of ``mode`` at the table's
+    angles: the signed distance of b4 to the sampled constraint set.
+
+    The terms shared by gamma1 and gamma2 are formed once; the sums keep
+    the operand order of :func:`schwarzlab.regions.b4_centers`, so margins
+    match it bit for bit.  np.maximum keeps a NaN distance, which Python's
+    max would drop.
+    """
+    from schwarzlab.regions import _check_b4_mode
+
+    _check_b4_mode(mode)
+    e1, e2, e3, m2e1 = table
+    p1 = e1 * b2**2
+    p2 = e2 * b1**2 * b2
+    p3 = e3 * b1**4
+    far1 = far2 = -math.inf
+    if mode != "eq2":
+        far1 = np.abs(b4 - (-p1 + p2 + p3)).max()
+    if mode != "eq1":
+        far2 = np.abs(b4 - (m2e1 * b1 * b3 + p1 + p2 + p3)).max()
+    return float(1.0 - np.maximum(far1, far2))
+
+
+def dense_b4_margins(B, angle_samples=2**20, chunk=2**13):
+    """(S, 2) margins 1 - max_j |b4 - gamma_f(theta_j)| over M uniform angles.
+
+    b4 - gamma_f(theta) = sum_k a_k e^{i k theta}; its squared modulus is
+    written as the real trigonometric polynomial
+    sum_{j,k} Re(a_j conj(a_k) e^{i (j - k) theta}) and evaluated as one
+    matrix product per block of angles.
+    """
+    b1, b2, b3, b4 = np.asarray(B, dtype=complex).T
+    tail = np.stack([b4, np.zeros_like(b4), -(b1**2) * b2, -(b1**4)], axis=1)
+    a = np.stack([tail, tail], axis=1)
+    a[:, 0, 1] = b2**2
+    a[:, 1, 1] = 2 * b1 * b3 - b2**2
+    a = a.reshape(-1, 4)
+    coef = [np.sum(np.abs(a) ** 2, axis=1)]
+    for d in (1, 2, 3):
+        c = np.sum(a[:, d:] * a[:, : 4 - d].conj(), axis=1)
+        coef += [2 * c.real, -2 * c.imag]
+    coef = np.stack(coef, axis=1)
+    best = np.full(len(a), -np.inf)
+    for j0 in range(0, angle_samples, chunk):
+        t = 2.0 * np.pi * np.arange(j0, min(j0 + chunk, angle_samples)) / angle_samples
+        trig = np.stack([np.ones_like(t)] + [f(d * t) for d in (1, 2, 3) for f in (np.cos, np.sin)])
+        np.maximum(best, (coef @ trig).max(axis=1), out=best)
+    return (1.0 - np.sqrt(best)).reshape(-1, 2)
+
+
+def scan_oracle(cfg, margins=None):
     """Per-sample reference for ``scan``: returns (status, results, worst).
 
-    Each sample's margin comes from :func:`b4_margin_oracle`.  A
-    non-finite margin is a failure and ranks below every finite one.
+    Each sample's margin comes from :func:`b4_margin_oracle` at
+    ``cfg.angles``, or from ``margins`` when given.  A non-finite margin is
+    a failure and ranks below every finite one.
     """
     from schwarzlab.families import expand_schwarz, sample_schwarz
     from schwarzlab.regions import MEMBERSHIP_TOL, ScanRecord, attainability_frontier
 
     tol = cfg.tol if cfg.tol is not None else MEMBERSHIP_TOL
     records = []
-    for g in sample_schwarz(cfg.seed, cfg.samples, 4):
+    for idx, g in enumerate(sample_schwarz(cfg.seed, cfg.samples, 4)):
         w = expand_schwarz(g, 4)
         b = (w[1], w[2], w[3], w[4])
-        margin = b4_margin_oracle(*b, cfg.angles)
+        margin = b4_margin_oracle(*b, cfg.angles) if margins is None else margins[idx]
         records.append(ScanRecord(coeffs=b, member=margin >= -tol, margin=margin))
 
     results = []
@@ -466,3 +531,53 @@ def max_abs_error(values, reference):
         return max(
             float(abs(mpmath.mpc(complex(v)) - ref)) for v, ref in zip(values, reference)
         )
+
+
+def b4_margins_mp(b, grid=128, dps=MP_DIGITS):
+    """(gamma1, gamma2) margins 1 - max_theta |b4 - gamma_f(theta)| in mpmath.
+
+    ``b`` = (b1, b2, b3, b4) floats, taken exactly.  G = |A(e^{i theta})|^2
+    is evaluated on ``grid`` uniform angles; every grid maximum is polished
+    by Newton's method on G' with ``findroot``, a polished angle counting
+    only if it stays between the grid neighbours, and the largest G over
+    grid and polished angles is kept.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        b1, b2, b3, b4 = (mpmath.mpc(complex(x)) for x in b)
+        h = 2 * mpmath.pi / grid
+        out = []
+        for a1 in (b2**2, 2 * b1 * b3 - b2**2):
+            a = [b4, a1, -(b1**2) * b2, -(b1**4)]
+
+            def G(t, order=0, a=a):
+                """d^order/dtheta^order of |A(e^{i theta})|^2, order <= 2."""
+                z = mpmath.expj(t)
+                v = ((a[3] * z + a[2]) * z + a[1]) * z + a[0]
+                if order == 0:
+                    return v.real**2 + v.imag**2
+                dv = 1j * z * ((3 * a[3] * z + 2 * a[2]) * z + a[1])
+                if order == 1:
+                    return 2 * (mpmath.conj(v) * dv).real
+                d2v = -z * ((9 * a[3] * z + 4 * a[2]) * z + a[1])
+                return 2 * (abs(dv) ** 2 + (mpmath.conj(v) * d2v).real)
+
+            ts = [k * h for k in range(grid)]
+            gs = [G(t) for t in ts]
+            best = max(gs)
+            for k in range(grid):
+                left, right = gs[k - 1], gs[(k + 1) % grid]
+                if gs[k] < max(left, right) or gs[k] == min(left, right):
+                    continue
+                try:
+                    t = mpmath.findroot(
+                        lambda t: G(t, 1), ts[k], solver="newton", df=lambda t: G(t, 2),
+                        verify=False,
+                    )
+                except ZeroDivisionError:  # G'' = 0: G is constant up to rounding
+                    continue
+                if abs(t - ts[k]) <= h:
+                    best = max(best, G(t))
+            out.append(1 - mpmath.sqrt(best))
+        return out

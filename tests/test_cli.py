@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its report formats."""
 
+import functools
 import json
 import math
 import os
@@ -15,8 +16,10 @@ from hypothesis import strategies as st
 import schwarzlab.cli as cli
 import schwarzlab.regions as regions
 from schwarzlab.bounds import BoundBlock
+from schwarzlab.families import expand_schwarz, sample_schwarz
 from oracles import (
     boundary_oracle,
+    dense_b4_margins,
     raster_oracle,
     rle_oracle,
     scan_oracle,
@@ -425,7 +428,7 @@ class TestScan:
         assert out1 == out2
 
     def test_membership_failure_exits_1(self, capsys):
-        # seed 3 includes a boundary sample with margin ~ -2e-16; a tolerance
+        # seed 3 includes a boundary sample with margin ~ -4e-16; a tolerance
         # below that forces the violation branch
         code, out, err = run_cli(
             capsys,
@@ -437,8 +440,8 @@ class TestScan:
         assert json.loads(out)["exit_status"] == 1
 
 
-def _scan_oracle_reports(cfg):
-    status, results, worst = scan_oracle(cfg)
+def _scan_oracle_reports(cfg, margins=None):
+    status, results, worst = scan_oracle(cfg, margins)
     report = {
         "command": "scan",
         "config": _config_payload(cfg, None),
@@ -446,7 +449,7 @@ def _scan_oracle_reports(cfg):
         "worst_slack": float(worst),
         "exit_status": status,
     }
-    return status, render_json(report), render_csv("scan", results)
+    return status, json.dumps(report, indent=2, allow_nan=False) + "\n", render_csv("scan", results)
 
 
 def _scan_argv(cfg, fmt):
@@ -457,24 +460,41 @@ def _scan_argv(cfg, fmt):
     return argv
 
 
+@functools.lru_cache(maxsize=None)
+def _dense_scan_margins(seed, samples):
+    """Joint-set margins of a scan corpus over 2^20 uniform angles."""
+    B = [expand_schwarz(g, 4).coeffs[1:5] for g in sample_schwarz(seed, samples, 4)]
+    return tuple(dense_b4_margins(np.array(B), 2**20).min(axis=1).tolist())
+
+
 class TestScanMatchesOracle:
-    """The shared-table scan report equals the per-sample reference byte for byte."""
+    """The scan's margins lie between the 2^20-angle reference and the
+    sampled one at ``--angles``; with those margins, the report equals the
+    per-sample reference byte for byte."""
+
+    def check(self, capsys, cfg):
+        code, out, err = run_cli(capsys, _scan_argv(cfg, "json"))
+        got = [row["margin"] for row in strict_json(out)["results"] if row["kind"] == "sample"]
+        _, sampled, _ = scan_oracle(cfg)
+        for margin, row, dense in zip(got, sampled, _dense_scan_margins(cfg.seed, cfg.samples)):
+            assert margin <= row["margin"] + 1e-15
+            assert abs(margin - dense) <= 1e-10
+        status, want_json, want_csv = _scan_oracle_reports(cfg, got)
+        assert (code, out) == (status, want_json)
+        assert run_cli(capsys, _scan_argv(cfg, "csv"))[:2] == (status, want_csv)
+        return code, err
 
     @pytest.mark.parametrize("seed", [1, 3, 5, 42, 12345])
     @pytest.mark.parametrize("angles", [3, 7, 512, 4096])
     @pytest.mark.parametrize("samples", [1, 250])
     def test_json_and_csv(self, capsys, seed, angles, samples):
         cfg = RunConfig(command="scan", seed=seed, samples=samples, angles=angles)
-        status, want_json, want_csv = _scan_oracle_reports(cfg)
-        assert run_cli(capsys, _scan_argv(cfg, "json"))[:2] == (status, want_json)
-        assert run_cli(capsys, _scan_argv(cfg, "csv"))[:2] == (status, want_csv)
+        assert self.check(capsys, cfg)[0] == 0
 
     def test_failing_samples_match(self, capsys):
         cfg = RunConfig(command="scan", seed=3, samples=5, angles=512, tol=1e-18)
-        status, want_json, _ = _scan_oracle_reports(cfg)
-        code, out, err = run_cli(capsys, _scan_argv(cfg, "json"))
-        assert status == code == 1
-        assert out == want_json
+        code, err = self.check(capsys, cfg)
+        assert code == 1
         assert "check failure" in err
 
 
@@ -731,6 +751,32 @@ class TestRenderJson:
         _, report = run(cfg, spec)
         assert render_json(report) == self.stock(report)
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            RunConfig(command="scan", samples=1),
+            RunConfig(command="scan", samples=250),
+            RunConfig(command="scan", seed=3, samples=5, tol=1e-18),
+            RunConfig(command="scan", seed=7, samples=40, out="sample rows"),
+        ],
+        ids=["one-sample", "workload", "failing", "out-holds-the-mark"],
+    )
+    def test_scan_reports(self, cfg):
+        _, report = run(cfg)
+        assert render_json(report) == self.stock(report)
+        # a null margin, a non-member and signed zeros in the sample rows
+        rows = [row for row in report["results"] if row["kind"] == "sample"]
+        rows[-1].update(member=False, margin=None)
+        rows[0]["b"][0] = [-0.0, 5e-324]
+        assert render_json(report) == self.stock(report)
+
+    def test_scan_non_finite_coefficient_is_refused(self):
+        _, report = run(RunConfig(command="scan", samples=2))
+        report["results"][1]["b"][2][1] = math.inf
+        for render in (self.stock, render_json):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                render(report)
+
 
 class TestSharedValidationConstants:
     def test_region_accepts_exactly_the_b4_modes(self):
@@ -849,6 +895,15 @@ class TestPeakMemoryEstimate:
         verify = RunConfig(command="verify")
         assert grows(verify, samples=2 * verify.samples)
         assert grows(verify, order=2 * verify.order)
+
+    def test_region_is_charged_per_row_not_per_cell(self, capsys, tmp_path):
+        # a 16384-row b3 region peaks about 14 MiB above the interpreter
+        # (ru_maxrss, CSV), far below the 2 GiB an R^2 term charged it
+        argv = ["region", "--target", "b3", "--b1", "0.5", "--resolution", "16384",
+                "--angles", "64", "--format", "csv", "--out", str(tmp_path / "r.csv")]
+        assert run_cli(capsys, argv)[:2] == (0, "")
+        cfg = RunConfig(command="region", target="b3", b1=0.5, resolution=16384, angles=64)
+        assert 16384 * 960 < cli.estimate_peak_bytes(cfg) < cli.MAX_PEAK_BYTES / 32
 
     def test_cli_exits_2_with_a_message(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_PEAK_BYTES", 1000)

@@ -6,10 +6,19 @@ import numpy as np
 import pytest
 
 import schwarzlab.regions as regions
-from oracles import b4_margin_oracle, feasible_cells_brute, raster_oracle
+from oracles import (
+    angle_table,
+    b4_margin_oracle,
+    b4_margins_mp,
+    dense_b4_margins,
+    feasible_cells_brute,
+    raster_oracle,
+    sampled_b4_margin,
+)
 from schwarzlab.families import (
     FiniteBlaschke,
     MonomialRotation,
+    expand_blaschke,
     expand_schwarz,
     sample_schwarz,
 )
@@ -31,11 +40,16 @@ from schwarzlab.regions import (
 
 
 def sampled_margin(b1, b2, b3, b4, angle_samples=regions.DEFAULT_ANGLES, mode="both"):
-    """The scan's margin of one coefficient tuple, on its own angle table."""
-    table = regions._angle_table(angle_samples)
-    return regions._b4_margin(
-        table, complex(b1), complex(b2), complex(b3), complex(b4), mode
+    """The sampled reference margin of one coefficient tuple, on its own angle table."""
+    return sampled_b4_margin(
+        angle_table(angle_samples), complex(b1), complex(b2), complex(b3), complex(b4), mode
     )
+
+
+def exact_margin(b1, b2, b3, b4, mode="both"):
+    """The scan's exact margin of one coefficient tuple for the families of ``mode``."""
+    eq1, eq2 = regions._exact_margins(np.array([[b1, b2, b3, b4]], dtype=complex))[0]
+    return float({"eq1": eq1, "eq2": eq2, "both": np.min([eq1, eq2])}[mode])
 
 
 def circle_family(radius_of_centers, m=256, disk_radius=1.0):
@@ -187,8 +201,8 @@ class TestB4Region:
         # every feasible cell center, if any, must lie within quantization
         # of the pinned value.
         b1, b2, b3, b4 = 0.5, -0.75, -0.375, -0.1875
-        assert sampled_margin(b1, b2, b3, b4, angle_samples=4096) >= -1e-12
-        assert abs(sampled_margin(b1, b2, b3, b4, angle_samples=4096)) < 1e-12
+        assert exact_margin(b1, b2, b3, b4) >= -1e-12
+        assert abs(exact_margin(b1, b2, b3, b4)) < 1e-12
         est = b4_feasible_region(b1, b2, b3, angle_samples=4096, resolution=512)
         ys, xs = np.nonzero(est.grid)
         step = est.cell_step()
@@ -225,12 +239,12 @@ class TestAttainabilityScan:
 
     def test_rotated_quartic_monomial_sits_on_boundary(self):
         w = expand_schwarz(MonomialRotation(k=4, theta=1.1), 4)
-        margin = sampled_margin(w[1], w[2], w[3], w[4])
+        margin = exact_margin(w[1], w[2], w[3], w[4])
         assert abs(margin) < 1e-12
 
     def test_identity_map_has_zero_margin(self):
         # b = (1, 0, 0, 0): the constraint circles pass through b4 = 0
-        margin = sampled_margin(1.0, 0.0, 0.0, 0.0)
+        margin = exact_margin(1.0, 0.0, 0.0, 0.0)
         assert abs(margin) < 1e-12
 
     def test_determinism(self):
@@ -250,8 +264,16 @@ class TestAttainabilityScan:
                 assert 0.0 <= fb.max_abs_b4 <= 1.0 + 1e-9
 
 
+def _corpus(seeds, count):
+    """(S, 4) b1..b4 of the scan's samples at each seed, stacked."""
+    return np.concatenate(
+        [expand_blaschke(sample_schwarz(seed, count, 4), 4)[:, 1:] for seed in seeds]
+    )
+
+
 class TestB4MarginMatchesCenters:
-    """The scan's margin on a shared angle table equals the b4_centers formula bit for bit."""
+    """The sampled reference on a shared angle table equals the b4_centers
+    formula bit for bit, and the scan's exact margin never exceeds it."""
 
     @staticmethod
     def coefficient_tuples():
@@ -274,20 +296,97 @@ class TestB4MarginMatchesCenters:
             want = b4_margin_oracle(*b, angles, mode)
             assert got.hex() == want.hex(), (b, mode, angles)
 
+    @pytest.mark.parametrize("mode", B4_MODES)
+    @pytest.mark.parametrize("angles", [3, 7, 512, 4096])
+    def test_exact_never_exceeds_sampled(self, mode, angles):
+        # every sampled angle is a point of the circle, so the sampled
+        # margin bounds the exact one from above up to rounding
+        for b in self.coefficient_tuples():
+            sampled = sampled_margin(*b, angle_samples=angles, mode=mode)
+            assert exact_margin(*b, mode) <= sampled + 1e-15, (b, mode, angles)
+
     def test_nan_propagates_per_family(self):
         # b3 enters gamma2 only: eq1 stays finite, eq2 and the joint set do not
         b = (0.3, 0.1j, complex(math.nan, 0.0), 0.2)
-        assert math.isfinite(sampled_margin(*b, angle_samples=64, mode="eq1"))
-        assert math.isnan(sampled_margin(*b, angle_samples=64, mode="eq2"))
-        assert math.isnan(sampled_margin(*b, angle_samples=64, mode="both"))
+        assert math.isfinite(exact_margin(*b, mode="eq1"))
+        assert math.isnan(exact_margin(*b, mode="eq2"))
+        assert math.isnan(exact_margin(*b, mode="both"))
         for mode in B4_MODES:
-            assert math.isnan(sampled_margin(0.3, 0.1, 0.0, math.nan, 64, mode))
+            assert math.isnan(exact_margin(0.3, 0.1, 0.0, math.nan, mode))
 
     def test_bad_mode_and_angle_floor_rejected(self):
         with pytest.raises(ValueError, match="mode must be eq1, eq2 or both"):
             sampled_margin(0.1, 0.0, 0.0, 0.0, angle_samples=64, mode="all")
         with pytest.raises(ValueError, match="at least 3"):
             sampled_margin(0.1, 0.0, 0.0, 0.0, angle_samples=2)
+
+
+class TestExactMargins:
+    """The scan's margins from the roots of G' against dense, 50-digit and
+    closed-form references."""
+
+    def test_within_dense_reference_on_sampled_corpora(self):
+        B = _corpus(range(1001, 1011), 50)
+        got = regions._exact_margins(B)
+        assert np.abs(got - dense_b4_margins(B, 2**20)).max() <= 1e-10
+
+    def test_agrees_with_50_digit_oracle(self):
+        # measured envelopes: 7.5e-16 over 30 samples at each of seeds 42
+        # and 1001-1010, 7.1e-15 over random tuples with |b_k| up to 2.1,
+        # 3.3e-16 where a tiny b1 spreads the companion coefficients
+        corpus = _corpus([42], 40).tolist() + _corpus(range(1001, 1011), 5).tolist()
+        rng = np.random.default_rng(9)
+        z = rng.uniform(-1.5, 1.5, size=(20, 4)) + 1j * rng.uniform(-1.5, 1.5, size=(20, 4))
+        edge = [(1e-20, 0.3, 0.2, 0.1), (1e-5, 0.3, 0.2j, 0.1), (0.999, 0.001, 0, 0),
+                (0.5, 0.75, 0, 0), (np.exp(0.7j), 0, 0, 0)]
+        for tuples, envelope in ((corpus, 2e-15), (z.tolist(), 2e-14), (edge, 1e-15)):
+            got = regions._exact_margins(np.array(tuples))
+            want = np.array([[float(m) for m in b4_margins_mp(b)] for b in tuples])
+            assert np.abs(got - want).max() <= envelope
+
+    @pytest.mark.parametrize("seed", [42, *range(1001, 1011)])
+    def test_no_member_flips(self, seed):
+        table = angle_table(regions.DEFAULT_ANGLES)
+        for rec in attainability_scan(seed=seed, count=250):
+            sampled = sampled_b4_margin(table, *rec.coeffs, "both")
+            assert rec.member == (sampled >= -regions.MEMBERSHIP_TOL), (seed, rec)
+
+    def test_b1_zero_drops_the_degree(self):
+        # A(z) = b4 + a1 z: the farthest point is |b4| + |a1| away
+        rng = np.random.default_rng(3)
+        b = rng.uniform(-0.7, 0.7, size=(50, 4)) + 1j * rng.uniform(-0.7, 0.7, size=(50, 4))
+        b[:, 0] = 0
+        a1 = np.stack([b[:, 1] ** 2, -b[:, 1] ** 2], axis=1)
+        want = 1.0 - np.abs(b[:, 3:]) - np.abs(a1)
+        assert np.abs(regions._exact_margins(b) - want).max() <= 1e-15
+
+    def test_all_zero_coefficients_have_margin_one(self):
+        assert regions._exact_margins(np.zeros((1, 4))).tolist() == [[1.0, 1.0]]
+
+    def test_rows_do_not_depend_on_their_batch(self):
+        B = np.concatenate([_corpus([42], 60), np.zeros((1, 4)), [[1, 0, 0, 0]]])
+        batch = regions._exact_margins(B)
+        for b, row in zip(B, batch):
+            assert np.array_equal(regions._exact_margins(b[None]), row[None])
+
+    def test_non_finite_and_extreme_rows_skip_eigvals(self):
+        # eigvals raises LinAlgError on nan or inf; those rows only meet the
+        # fixed points, and finite rows in the same batch are unaffected
+        good = _corpus([42], 8)
+        bad = []
+        for k in range(4):
+            for v in (math.nan, math.inf, complex(0, -math.inf), 1e200, 1e-300, 5e-324):
+                row = np.full(4, 0.3 + 0.1j)
+                row[k] = v
+                bad.append(row)
+        B = np.concatenate([good, np.array(bad)])
+        got = regions._exact_margins(B)
+        assert np.array_equal(got[: len(good)], regions._exact_margins(good))
+        for row, margins in zip(bad, got[len(good) :]):
+            if not np.isfinite(row).all():
+                assert not np.isfinite(margins).all(), row
+            elif np.abs(row).max() < 1:
+                assert np.isfinite(margins).all(), row
 
 
 class TestRegionEstimateHelpers:
