@@ -15,7 +15,9 @@ Generators are small frozen dataclasses describing a function symbolically;
 Blaschke products and their Cayley transforms at once; a row's bits do
 not depend on the rows stacked with it, and the one-function paths
 (``expand_schwarz`` of a Blaschke product, :func:`cayley_from_schwarz`)
-are their one-row views.
+are their one-row views.  :func:`inverse_cayley` solves (p + 1) v = p - 1
+by one triangular recurrence, and the second-coefficient extremal has a
+geometric tail, built by the same doubling as a Blaschke factor's.
 """
 
 from __future__ import annotations
@@ -30,12 +32,8 @@ import numpy as np
 from schwarzlab.series import (
     CompositionDomainError,
     TruncatedSeries,
-    add_scaled,
     from_pairs,
-    mul,
     pair_mul,
-    reciprocal,
-    scale,
     stacked_mul,
     to_pairs,
     with_turn,
@@ -227,15 +225,18 @@ def cayley_from_schwarz(w: TruncatedSeries, theta: float) -> TruncatedSeries:
 def inverse_cayley(p: TruncatedSeries, theta: float) -> TruncatedSeries:
     """w = e^{-i theta} (p - 1)/(p + 1); inverse of cayley_from_schwarz.
 
-    Requires p(0) = 1 exactly, which makes (p+1)(0) = 2 invertible and
-    pins w(0) = 0 exactly.
+    Requires p(0) = 1 exactly.  v = (p - 1)/(p + 1) solves (p + 1) v =
+    p - 1, so v_0 = 0 exactly and
+
+        v_k = (p_k - sum_{j=1..k-1} p_j v_{k-j}) / 2.
     """
     if p.coeffs[0] != 1:
         raise ValueError("Caratheodory series must have constant term 1")
-    one = TruncatedSeries.constant(1.0, p.order)
-    num = add_scaled(p, one, -1.0)
-    den = add_scaled(p, one, 1.0)
-    return scale(mul(num, reciprocal(den)), np.exp(-1j * theta))
+    c = p.coeffs
+    v = np.zeros(len(c), dtype=np.complex128)
+    for k in range(1, len(c)):
+        v[k] = 0.5 * (c[k] - np.dot(c[1:k], v[k - 1 : 0 : -1]))
+    return TruncatedSeries(np.exp(-1j * theta) * v)
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +249,29 @@ def _finite(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _fill_geometric(c: np.ndarray, base) -> None:
+    """Fill ``c[k] = c[0] base^k`` down an ``(n, 2, K)`` pair stack.
+
+    ``base`` is a (re, im) pair of ratios, K-vectors or floats.  The powers
+    are built by doubling, c_{f+i} = c_i base^f, each term one unfused
+    pair product.
+    """
+    filled = 1
+    while filled < len(c):
+        span = min(filled, len(c) - filled)
+        head = c[:span]
+        re, im = pair_mul((head[:, 0], head[:, 1]), base)
+        c[filled : filled + span, 0] = re
+        c[filled : filled + span, 1] = im
+        base = pair_mul(base, base)
+        filled += span
+
+
 def _blaschke_factors(zeros: np.ndarray, order: int) -> np.ndarray:
     """``(order+1, 2, K)`` stack of the factors (|a|/a)(a - z)/(1 - conj(a) z).
 
     Closed form: c_0 = |a| and c_k = (|a|/a)(|a|^2 - 1) conj(a)^{k-1};
-    a = 0 is the factor z.  The powers are built by doubling:
-    c_{1+f+i} = c_{1+i} conj(a)^f.
+    a = 0 is the factor z.
     """
     out = np.zeros((order + 1, 2, len(zeros)))
     out[1, 0, zeros == 0] = 1.0
@@ -266,16 +284,7 @@ def _blaschke_factors(zeros: np.ndarray, order: int) -> np.ndarray:
     # |a|/a = conj(a)/|a|
     c[1, 0] = a.real / r * lift
     c[1, 1] = -a.imag / r * lift
-    base = (a.real, -a.imag)
-    filled = 1
-    while filled < order:
-        span = min(filled, order - filled)
-        head = c[1 : 1 + span]
-        re, im = pair_mul((head[:, 0], head[:, 1]), base)
-        c[1 + filled : 1 + filled + span, 0] = re
-        c[1 + filled : 1 + filled + span, 1] = im
-        base = pair_mul(base, base)
-        filled += span
+    _fill_geometric(c[1:], (a.real, -a.imag))
     out[..., nonzero] = c
     return out
 
@@ -340,15 +349,15 @@ def expand_schwarz(g: SchwarzGenerator, order: int) -> TruncatedSeries:
             arr = np.zeros(order + 1, dtype=np.complex128)
             arr[1] = g.b1 / abs(g.b1)
             return TruncatedSeries(arr)
-        rot = np.exp(1j * g.theta)
-        num = np.zeros(order + 1, dtype=np.complex128)
-        num[1] = g.b1
-        if order >= 2:
-            num[2] = rot
-        den = np.zeros(order + 1, dtype=np.complex128)
-        den[0] = 1.0
-        den[1] = rot * np.conj(g.b1)
-        return mul(TruncatedSeries(num), reciprocal(TruncatedSeries(den)))
+        # w = (b1 z + e z^2)/(1 - t z) with e = e^{i theta}, t = -e conj(b1):
+        # w_1 = b1 and w_k = e (1 - |b1|^2) t^{k-2}
+        b1, rot = complex(g.b1), cmath.exp(1j * g.theta)
+        t, lead = -rot * b1.conjugate(), rot * (1.0 - abs(b1) ** 2)
+        w = np.zeros((order + 1, 2, 1))
+        w[1, :, 0] = b1.real, b1.imag
+        w[2:3, :, 0] = lead.real, lead.imag  # no row at order 1
+        _fill_geometric(w[2:], (t.real, t.imag))
+        return TruncatedSeries(from_pairs(w)[0])
     # InverseCayley
     p = expand_caratheodory(g.inner, order)
     return inverse_cayley(p, g.theta)

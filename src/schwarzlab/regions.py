@@ -20,9 +20,8 @@ where L_j, H_j = gx_j -/+ sqrt(r^2 - (y - gy_j)^2) are the ends of disk
 j's chord; this is exactly equivalent to testing every cell center against
 every disk.  The rasterizer's output is that interval, rounded to one
 span of feasible columns per row (``RegionEstimate.spans``); no cell grid
-is built unless one is asked for.  Chords are computed only on the band of
-rows that every disk reaches, found exactly from the extreme center
-ordinates.
+is built.  Chords are computed only on the band of rows that every disk
+reaches, found exactly from the extreme center ordinates.
 
 The band is screened in blocks of 16 rows: all chords are computed on the
 rows that end a block, and between them only those that a bound admits.
@@ -40,7 +39,6 @@ Cost: O(band/16 * M + band * kept).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -110,44 +108,6 @@ class RegionEstimate:
     feasible_area_cells: int
     samples_used: int
     quantization: float
-
-    @functools.cached_property
-    def grid(self) -> np.ndarray:
-        """Boolean occupancy grid ``grid[iy, ix]``, built from the spans on first use."""
-        cols = np.arange(self.resolution)
-        grid = (self.spans[:, :1] <= cols) & (cols <= self.spans[:, 1:])
-        grid.setflags(write=False)
-        return grid
-
-    def cell_step(self) -> float:
-        return 2.0 * self.box.half_width / self.resolution
-
-    def cell_index(self, point: complex) -> tuple[int, int] | None:
-        """(iy, ix) of the cell containing the point, or None if outside."""
-        step = self.cell_step()
-        x0 = self.box.center.real - self.box.half_width
-        y0 = self.box.center.imag - self.box.half_width
-        ix = int(math.floor((point.real - x0) / step))
-        iy = int(math.floor((point.imag - y0) / step))
-        if 0 <= ix < self.resolution and 0 <= iy < self.resolution:
-            return iy, ix
-        return None
-
-    def contains(self, point: complex, neighborhood: int = 0) -> bool:
-        """Whether the point's cell (or a Chebyshev-neighborhood of it) is feasible.
-
-        neighborhood=1 admits boundary points, whose own cell may fall just
-        outside the rasterized set by quantization.
-        """
-        idx = self.cell_index(point)
-        if idx is None:
-            return False
-        iy, ix = idx
-        lo_y = max(iy - neighborhood, 0)
-        hi_y = min(iy + neighborhood, self.resolution - 1)
-        lo_x = max(ix - neighborhood, 0)
-        hi_x = min(ix + neighborhood, self.resolution - 1)
-        return bool(self.grid[lo_y : hi_y + 1, lo_x : hi_x + 1].any())
 
 
 #: Grid rows per rasterizer block are chosen so that each of the two block
@@ -437,22 +397,16 @@ def attainability_frontier(records: list[ScanRecord], bins: int = 10) -> list[Fr
     if bins < 1:
         raise ValueError("bins must be >= 1")
     edges = np.linspace(0.0, 1.0, bins + 1)
-    out = []
-    for i in range(bins):
-        lo, hi = float(edges[i]), float(edges[i + 1])
-        sel = [
-            abs(r.coeffs[3])
-            for r in records
-            if lo <= abs(r.coeffs[0]) < hi or (i == bins - 1 and abs(r.coeffs[0]) == hi)
-        ]
-        center = 0.5 * (lo + hi)
-        out.append(
-            FrontierBin(
-                lo=lo,
-                hi=hi,
-                count=len(sel),
-                max_abs_b4=max(sel) if sel else 0.0,
-                reference=1.0 - center**4,
-            )
-        )
-    return out
+    B = np.array([r.coeffs for r in records], dtype=np.complex128).reshape(-1, 4)
+    b1, b4 = np.hypot(B.real[:, [0, 3]], B.imag[:, [0, 3]]).T  # Python's abs
+    idx = np.searchsorted(edges, b1, side="right") - 1
+    idx[b1 == 1.0] = bins - 1  # the last bin is closed
+    kept = (idx >= 0) & (idx < bins)
+    counts = np.bincount(idx[kept], minlength=bins)
+    tops = np.zeros(bins)
+    np.maximum.at(tops, idx[kept], b4[kept])
+    rows = zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist(), tops.tolist())
+    return [
+        FrontierBin(lo=lo, hi=hi, count=n, max_abs_b4=top, reference=1.0 - (0.5 * (lo + hi)) ** 4)
+        for lo, hi, n, top in rows
+    ]

@@ -1,14 +1,14 @@
 """Truncated power-series arithmetic over complex coefficients.
 
 Series are stored densely: ``coeffs[k]`` is the coefficient of ``z**k``
-for ``k = 0..N``, where ``N`` is the truncation order.  All operations
-require equal orders; mixing orders raises :class:`OrderMismatchError`
-so that truncation stays explicit in calling code.  Within a fixed
-order everything is exact modulo ``z**(N+1)`` up to double-precision
-roundoff: the retained coefficients of a product or reciprocal depend
-only on the retained coefficients of the operands.
+for ``k = 0..N``, where ``N`` is the truncation order;
+:class:`TruncatedSeries` is the one-row value type.  Within a fixed order
+everything is exact modulo ``z**(N+1)`` up to double-precision roundoff:
+the retained coefficients of a product depend only on the retained
+coefficients of its factors.
 
-:func:`stacked_mul` multiplies whole stacks of series at once.  It keeps
+:func:`stacked_mul` multiplies whole stacks of series at once, and
+stacks of different orders raise :class:`OrderMismatchError`.  It keeps
 each row's bits independent of the rows stacked with it: it works on
 float (re, im) pairs, rounds each of the two products in a complex
 product separately, as Python's complex ``*`` does (numpy's complex
@@ -24,9 +24,6 @@ import numpy as np
 #: Truncation order used throughout the lab unless a caller overrides it.
 DEFAULT_ORDER = 12
 
-#: Constant terms below this threshold are treated as non-invertible.
-INVERTIBILITY_THRESHOLD = 1e-300
-
 
 class OrderMismatchError(ValueError):
     """Operands carry different truncation orders."""
@@ -34,10 +31,6 @@ class OrderMismatchError(ValueError):
 
 class CompositionDomainError(ValueError):
     """A series substituted into another must vanish at the origin."""
-
-
-class NotInvertibleError(ValueError):
-    """Constant term too small to form a truncated reciprocal."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,50 +79,6 @@ class TruncatedSeries:
         arr = np.zeros(order + 1, dtype=np.complex128)
         arr[1] = 1.0
         return cls(arr)
-
-
-def _require_same_order(f: TruncatedSeries, g: TruncatedSeries) -> None:
-    if f.order != g.order:
-        raise OrderMismatchError(
-            f"series orders differ: {f.order} vs {g.order}"
-        )
-
-
-def add_scaled(f: TruncatedSeries, g: TruncatedSeries, alpha: complex) -> TruncatedSeries:
-    """Return ``f + alpha*g`` coefficientwise at the common order."""
-    _require_same_order(f, g)
-    return TruncatedSeries(f.coeffs + complex(alpha) * g.coeffs)
-
-
-def scale(f: TruncatedSeries, alpha: complex) -> TruncatedSeries:
-    """Return ``alpha*f``."""
-    return TruncatedSeries(complex(alpha) * f.coeffs)
-
-
-def mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at the common order N.
-
-    ``result[k] = sum_{j=0..k} f[j] * g[k-j]``.
-    """
-    _require_same_order(f, g)
-    return TruncatedSeries(np.convolve(f.coeffs, g.coeffs)[: len(f.coeffs)])
-
-
-def reciprocal(f: TruncatedSeries) -> TruncatedSeries:
-    """Return ``g`` with ``mul(f, g) = 1`` modulo ``z**(N+1)``.
-
-    Standard triangular recurrence: ``g[0] = 1/f[0]`` and
-    ``g[k] = -(sum_{j=1..k} f[j]*g[k-j]) / f[0]``.
-    """
-    f0 = f.coeffs[0]
-    if abs(f0) < INVERTIBILITY_THRESHOLD:
-        raise NotInvertibleError("constant term vanishes; series not invertible")
-    n = len(f.coeffs)
-    g = np.zeros(n, dtype=np.complex128)
-    g[0] = 1.0 / f0
-    for k in range(1, n):
-        g[k] = -np.dot(f.coeffs[1 : k + 1], g[k - 1 :: -1]) / f0
-    return TruncatedSeries(g)
 
 
 def pair_mul(a, b) -> tuple[np.ndarray, np.ndarray]:

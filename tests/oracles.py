@@ -14,7 +14,9 @@ as a real trigonometric polynomial; and a 50-digit mpmath maximum polished
 from a grid with ``findroot``.  The raster and RLE oracles
 keep the full-grid, large-chunk rasterizer, the per-row run-length
 encoder and the numpy-index boundary listing as the reference for the
-row-band, block-sized rasterizer and the flat-index renderers.
+row-band, block-sized rasterizer and the flat-index renderers; the
+region helpers read a cell grid and cell lookups off a RegionEstimate's
+spans.
 """
 
 from __future__ import annotations
@@ -57,16 +59,6 @@ def cayley_oracle(b, theta):
     one = np.zeros_like(u)
     one[0] = 1.0
     return division_oracle(one + u, one - u)
-
-
-def random_series(rng, order, magnitude=2.0, fixed_constant=None):
-    """Seeded series draw: coefficients uniform in the disk of given radius."""
-    r = magnitude * np.sqrt(rng.uniform(size=order + 1))
-    a = rng.uniform(0.0, 2.0 * np.pi, size=order + 1)
-    c = r * np.exp(1j * a)
-    if fixed_constant is not None:
-        c[0] = fixed_constant
-    return c
 
 
 def schwarz_slacks(gen, w, radii, angles_per_radius, thetas):
@@ -260,7 +252,7 @@ def scan_oracle(cfg, margins=None):
     a failure and ranks below every finite one.
     """
     from schwarzlab.families import expand_schwarz, sample_schwarz
-    from schwarzlab.regions import MEMBERSHIP_TOL, ScanRecord, attainability_frontier
+    from schwarzlab.regions import MEMBERSHIP_TOL, ScanRecord
 
     tol = cfg.tol if cfg.tol is not None else MEMBERSHIP_TOL
     records = []
@@ -286,7 +278,7 @@ def scan_oracle(cfg, margins=None):
         rank = rec.margin if math.isfinite(rec.margin) else -math.inf
         if rank < worst_rank:
             worst, worst_rank = rec.margin, rank
-    for fb in attainability_frontier(records):
+    for fb in frontier_oracle(records):
         results.append({
             "kind": "frontier",
             "lo": fb.lo,
@@ -296,6 +288,30 @@ def scan_oracle(cfg, margins=None):
             "reference": fb.reference,
         })
     return status, results, worst
+
+
+def frontier_oracle(records, bins=10):
+    """|b1| bins of a scan, each record tested against every bin in turn.
+
+    A record lands in the bin with lo <= |b1| < hi; the last bin also takes
+    |b1| == 1.  Each bin reports its count and its largest |b4| (0 if empty).
+    """
+    from schwarzlab.regions import FrontierBin
+
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    out = []
+    for i in range(bins):
+        lo, hi = float(edges[i]), float(edges[i + 1])
+        sel = [
+            abs(r.coeffs[3])
+            for r in records
+            if lo <= abs(r.coeffs[0]) < hi or (i == bins - 1 and abs(r.coeffs[0]) == hi)
+        ]
+        center = 0.5 * (lo + hi)
+        out.append(FrontierBin(lo=lo, hi=hi, count=len(sel),
+                               max_abs_b4=max(sel) if sel else 0.0,
+                               reference=1.0 - center**4))
+    return out
 
 
 def raster_oracle(family, box, resolution):
@@ -385,6 +401,45 @@ def rle_oracle(grid):
             runs.append([int(s), int(e - s)])
         rows.append(runs)
     return rows
+
+
+def region_grid(est):
+    """Boolean occupancy grid ``grid[iy, ix]`` of a RegionEstimate, from its spans."""
+    cols = np.arange(est.resolution)
+    return (est.spans[:, :1] <= cols) & (cols <= est.spans[:, 1:])
+
+
+def cell_step(est):
+    return 2.0 * est.box.half_width / est.resolution
+
+
+def cell_index(est, point):
+    """(iy, ix) of the estimate's cell containing the point, or None if outside."""
+    step = cell_step(est)
+    x0 = est.box.center.real - est.box.half_width
+    y0 = est.box.center.imag - est.box.half_width
+    ix = int(math.floor((point.real - x0) / step))
+    iy = int(math.floor((point.imag - y0) / step))
+    if 0 <= ix < est.resolution and 0 <= iy < est.resolution:
+        return iy, ix
+    return None
+
+
+def region_contains(est, point, neighborhood=0):
+    """Whether the point's cell (or a Chebyshev neighborhood of it) is feasible.
+
+    neighborhood=1 admits boundary points, whose own cell may fall just
+    outside the rasterized set by quantization.
+    """
+    idx = cell_index(est, point)
+    if idx is None:
+        return False
+    iy, ix = idx
+    lo_y = max(iy - neighborhood, 0)
+    hi_y = min(iy + neighborhood, est.resolution - 1)
+    lo_x = max(ix - neighborhood, 0)
+    hi_x = min(ix + neighborhood, est.resolution - 1)
+    return bool(region_grid(est)[lo_y : hi_y + 1, lo_x : hi_x + 1].any())
 
 
 def boundary_oracle(payload):

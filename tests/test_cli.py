@@ -21,6 +21,7 @@ from oracles import (
     boundary_oracle,
     dense_b4_margins,
     raster_oracle,
+    region_grid,
     rle_oracle,
     scan_oracle,
     verify_oracle,
@@ -332,8 +333,8 @@ class TestRegion:
         for iy, runs in enumerate(payload["grid_rle"]):
             for start, length in runs:
                 rebuilt[iy, start : start + length] = True
-        assert np.array_equal(rebuilt, est.grid)
-        assert payload["feasible_area_cells"] == int(est.grid.sum())
+        assert np.array_equal(rebuilt, region_grid(est))
+        assert payload["feasible_area_cells"] == int(region_grid(est).sum())
 
     def test_region_csv_summary_and_boundary(self, capsys):
         code, out, _ = run_cli(
@@ -520,7 +521,7 @@ def _region_oracle_reports(monkeypatch, cfg):
         "box_center": [est.box.center.real, est.box.center.imag],
         "half_width": est.box.half_width,
         "quantization": est.quantization,
-        "grid_rle": rle_oracle(est.grid),
+        "grid_rle": rle_oracle(region_grid(est)),
     }
     report = {
         "command": "region",

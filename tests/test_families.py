@@ -16,6 +16,7 @@ from schwarzlab.families import (
     cayley_from_schwarz,
     evaluate_caratheodory,
     evaluate_schwarz,
+    expand_blaschke,
     expand_caratheodory,
     expand_schwarz,
     harmonic_boundary_atoms,
@@ -100,6 +101,25 @@ class TestExpandSchwarz:
         want = division_oracle(num, den)
         got = expand_schwarz(B2Extremal(b1=b1, theta=theta), 5)
         assert np.max(np.abs(got.coeffs - want)) < 1e-14
+
+    @pytest.mark.parametrize("order", [4, 12, 40])
+    def test_extremal_is_a_one_zero_blaschke_product(self, order):
+        # (b1 z + e^{i theta} z^2)/(1 + e^{i theta} conj(b1) z) equals
+        # z e^{i theta} (z - a)/(1 - conj(a) z) with a = -b1 e^{-i theta},
+        # the Blaschke product with phi = arg(b1), m = 1 and zero a
+        rng = np.random.default_rng(order)
+        radii = 0.95 * np.sqrt(rng.uniform(0.01, 1.0, 40))
+        b1s = radii * np.exp(2j * np.pi * rng.uniform(size=40))
+        b1s[0] = 0.95j
+        thetas = rng.uniform(0.0, 2.0 * np.pi, 40)
+        gens = [
+            FiniteBlaschke(phi=float(np.angle(b1)), m=1, zeros=(complex(-b1 * np.exp(-1j * t)),))
+            for b1, t in zip(b1s, thetas)
+        ]
+        want = expand_blaschke(gens, order)
+        for b1, t, row in zip(b1s, thetas, want):
+            got = expand_schwarz(B2Extremal(b1=complex(b1), theta=float(t)), order)
+            assert np.max(np.abs(got.coeffs - row)) <= 2e-15
 
     def test_extremal_unit_modulus_branch(self):
         b1 = np.exp(0.9j)

@@ -10,9 +10,14 @@ from oracles import (
     angle_table,
     b4_margin_oracle,
     b4_margins_mp,
+    cell_index,
+    cell_step,
     dense_b4_margins,
     feasible_cells_brute,
+    frontier_oracle,
     raster_oracle,
+    region_contains,
+    region_grid,
     sampled_b4_margin,
 )
 from schwarzlab.families import (
@@ -29,6 +34,7 @@ from schwarzlab.regions import (
     BoundingBox,
     DiskConstraintFamily,
     FrontierBin,
+    ScanRecord,
     attainability_frontier,
     attainability_scan,
     b3_centers,
@@ -85,7 +91,7 @@ class TestIntersectDiskFamily:
         est = intersect_disk_family(fam, BoundingBox(0j, 6.0), 64)
         assert est.feasible_area_cells == 0
         assert est.max_modulus == 0.0
-        assert not est.grid.any()
+        assert not region_grid(est).any()
 
     def test_family_too_small_rejected(self):
         with pytest.raises(ValueError):
@@ -114,7 +120,7 @@ class TestIntersectDiskFamily:
         pts = xs[None, :] + 1j * xs[:, None]
         dist = np.abs(pts[:, :, None] - centers[None, None, :]).max(axis=2)
         brute = dist <= 1.0
-        assert np.array_equal(est.grid, brute)
+        assert np.array_equal(region_grid(est), brute)
 
     def test_max_modulus_within_box_bound(self):
         fam = circle_family(0.3)
@@ -129,8 +135,8 @@ class TestIntersectDiskFamily:
         for m in (64, 256):
             fam1 = circle_family(0.2, m=m)
             fam2 = circle_family(0.2, m=2 * m)
-            g1 = intersect_disk_family(fam1, box, 128).grid
-            g2 = intersect_disk_family(fam2, box, 128).grid
+            g1 = region_grid(intersect_disk_family(fam1, box, 128))
+            g2 = region_grid(intersect_disk_family(fam2, box, 128))
             assert not np.any(g2 & ~g1)
 
     def test_quantization_metadata(self):
@@ -204,8 +210,8 @@ class TestB4Region:
         assert exact_margin(b1, b2, b3, b4) >= -1e-12
         assert abs(exact_margin(b1, b2, b3, b4)) < 1e-12
         est = b4_feasible_region(b1, b2, b3, angle_samples=4096, resolution=512)
-        ys, xs = np.nonzero(est.grid)
-        step = est.cell_step()
+        ys, xs = np.nonzero(region_grid(est))
+        step = cell_step(est)
         x0 = est.box.center.real - est.box.half_width
         y0 = est.box.center.imag - est.box.half_width
         for iy, ix in zip(ys, xs):
@@ -214,20 +220,20 @@ class TestB4Region:
 
     def test_interior_value_is_member_without_neighborhood(self):
         est = b4_feasible_region(0.3, 0.1, 0.0, angle_samples=1024, resolution=256)
-        assert est.contains(0j)
+        assert region_contains(est, 0j)
 
     def test_midpoint_convexity_spot_check(self):
         est = b4_feasible_region(0.4, 0.2 - 0.1j, 0.05, angle_samples=512, resolution=256)
-        ys, xs = np.nonzero(est.grid)
+        ys, xs = np.nonzero(region_grid(est))
         rng = np.random.default_rng(12)
-        step = est.cell_step()
+        step = cell_step(est)
         x0 = est.box.center.real - est.box.half_width
         y0 = est.box.center.imag - est.box.half_width
         idx = rng.integers(0, len(xs), size=(60, 2))
         for a, b in idx:
             pa = complex(x0 + (xs[a] + 0.5) * step, y0 + (ys[a] + 0.5) * step)
             pb = complex(x0 + (xs[b] + 0.5) * step, y0 + (ys[b] + 0.5) * step)
-            assert est.contains((pa + pb) / 2, neighborhood=1)
+            assert region_contains(est, (pa + pb) / 2, neighborhood=1)
 
 
 class TestAttainabilityScan:
@@ -263,6 +269,18 @@ class TestAttainabilityScan:
             if fb.count:
                 assert 0.0 <= fb.max_abs_b4 <= 1.0 + 1e-9
 
+
+    @pytest.mark.parametrize("bins", [1, 7, 10])
+    def test_frontier_matches_per_bin_oracle(self, bins):
+        # the bin edges themselves, |b1| == 1 (in the last bin) and |b1|
+        # just above 1 (in no bin), next to a sampled corpus
+        records = attainability_scan(seed=13, count=300)
+        rng = np.random.default_rng(bins)
+        extra = list(np.linspace(0.0, 1.0, bins + 1)) + [1j, -1.0, 1.0 + 2e-16]
+        for b1 in extra:
+            b4 = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+            records.append(ScanRecord(coeffs=(complex(b1), 0j, 0j, b4), member=True, margin=0.0))
+        assert attainability_frontier(records, bins=bins) == frontier_oracle(records, bins=bins)
 
 def _corpus(seeds, count):
     """(S, 4) b1..b4 of the scan's samples at each seed, stacked."""
@@ -393,11 +411,11 @@ class TestRegionEstimateHelpers:
     def test_cell_index_and_contains(self):
         fam = DiskConstraintFamily(centers=np.zeros(4, dtype=complex), radius=0.5)
         est = intersect_disk_family(fam, BoundingBox(0j, 1.0), 64)
-        assert est.contains(0j)
-        assert not est.contains(0.9 + 0.9j)
-        assert est.cell_index(2.0 + 0j) is None
-        iy, ix = est.cell_index(0j)
-        assert est.grid[iy, ix]
+        assert region_contains(est, 0j)
+        assert not region_contains(est, 0.9 + 0.9j)
+        assert cell_index(est, 2.0 + 0j) is None
+        iy, ix = cell_index(est, 0j)
+        assert region_grid(est)[iy, ix]
 
 
 def _thetas(m):
@@ -422,7 +440,7 @@ def _b4_family(b, m, mode):
 
 def assert_same_estimate(got, want):
     assert np.array_equal(got.spans, want.spans)
-    assert np.array_equal(got.grid, want.grid)
+    assert np.array_equal(region_grid(got), region_grid(want))
     assert float.hex(got.max_modulus) == float.hex(want.max_modulus)
     assert got.feasible_area_cells == want.feasible_area_cells
     assert got.samples_used == want.samples_used
@@ -548,7 +566,7 @@ class TestRasterMatchesOracle:
         box = BoundingBox(1.5j, 4.0)
         got = intersect_disk_family(fam, box, 64)
         assert_same_estimate(got, raster_oracle(fam, box, 64))
-        assert got.feasible_area_cells == 0 and not got.grid.any()
+        assert got.feasible_area_cells == 0 and not region_grid(got).any()
 
     def test_row_tangent_to_every_disk(self):
         # the row y = -0.875 is at distance exactly 1 from every center, so
@@ -557,7 +575,7 @@ class TestRasterMatchesOracle:
         box = BoundingBox(0j, 2.0)
         got = intersect_disk_family(fam, box, 16)
         assert_same_estimate(got, raster_oracle(fam, box, 16))
-        assert got.grid[4].tolist() == [i == 8 for i in range(16)]
+        assert region_grid(got)[4].tolist() == [i == 8 for i in range(16)]
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("resolution", [17, 64])
@@ -608,7 +626,7 @@ class TestRasterMatchesCellTest:
         assert est.box == box
         brute = feasible_cells_brute(centers, box, resolution)
         assert brute.any()
-        assert np.array_equal(est.grid, brute)
+        assert np.array_equal(region_grid(est), brute)
         assert est.feasible_area_cells == int(brute.sum())
 
     @pytest.mark.parametrize("name", [c for c in SCREEN_CASES if c != "wide"])
@@ -617,7 +635,7 @@ class TestRasterMatchesCellTest:
         est = intersect_disk_family(DiskConstraintFamily(centers, radius), box, resolution)
         brute = feasible_cells_brute(centers, box, resolution, radius)
         assert brute.any()
-        assert np.array_equal(est.grid, brute)
+        assert np.array_equal(region_grid(est), brute)
 
 
 class TestScreenDropsOnlyNonBindingDisks:

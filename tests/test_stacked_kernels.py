@@ -4,8 +4,8 @@ A row of a stacked kernel must equal, bit for bit, what the kernel gives
 for that row alone, so batched and one-at-a-time runs report the same
 numbers.  The 50-digit mpmath references bound the float error of both
 kernels; each bound is twice the worst error the previous per-function
-path (one ``mul``/``reciprocal`` per Blaschke factor, Horner ``compose``
-for the Cayley transform) measured on the same corpora.
+path (a truncated product and reciprocal per Blaschke factor, Horner
+composition for the Cayley transform) measured on the same corpora.
 """
 
 import cmath
