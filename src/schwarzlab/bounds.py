@@ -4,7 +4,9 @@ Each classical bound has one array kernel that checks a whole block of
 functions at once and returns a :class:`BoundBlock`: lhs and rhs arrays
 with one row per function and one column per check, and slack = rhs - lhs.
 Every inequality is written once, as its kernel; a single function is a
-one-row block.
+one-row block.  The b4 constraint is written once as its gap polynomials,
+:func:`b4_gap_polynomials`, which the b4 kernel here and the region
+centres and scan margins of :mod:`schwarzlab.regions` all read.
 
 Bit-exactness: a kernel row reproduces, bit for bit, what plain Python
 complex arithmetic gives for the same check, so batched and one-at-a-time
@@ -38,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from schwarzlab.families import SchwarzGenerator, evaluate_schwarz
-from schwarzlab.series import TruncatedSeries, pair_mul
+from schwarzlab.series import TruncatedSeries, from_pairs, pair_mul, to_pairs
 
 INEQUALITY_TOL = 1e-9
 
@@ -149,42 +151,45 @@ def pointwise_contraction_kernel(
     return BoundBlock(lhs, np.repeat(radii, angles_per_radius))
 
 
+def b4_gap_polynomials(B) -> np.ndarray:
+    """Coefficients of the two b4 gap polynomials, an ``(S, 2, 4)`` complex array.
+
+    Rows of ``B`` are (b1, b2, b3, b4).  At z = e^{i theta} the Livingston
+    gaps of the Cayley transform are c4 - c1 c3 = 2 z A_0(z) and
+    c4 - c2^2 = 2 z A_1(z), where
+
+        A_f(z) = b4 + a1 z + a2 z^2 + a3 z^3,
+        a1 = b2^2 (f = 0) or 2 b1 b3 - b2^2 (f = 1),  a2 = -b1^2 b2,  a3 = -b1^4,
+
+    so |A_f(e^{i theta})| <= 1 for every theta.  Entry [s, f, k] is the
+    coefficient of z^k.  Every product is an unfused :func:`pair_mul`, so
+    each entry equals plain Python complex arithmetic on ``b1 * b1``,
+    ``b2 * b2`` and ``b1 * b3``.
+    """
+    b1, b2, b3, b4 = to_pairs(B)
+    b1sq, b2sq = np.array(pair_mul(b1, b1)), np.array(pair_mul(b2, b2))
+    a2, a3 = -np.array(pair_mul(b1sq, b2)), -np.array(pair_mul(b1sq, b1sq))
+    cross = 2.0 * np.array(pair_mul(b1, b3)) - b2sq
+    return from_pairs(np.stack([b4, b2sq, a2, a3, b4, cross, a2, a3])).reshape(-1, 2, 4)
+
+
 def fourth_coefficient_kernel(W, thetas) -> tuple[BoundBlock, BoundBlock]:
     """The two unit-disk constraints on b_4, one column per rotation theta.
 
-    Pushing |c_4 - c_1 c_3| <= 2 and |c_4 - c_2^2| <= 2 through the Cayley
-    expansion gives, for every theta,
-
-        |b_4 + e^{i theta} b_2^2 - e^{i 2 theta} b_1^2 b_2 - e^{i 3 theta} b_1^4| <= 1
-        |b_4 + 2 e^{i theta} b_1 b_3 - e^{i theta} b_2^2
-             - e^{i 2 theta} b_1^2 b_2 - e^{i 3 theta} b_1^4| <= 1
-
-    returned in that order as the ``b4_eq1`` and ``b4_eq2`` blocks (the
-    CLI's --mode tokens).
+    Column j of block f is |A_f(e^{i theta_j})| <= 1 for the gap polynomials
+    of :func:`b4_gap_polynomials`, taken by Horner's rule in pair arithmetic,
+    ``abs(b4 + ((a3 z + a2) z + a1) z)``, with (a3 z + a2) z shared by both
+    families.  The blocks come in the order ``b4_eq1`` (c4 - c1 c3) and
+    ``b4_eq2`` (c4 - c2^2), the CLI's --mode tokens.
     """
     W = _schwarz_block(W, min_order=4)
-    b1, b2, b3, b4 = (_parts(W[:, k, None]) for k in range(1, 5))
-    thetas = np.asarray(thetas, dtype=float)
-    e1 = _parts(np.exp(1j * thetas))
-    e2 = _parts(np.exp(2j * thetas))
-    e3 = _parts(np.exp(3j * thetas))
-    b1sq = pair_mul(b1, b1)
-    b1p4 = pair_mul(b1sq, b1sq)
-    e1b2sq = pair_mul(e1, pair_mul(b2, b2))
-    e2b1sqb2 = pair_mul(pair_mul(e2, b1sq), b2)
-    e3b1p4 = pair_mul(e3, b1p4)
-    cross = pair_mul(pair_mul((2.0 * e1[0], 2.0 * e1[1]), b1), b3)
-
-    def combine(*terms):
-        # b4 + terms[0] - terms[1] - ..., summed left to right
-        re, im = b4[0] + terms[0][0], b4[1] + terms[0][1]
-        for tr, ti in terms[1:]:
-            re, im = re - tr, im - ti
-        return _modulus((re, im))
-
-    return (
-        BoundBlock(combine(e1b2sq, e2b1sqb2, e3b1p4), 1.0),
-        BoundBlock(combine(cross, e1b2sq, e2b1sqb2, e3b1p4), 1.0),
+    # A[:, s, f, k] is the (re, im) pair of a_k of row s, family f
+    A = np.stack(_parts(b4_gap_polynomials(W[:, 1:5])))[..., None]
+    z = _parts(np.exp(1j * np.asarray(thetas, dtype=float)))
+    h = pair_mul(np.add(pair_mul(A[:, :, 0, 3], z), A[:, :, 0, 2]), z)
+    return tuple(
+        BoundBlock(_modulus(np.add(pair_mul(np.add(h, A[:, :, f, 1]), z), A[:, :, f, 0])), 1.0)
+        for f in range(2)
     )
 
 

@@ -162,7 +162,7 @@ def estimate_peak_bytes(cfg: RunConfig) -> int:
     are the allocations that grow with the settings, with factors measured
     on the lab's own runs: about 64 (N+1)^2 bytes per row of a stacked
     series product at order N, 5 kB per sampled function for the corpora,
-    records and report rows, 160 bytes per scan angle, and for a region
+    records and report rows (scan reads no angle count), and for a region
     2 kB per grid row (its span, report rows and text; 960 at most measured),
     64 per disk and the rasterizer's two block buffers of 8 bytes per
     (grid row, disk) in a block.
@@ -173,7 +173,7 @@ def estimate_peak_bytes(cfg: RunConfig) -> int:
     if cfg.command == "verify":
         return 5000 * cfg.samples + VERIFY_BLOCK * product_row
     if cfg.command == "scan":
-        return 5000 * cfg.samples + 160 * cfg.angles
+        return 5000 * cfg.samples
     disks = cfg.angles * (2 if cfg.target == "b4" and cfg.mode == "both" else 1)
     block = min(cfg.resolution * disks, max(CHUNK_DOUBLES, disks))
     return 2048 * cfg.resolution + 16 * block + 64 * disks

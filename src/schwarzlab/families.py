@@ -177,13 +177,6 @@ def cayley_block(W, thetas) -> np.ndarray:
 
     summed in that order of j, each term an unfused complex product, so
     a row's bits do not depend on the rows or angles stacked with it.
-    The first coefficients expand to
-
-        c1 = 2 e^{i theta} b1
-        c2 = 2 (e^{i 2 theta} b1^2 + e^{i theta} b2)
-        c3 = 2 (e^{i 3 theta} b1^3 + 2 e^{i 2 theta} b1 b2 + e^{i theta} b3)
-        c4 = 2 (e^{i 4 theta} b1^4 + 3 e^{i 3 theta} b1^2 b2
-                + 2 e^{i 2 theta} b1 b3 + e^{i 2 theta} b2^2 + e^{i theta} b4)
     """
     W = _finite(np.asarray(W, dtype=np.complex128))
     if W.ndim != 2:

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from schwarzlab.bounds import b4_gap_polynomials
 from schwarzlab.families import expand_blaschke, sample_schwarz
 
 #: Region angle-sample and grid defaults: discretization error ~ 2/resolution
@@ -247,38 +248,18 @@ def b3_region(
     return intersect_disk_family(family, BoundingBox(0j, hw), resolution)
 
 
-def b4_centers(
-    b1: complex, b2: complex, b3: complex, thetas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def b4_centers(b1: complex, b2: complex, b3: complex, thetas: np.ndarray) -> np.ndarray:
     """Center curves of the two fourth-coefficient constraint families.
 
-    gamma1(theta) = -e^{i theta} b2^2 + e^{i 2 theta} b1^2 b2 + e^{i 3 theta} b1^4
-    gamma2(theta) = -2 e^{i theta} b1 b3 + e^{i theta} b2^2
-                    + e^{i 2 theta} b1^2 b2 + e^{i 3 theta} b1^4
+    Row f of the ``(2, M)`` result is gamma_f(theta) = b4 - A_f(e^{i theta})
+    = -((a3 z + a2) z + a1) z, the gap polynomials of
+    :func:`~schwarzlab.bounds.b4_gap_polynomials` by Horner's rule; row 0
+    is the eq1 family (c4 - c1 c3), row 1 the eq2 family (c4 - c2^2).
     """
-    e1 = np.exp(1j * thetas)
-    e2 = np.exp(2j * thetas)
-    e3 = np.exp(3j * thetas)
-    g1 = -e1 * b2**2 + e2 * b1**2 * b2 + e3 * b1**4
-    g2 = -2 * e1 * b1 * b3 + e1 * b2**2 + e2 * b1**2 * b2 + e3 * b1**4
-    return g1, g2
-
-
-def _check_b4_mode(mode: str) -> None:
-    if mode not in B4_MODES:
-        raise ValueError(f"mode must be eq1, eq2 or both, got {mode!r}")
-
-
-def _b4_center_list(
-    b1: complex, b2: complex, b3: complex, angle_samples: int, mode: str
-) -> np.ndarray:
-    g1, g2 = b4_centers(complex(b1), complex(b2), complex(b3), _uniform_thetas(angle_samples))
-    _check_b4_mode(mode)
-    if mode == "eq1":
-        return g1
-    if mode == "eq2":
-        return g2
-    return np.concatenate([g1, g2])
+    with np.errstate(all="ignore"):  # DiskConstraintFamily refuses non-finite centers
+        a = b4_gap_polynomials([[b1, b2, b3, 0]])[0, :, :, None]
+        z = np.exp(1j * np.asarray(thetas))
+        return -((a[:, 3] * z + a[:, 2]) * z + a[:, 1]) * z
 
 
 def b4_feasible_region(
@@ -295,7 +276,10 @@ def b4_feasible_region(
     or their joint intersection ("both").  The bounding box is centered
     at 0 with half-width 1 + max_j |gamma(theta_j)|.
     """
-    centers = _b4_center_list(b1, b2, b3, angle_samples, mode)
+    if mode not in B4_MODES:
+        raise ValueError(f"mode must be eq1, eq2 or both, got {mode!r}")
+    gammas = b4_centers(b1, b2, b3, _uniform_thetas(angle_samples))
+    centers = gammas.ravel() if mode == "both" else gammas[B4_MODES.index(mode)]
     family = DiskConstraintFamily(centers=centers, radius=1.0)
     hw = 1.0 + float(np.max(np.abs(centers)))
     return intersect_disk_family(family, BoundingBox(0j, hw), resolution)
@@ -309,23 +293,21 @@ _FIXED_POINTS = np.array([1, 1j, -1, -1j])
 def _exact_margins(B: np.ndarray) -> np.ndarray:
     """1 - max_theta |b4 - gamma_f(theta)| for each row (b1, b2, b3, b4) of B.
 
-    Returns an (S, 2) array, column f for the gamma_{f+1} family; a row
+    Returns an (S, 2) array, column f for family f (eq1, eq2); a row
     holding nan or inf gets a nan or -inf margin.  b4 - gamma_f(theta) =
-    A(e^{i theta}), A(z) = b4 + a1 z - b1^2 b2 z^2 - b1^4 z^3 with a1 = b2^2
-    (gamma1) or 2 b1 b3 - b2^2 (gamma2).  G = |A|^2 = c_0 + 2 Re sum_{d=1..3}
-    C_d z^d, C_d = sum_k a_{k+d} conj(a_k), so G'(theta) = 0 iff z is a
-    unimodular root of Q(z) = sum_d d (C_d z^{3+d} - conj(C_d) z^{3-d}).
-    Rows are grouped by their top nonzero C_d (b1 = 0 leaves d = 1), and the
-    2d roots of Q / z^{3-d} are companion-matrix eigenvalues.  |A| is taken
-    at every root projected onto the circle and at the fixed points: all
-    real points, so the maximum is never overstated, and as G' = 0 at a
-    maximizer, a root error moves it only at second order.
+    A(e^{i theta}), A(z) = sum_k a_k z^k the gap polynomial of
+    :func:`~schwarzlab.bounds.b4_gap_polynomials`.  G = |A|^2 = c_0 + 2 Re
+    sum_{d=1..3} C_d z^d, C_d = sum_k a_{k+d} conj(a_k), so G'(theta) = 0
+    iff z is a unimodular root of Q(z) = sum_d d (C_d z^{3+d} - conj(C_d)
+    z^{3-d}).  Rows are grouped by their top nonzero C_d (b1 = 0 leaves
+    d = 1), and the 2d roots of Q / z^{3-d} are companion-matrix
+    eigenvalues.  |A| is taken at every root projected onto the circle and
+    at the fixed points: all real points, so the maximum is never
+    overstated, and as G' = 0 at a maximizer, a root error moves it only at
+    second order.
     """
     with np.errstate(all="ignore"):  # non-finite rows stay non-finite
-        b1, b2, b3, b4 = np.asarray(B, dtype=complex).T
-        a = np.empty((len(b1), 2, 4), dtype=complex)
-        a[..., 0], a[..., 2], a[..., 3] = b4[:, None], (-b1 * b1 * b2)[:, None], (-b1**4)[:, None]
-        a[:, 0, 1], a[:, 1, 1] = b2 * b2, 2 * b1 * b3 - b2 * b2
+        a = b4_gap_polynomials(B)
         C = np.stack([(a[..., d:] * a[..., : 4 - d].conj()).sum(-1) for d in (1, 2, 3)], -1)
         C = C.reshape(-1, 3)
         top = np.where(C[:, 2] != 0, 3, np.where(C[:, 1] != 0, 2, (C[:, 0] != 0).astype(int)))

@@ -61,25 +61,6 @@ class TruncatedSeries:
     def __repr__(self) -> str:
         return f"TruncatedSeries(order={self.order}, coeffs={list(self.coeffs)!r})"
 
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls(np.zeros(order + 1, dtype=np.complex128))
-
-    @classmethod
-    def constant(cls, value: complex, order: int) -> "TruncatedSeries":
-        arr = np.zeros(order + 1, dtype=np.complex128)
-        arr[0] = value
-        return cls(arr)
-
-    @classmethod
-    def identity(cls, order: int) -> "TruncatedSeries":
-        """The series ``z``."""
-        if order < 1:
-            raise ValueError("identity series needs order >= 1")
-        arr = np.zeros(order + 1, dtype=np.complex128)
-        arr[1] = 1.0
-        return cls(arr)
-
 
 def pair_mul(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Complex product of (re, im) float pairs, unfused as Python's ``*``.

@@ -11,7 +11,10 @@ shared angle table (an upper bound at every angle count M), equal bit for
 bit to the same margin over freshly built
 :func:`schwarzlab.regions.b4_centers`; a dense 2^20-angle maximum written
 as a real trigonometric polynomial; and a 50-digit mpmath maximum polished
-from a grid with ``findroot``.  The raster and RLE oracles
+from a grid with ``findroot``.  Every b4 reference takes Horner's rule on
+its own Python-complex gap coefficients (:func:`gap_coefficients`);
+:func:`b4_centers_closed_form` keeps the term-by-term center curves as an
+independent check of them.  The raster and RLE oracles
 keep the full-grid, large-chunk rasterizer, the per-row run-length
 encoder and the numpy-index boundary listing as the reference for the
 row-band, block-sized rasterizer and the flat-index renderers; the
@@ -61,6 +64,28 @@ def cayley_oracle(b, theta):
     return division_oracle(one + u, one - u)
 
 
+def gap_coefficients(b1, b2, b3):
+    """((a1 for eq1, a1 for eq2), a2, a3) of the b4 gap polynomials
+    b4 + a1 z + a2 z^2 + a3 z^3, in plain Python complex arithmetic."""
+    b1sq = b1 * b1
+    return (b2 * b2, 2 * (b1 * b3) - b2 * b2), -(b1sq * b2), -(b1sq * b1sq)
+
+
+def b4_centers_closed_form(b1, b2, b3, thetas):
+    """The two b4 center curves written out term by term:
+
+    gamma1 = -e^{i theta} b2^2 + e^{i 2 theta} b1^2 b2 + e^{i 3 theta} b1^4
+    gamma2 = -2 e^{i theta} b1 b3 + e^{i theta} b2^2 + e^{i 2 theta} b1^2 b2
+             + e^{i 3 theta} b1^4
+    """
+    e1 = np.exp(1j * thetas)
+    e2 = np.exp(2j * thetas)
+    e3 = np.exp(3j * thetas)
+    g1 = -e1 * b2**2 + e2 * b1**2 * b2 + e3 * b1**4
+    g2 = -2 * e1 * b1 * b3 + e1 * b2**2 + e2 * b1**2 * b2 + e3 * b1**4
+    return g1, g2
+
+
 def schwarz_slacks(gen, w, radii, angles_per_radius, thetas):
     """Plain-Python slacks of one Schwarz function, per verify family.
 
@@ -74,13 +99,9 @@ def schwarz_slacks(gen, w, radii, angles_per_radius, thetas):
     radii = [float(r) for r in radii]
     phases = np.exp(2j * math.pi * np.arange(angles_per_radius) / angles_per_radius)
     values = np.abs(evaluate_schwarz(gen, (np.array(radii)[:, None] * phases).ravel()))
-    eq1, eq2 = [], []
-    for theta in thetas:
-        e1, e2, e3 = np.exp(1j * theta), np.exp(2j * theta), np.exp(3j * theta)
-        lhs1 = abs(b4 + e1 * b2**2 - e2 * b1**2 * b2 - e3 * b1**4)
-        lhs2 = abs(b4 + 2 * e1 * b1 * b3 - e1 * b2**2 - e2 * b1**2 * b2 - e3 * b1**4)
-        eq1.append(1.0 - lhs1)
-        eq2.append(1.0 - lhs2)
+    zs = [complex(np.exp(1j * theta)) for theta in thetas]
+    a1s, a2, a3 = gap_coefficients(b1, b2, b3)
+    eq1, eq2 = ([1.0 - abs(b4 + ((a3 * z + a2) * z + a1) * z) for z in zs] for a1 in a1s)
     return {
         "coefficient_bound": [1.0 - abs(w[k]) for k in range(1, w.order + 1)],
         "b2_bound": [(1.0 - abs(b1) ** 2) - abs(b2)],
@@ -184,36 +205,33 @@ def b4_margin_oracle(b1, b2, b3, b4, angle_samples, mode="both"):
 
 
 def angle_table(angle_samples):
-    """(e^{i theta}, e^{2 i theta}, e^{3 i theta}, -2 e^{i theta}) at M uniform
-    angles, shared by every :func:`sampled_b4_margin` call of a scan."""
+    """e^{i theta} at M uniform angles, shared by every
+    :func:`sampled_b4_margin` call of a scan."""
     from schwarzlab.regions import _uniform_thetas
 
-    thetas = _uniform_thetas(angle_samples)
-    e1 = np.exp(1j * thetas)
-    return e1, np.exp(2j * thetas), np.exp(3j * thetas), -2 * e1
+    return np.exp(1j * _uniform_thetas(angle_samples))
 
 
-def sampled_b4_margin(table, b1, b2, b3, b4, mode):
-    """1 - max_j |b4 - gamma_j| over the families of ``mode`` at the table's
-    angles: the signed distance of b4 to the sampled constraint set.
+def sampled_b4_margin(z, b1, b2, b3, b4, mode):
+    """1 - max_j |b4 - gamma_j| over the families of ``mode`` at the points
+    ``z`` of an :func:`angle_table`: the signed distance of b4 to the
+    sampled constraint set.
 
-    The terms shared by gamma1 and gamma2 are formed once; the sums keep
-    the operand order of :func:`schwarzlab.regions.b4_centers`, so margins
-    match it bit for bit.  np.maximum keeps a NaN distance, which Python's
-    max would drop.
+    b4 - gamma = b4 + ((a3 z + a2) z + a1) z is taken by numpy's Horner rule
+    on :func:`gap_coefficients`, with (a3 z + a2) z formed once: the
+    products of :func:`schwarzlab.regions.b4_centers`, whose center curves
+    are their negatives, so margins match it bit for bit.  np.maximum keeps
+    a NaN distance, which Python's max would drop.
     """
-    from schwarzlab.regions import _check_b4_mode
-
-    _check_b4_mode(mode)
-    e1, e2, e3, m2e1 = table
-    p1 = e1 * b2**2
-    p2 = e2 * b1**2 * b2
-    p3 = e3 * b1**4
+    if mode not in ("eq1", "eq2", "both"):
+        raise ValueError(f"mode must be eq1, eq2 or both, got {mode!r}")
+    (a1_eq1, a1_eq2), a2, a3 = gap_coefficients(b1, b2, b3)
+    h = (a3 * z + a2) * z
     far1 = far2 = -math.inf
     if mode != "eq2":
-        far1 = np.abs(b4 - (-p1 + p2 + p3)).max()
+        far1 = np.abs(b4 + (h + a1_eq1) * z).max()
     if mode != "eq1":
-        far2 = np.abs(b4 - (m2e1 * b1 * b3 + p1 + p2 + p3)).max()
+        far2 = np.abs(b4 + (h + a1_eq2) * z).max()
     return float(1.0 - np.maximum(far1, far2))
 
 

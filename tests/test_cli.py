@@ -853,7 +853,6 @@ class TestPeakMemoryEstimate:
         RunConfig(command="region", target="b3", b1=0.3, angles=10**9),
         RunConfig(command="region", target="b4", b1=0.3, mode="eq1", angles=10**12),
         RunConfig(command="scan", samples=10**9),
-        RunConfig(command="scan", angles=10**10),
         RunConfig(command="verify", samples=10**9),
         RunConfig(command="verify", order=10**5),
         RunConfig(command="expand", order=10**5),
@@ -892,10 +891,21 @@ class TestPeakMemoryEstimate:
         assert grows(region, angles=4 * region.angles)
         scan = RunConfig(command="scan")
         assert grows(scan, samples=2 * scan.samples)
-        assert grows(scan, angles=2 * scan.angles)
+        assert not grows(scan, angles=2 * scan.angles)  # scan reads no angle count
         verify = RunConfig(command="verify")
         assert grows(verify, samples=2 * verify.samples)
         assert grows(verify, order=2 * verify.order)
+
+    def test_scan_estimate_does_not_depend_on_angles(self, capsys):
+        # scan echoes --angles but never reads it, so no angle count is refused
+        base = cli.estimate_peak_bytes(RunConfig(command="scan"))
+        for angles in (3, 4096, 2 * 10**7, 10**10):
+            cfg = RunConfig(command="scan", angles=angles)
+            assert cli.estimate_peak_bytes(cfg) == base
+            cfg.validate()
+        code, out, err = run_cli(capsys, ["scan", "--samples", "1", "--angles", "20000000"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["config"]["angles"] == 20000000
 
     def test_region_is_charged_per_row_not_per_cell(self, capsys, tmp_path):
         # a 16384-row b3 region peaks about 14 MiB above the interpreter
