@@ -2,6 +2,9 @@
 """Corpus verification experiment: worst slack of every coefficient bound
 over seeded Schwarz and Herglotz corpora.
 
+Runs ``schwarzlab verify`` in process, so its settings are checked as the
+CLI checks them: a refused setting prints ``error: ...`` and exits 2.
+
 Example:
     python3 scripts/run_corpus_verification.py --samples 1000 --seed 42
 """
@@ -10,7 +13,12 @@ import argparse
 import sys
 import time
 
-from schwarzlab.cli import RunConfig, _run_verify
+from schwarzlab.cli import RunConfig, run
+
+
+def _slack(x) -> str:
+    # the report holds a non-finite slack as None
+    return f"{'non-finite':>14s}" if x is None else f"{x:14.3e}"
 
 
 def main() -> int:
@@ -21,18 +29,21 @@ def main() -> int:
     args = ap.parse_args()
 
     start = time.perf_counter()
-    status, rows, worst = _run_verify(
-        RunConfig(command="verify", order=args.order, seed=args.seed, samples=args.samples)
-    )
+    try:
+        status, report = run(RunConfig(command="verify", **vars(args)))
+    except (ValueError, OverflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.perf_counter() - start
 
     print(f"{'bound':24s} {'checks':>9s} {'worst slack':>14s} {'at sample':>10s}")
-    for row in rows:
+    for row in report["results"]:
         print(
-            f"{row['bound']:24s} {row['checks']:9d} {row['worst_slack']:14.3e} "
+            f"{row['bound']:24s} {row['checks']:9d} {_slack(row['worst_slack'])} "
             f"{row['worst_index']:10d}"
         )
-    print(f"\noverall worst slack: {worst:.3e}  ({elapsed:.1f}s, status {status})")
+    worst = _slack(report["worst_slack"]).strip()
+    print(f"\noverall worst slack: {worst}  ({elapsed:.1f}s, status {status})")
     return status
 
 

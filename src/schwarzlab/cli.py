@@ -47,8 +47,8 @@ from schwarzlab.bounds import (
     power_bound_kernel,
 )
 from schwarzlab.families import (
-    CayleyOfSchwarz,
-    HerglotzAtoms,
+    B1_UNIT_TOL,
+    CaratheodoryGenerator,
     InvalidGeneratorError,
     cayley_block,
     expand_blaschke,
@@ -90,11 +90,14 @@ VERIFY_LIVINGSTON_MAX_S = 10
 #: A run whose estimated peak working memory (see :func:`estimate_peak_bytes`)
 #: exceeds this many bytes is refused before it allocates anything.
 MAX_PEAK_BYTES = 2 * 1024**3
+#: The size flags each command reads, named when a run is refused for memory.
+_SIZE_FLAGS = {"expand": "--order", "verify": "--samples or --order",
+               "scan": "--samples", "region": "--resolution or --angles"}
 
 
 @dataclass
 class RunConfig:
-    """Validated CLI run configuration; unused fields stay at None."""
+    """Validated CLI run configuration and the CLI's defaults; unused fields stay at None."""
 
     command: str
     order: int = 12
@@ -141,7 +144,7 @@ class RunConfig:
             for flag, z in read.items():
                 if z is not None and not cmath.isfinite(z):
                     raise ValueError(f"--{flag} must be finite")
-            if abs(self.b1) > 1.0 + 1e-12:
+            if abs(self.b1) > 1.0 + B1_UNIT_TOL:
                 raise ValueError("region needs |b1| <= 1")
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError("tol must be finite and positive")
@@ -150,8 +153,7 @@ class RunConfig:
             # integer GiB: a float quotient overflows for absurd settings
             raise ValueError(
                 f"{self.command} would need about {-(-peak // 2**30)} GiB, over the "
-                f"{MAX_PEAK_BYTES // 2**30} GiB cap; lower --resolution, "
-                "--angles, --samples or --order"
+                f"{MAX_PEAK_BYTES // 2**30} GiB cap; lower {_SIZE_FLAGS[self.command]}"
             )
 
 
@@ -229,7 +231,7 @@ def _config_payload(cfg: RunConfig, spec: Optional[str]) -> dict:
 
 def _run_expand(cfg: RunConfig, spec: str) -> tuple[int, list]:
     gen = parse_generator(spec)
-    if isinstance(gen, (HerglotzAtoms, CayleyOfSchwarz)):
+    if isinstance(gen, CaratheodoryGenerator):
         series = expand_caratheodory(gen, cfg.order)
     else:
         series = expand_schwarz(gen, cfg.order)
@@ -651,36 +653,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, order_default=12):
-        p.add_argument("--order", type=int, default=order_default)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--samples", type=int, default=100)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="json")
-        p.add_argument("--out", default=None, metavar="PATH")
+    def command(name, summary):
+        # a flag left off the command line stays unset: RunConfig holds the defaults
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        p.add_argument("--order", type=int)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--samples", type=int)
+        p.add_argument("--tol", type=float)
+        p.add_argument("--format", choices=("csv", "json"))
+        p.add_argument("--out", metavar="PATH")
+        return p
 
-    p_expand = sub.add_parser("expand", help="expand a generator to coefficients")
-    common(p_expand)
+    p_expand = command("expand", "expand a generator to coefficients")
     p_expand.add_argument("spec", help="generator expression")
 
-    p_verify = sub.add_parser("verify", help="run the inequality suite on corpora")
-    common(p_verify)
+    command("verify", "run the inequality suite on corpora")
 
-    p_region = sub.add_parser("region", help="rasterize a coefficient region")
-    common(p_region)
-    p_region.add_argument("--b1", type=_parse_complex_flag, default=None)
-    p_region.add_argument("--b2", type=_parse_complex_flag, default=None)
-    p_region.add_argument("--b3", type=_parse_complex_flag, default=None)
-    p_region.add_argument("--target", choices=("b3", "b4"), default=None)
-    p_region.add_argument("--mode", choices=B4_MODES, default="both")
-    p_region.add_argument("--angles", type=int, default=DEFAULT_ANGLES, metavar="M")
-    p_region.add_argument(
-        "--resolution", type=int, default=DEFAULT_RESOLUTION, metavar="R"
-    )
+    p_region = command("region", "rasterize a coefficient region")
+    p_region.add_argument("--b1", type=_parse_complex_flag)
+    p_region.add_argument("--b2", type=_parse_complex_flag)
+    p_region.add_argument("--b3", type=_parse_complex_flag)
+    p_region.add_argument("--target", choices=("b3", "b4"))
+    p_region.add_argument("--mode", choices=B4_MODES)
+    p_region.add_argument("--angles", type=int, metavar="M")
+    p_region.add_argument("--resolution", type=int, metavar="R")
 
-    p_scan = sub.add_parser("scan", help="attainability scan for b4")
-    common(p_scan)
-    p_scan.add_argument("--angles", type=int, default=DEFAULT_ANGLES, metavar="M",
+    p_scan = command("scan", "attainability scan for b4")
+    p_scan.add_argument("--angles", type=int, metavar="M",
                         help="validated and echoed only: scan margins are exact")
 
     return parser
@@ -691,27 +690,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_join_negative_values(argv))
+        args = vars(parser.parse_args(_join_negative_values(argv)))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    cfg = RunConfig(
-        command=args.command,
-        order=args.order,
-        seed=args.seed,
-        samples=args.samples,
-        tol=args.tol,
-        format=args.format,
-        out=args.out,
-        b1=getattr(args, "b1", None),
-        b2=getattr(args, "b2", None),
-        b3=getattr(args, "b3", None),
-        target=getattr(args, "target", None),
-        mode=getattr(args, "mode", "both"),
-        angles=getattr(args, "angles", DEFAULT_ANGLES),
-        resolution=getattr(args, "resolution", DEFAULT_RESOLUTION),
-    )
+    spec = args.pop("spec", None)
+    cfg = RunConfig(**args)
     try:
-        status, report = run(cfg, getattr(args, "spec", None))
+        status, report = run(cfg, spec)
         # strict JSON refuses what overflows past the nulls set in the report
         text = (
             render_json(report)

@@ -7,9 +7,11 @@ w -> (1 + e^{i theta} w)/(1 - e^{i theta} w), which this module realizes
 both on truncated series and in closed form.
 
 Generators are small frozen dataclasses describing a function symbolically;
-``expand_*`` produces its Taylor series to a requested order, while
-``evaluate_*`` evaluates the function itself at points of the disk
-(used by pointwise checks that must not be contaminated by truncation).
+each checks its family's invariants when it is built and raises
+:class:`InvalidGeneratorError` if they fail.  ``expand_*`` produces its
+Taylor series to a requested order, while ``evaluate_*`` evaluates the
+function itself at points of the disk (used by pointwise checks that must
+not be contaminated by truncation).
 
 :func:`expand_blaschke` and :func:`cayley_block` expand whole stacks of
 Blaschke products and their Cayley transforms at once; a row's bits do
@@ -39,9 +41,10 @@ from schwarzlab.series import (
     with_turn,
 )
 
-#: |b1| within this distance of 1 selects the rotation branch of the
-#: second-coefficient extremal family.
-UNIT_BRANCH_TOL = 1e-12
+#: Roundoff allowed on |b1| <= 1 wherever it is required (the second-coefficient
+#: extremal, the region commands); |b1| within this distance of 1 also selects
+#: the extremal's rotation branch.
+B1_UNIT_TOL = 1e-12
 
 #: Validation cap on Blaschke zero moduli; sampled zeros stay within 0.9.
 ZERO_MODULUS_CAP = 0.95
@@ -65,6 +68,10 @@ class MonomialRotation:
     k: int
     theta: float
 
+    def __post_init__(self):
+        if self.k < 1:
+            raise InvalidGeneratorError("monomial power k must be >= 1")
+
 
 @dataclass(frozen=True)
 class B2Extremal:
@@ -76,6 +83,10 @@ class B2Extremal:
 
     b1: complex
     theta: float
+
+    def __post_init__(self):
+        if abs(self.b1) > 1.0 + B1_UNIT_TOL:
+            raise InvalidGeneratorError("|b1| must be <= 1")
 
 
 @dataclass(frozen=True)
@@ -90,6 +101,15 @@ class FiniteBlaschke:
     m: int
     zeros: tuple[complex, ...] = ()
 
+    def __post_init__(self):
+        if self.m < 1:
+            raise InvalidGeneratorError("Blaschke factor needs m >= 1 so that w(0) = 0")
+        for a in self.zeros:
+            if abs(a) > ZERO_MODULUS_CAP:
+                raise InvalidGeneratorError(
+                    f"Blaschke zero modulus {abs(a):.4f} exceeds cap {ZERO_MODULUS_CAP}"
+                )
+
 
 @dataclass(frozen=True)
 class HerglotzAtoms:
@@ -102,6 +122,15 @@ class HerglotzAtoms:
 
     atoms: tuple[tuple[float, float], ...]
 
+    def __post_init__(self):
+        if not self.atoms:
+            raise InvalidGeneratorError("atom list must be non-empty")
+        weights = [w for w, _ in self.atoms]
+        if any(w <= 0 for w in weights):
+            raise InvalidGeneratorError("atom weights must be positive")
+        if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
+            raise InvalidGeneratorError("atom weights must sum to 1")
+
 
 @dataclass(frozen=True)
 class CayleyOfSchwarz:
@@ -109,6 +138,11 @@ class CayleyOfSchwarz:
 
     inner: "SchwarzGenerator"
     theta: float
+
+    def __post_init__(self):
+        # the inner generator checked its own invariants when it was built
+        if not isinstance(self.inner, SchwarzGenerator):
+            raise InvalidGeneratorError(f"not a Schwarz generator: {self.inner!r}")
 
 
 @dataclass(frozen=True)
@@ -118,47 +152,13 @@ class InverseCayley:
     inner: "CaratheodoryGenerator"
     theta: float
 
+    def __post_init__(self):
+        if not isinstance(self.inner, CaratheodoryGenerator):
+            raise InvalidGeneratorError(f"not a Caratheodory generator: {self.inner!r}")
+
 
 SchwarzGenerator = Union[MonomialRotation, B2Extremal, FiniteBlaschke, InverseCayley]
 CaratheodoryGenerator = Union[HerglotzAtoms, CayleyOfSchwarz]
-
-
-def validate_schwarz(g: SchwarzGenerator) -> None:
-    """Raise InvalidGeneratorError unless g satisfies its family invariants."""
-    if isinstance(g, MonomialRotation):
-        if g.k < 1:
-            raise InvalidGeneratorError("monomial power k must be >= 1")
-    elif isinstance(g, B2Extremal):
-        if abs(g.b1) > 1.0 + UNIT_BRANCH_TOL:
-            raise InvalidGeneratorError("|b1| must be <= 1")
-    elif isinstance(g, FiniteBlaschke):
-        if g.m < 1:
-            raise InvalidGeneratorError("Blaschke factor needs m >= 1 so that w(0) = 0")
-        for a in g.zeros:
-            if abs(a) > ZERO_MODULUS_CAP:
-                raise InvalidGeneratorError(
-                    f"Blaschke zero modulus {abs(a):.4f} exceeds cap {ZERO_MODULUS_CAP}"
-                )
-    elif isinstance(g, InverseCayley):
-        validate_caratheodory(g.inner)
-    else:
-        raise InvalidGeneratorError(f"not a Schwarz generator: {g!r}")
-
-
-def validate_caratheodory(g: CaratheodoryGenerator) -> None:
-    """Raise InvalidGeneratorError unless g satisfies its family invariants."""
-    if isinstance(g, HerglotzAtoms):
-        if not g.atoms:
-            raise InvalidGeneratorError("atom list must be non-empty")
-        weights = [w for w, _ in g.atoms]
-        if any(w <= 0 for w in weights):
-            raise InvalidGeneratorError("atom weights must be positive")
-        if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
-            raise InvalidGeneratorError("atom weights must sum to 1")
-    elif isinstance(g, CayleyOfSchwarz):
-        validate_schwarz(g.inner)
-    else:
-        raise InvalidGeneratorError(f"not a Caratheodory generator: {g!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +291,6 @@ def expand_blaschke(gens: Sequence[FiniteBlaschke], order: int) -> np.ndarray:
     so its bits do not depend on the rows stacked with it.
     """
     for g in gens:
-        validate_schwarz(g)
         if not isinstance(g, FiniteBlaschke):
             raise InvalidGeneratorError(f"not a finite Blaschke product: {g!r}")
     if order < 1:
@@ -329,7 +328,8 @@ def expand_schwarz(g: SchwarzGenerator, order: int) -> TruncatedSeries:
     """
     if isinstance(g, FiniteBlaschke):
         return TruncatedSeries(expand_blaschke([g], order)[0])
-    validate_schwarz(g)
+    if not isinstance(g, SchwarzGenerator):
+        raise InvalidGeneratorError(f"not a Schwarz generator: {g!r}")
     if order < 1:
         raise ValueError("need order >= 1")
     if isinstance(g, MonomialRotation):
@@ -338,7 +338,7 @@ def expand_schwarz(g: SchwarzGenerator, order: int) -> TruncatedSeries:
             arr[g.k] = np.exp(1j * g.theta)
         return TruncatedSeries(arr)
     if isinstance(g, B2Extremal):
-        if abs(g.b1) >= 1.0 - UNIT_BRANCH_TOL:
+        if abs(g.b1) >= 1.0 - B1_UNIT_TOL:
             arr = np.zeros(order + 1, dtype=np.complex128)
             arr[1] = g.b1 / abs(g.b1)
             return TruncatedSeries(arr)
@@ -358,7 +358,8 @@ def expand_schwarz(g: SchwarzGenerator, order: int) -> TruncatedSeries:
 
 def expand_caratheodory(g: CaratheodoryGenerator, order: int) -> TruncatedSeries:
     """Taylor expansion of a Caratheodory generator to the given order."""
-    validate_caratheodory(g)
+    if not isinstance(g, CaratheodoryGenerator):
+        raise InvalidGeneratorError(f"not a Caratheodory generator: {g!r}")
     if order < 1:
         raise ValueError("need order >= 1")
     if isinstance(g, HerglotzAtoms):
@@ -380,12 +381,13 @@ def expand_caratheodory(g: CaratheodoryGenerator, order: int) -> TruncatedSeries
 
 def evaluate_schwarz(g: SchwarzGenerator, z: np.ndarray | complex) -> np.ndarray:
     """Evaluate the generator's function at points of the open disk."""
-    validate_schwarz(g)
+    if not isinstance(g, SchwarzGenerator):
+        raise InvalidGeneratorError(f"not a Schwarz generator: {g!r}")
     z = np.asarray(z, dtype=np.complex128)
     if isinstance(g, MonomialRotation):
         return np.exp(1j * g.theta) * z**g.k
     if isinstance(g, B2Extremal):
-        if abs(g.b1) >= 1.0 - UNIT_BRANCH_TOL:
+        if abs(g.b1) >= 1.0 - B1_UNIT_TOL:
             return (g.b1 / abs(g.b1)) * z
         rot = np.exp(1j * g.theta)
         return (g.b1 * z + rot * z**2) / (1.0 + rot * np.conj(g.b1) * z)
@@ -405,7 +407,8 @@ def evaluate_schwarz(g: SchwarzGenerator, z: np.ndarray | complex) -> np.ndarray
 
 def evaluate_caratheodory(g: CaratheodoryGenerator, z: np.ndarray | complex) -> np.ndarray:
     """Evaluate the generator's function at points of the open disk."""
-    validate_caratheodory(g)
+    if not isinstance(g, CaratheodoryGenerator):
+        raise InvalidGeneratorError(f"not a Caratheodory generator: {g!r}")
     z = np.asarray(z, dtype=np.complex128)
     if isinstance(g, HerglotzAtoms):
         acc = np.zeros_like(z)

@@ -286,11 +286,11 @@ def _build(head: str, positional: list, kwargs: dict, parser: _Parser):
         theta = _as_real(_take(kwargs, positional, "theta", parser), "theta")
         inner = _take(kwargs, positional, "inner", parser)
         if head == "cayley":
-            if not _is_schwarz(inner):
+            if not isinstance(inner, SchwarzGenerator):
                 raise GeneratorParseError("cayley needs a Schwarz-class inner function")
             gen = CayleyOfSchwarz(inner=inner, theta=theta)
         else:
-            if not _is_caratheodory(inner):
+            if not isinstance(inner, CaratheodoryGenerator):
                 raise GeneratorParseError(
                     "invcayley needs a Caratheodory-class inner function"
                 )
@@ -306,21 +306,18 @@ def _build(head: str, positional: list, kwargs: dict, parser: _Parser):
     return gen
 
 
-def _is_schwarz(value) -> bool:
-    return isinstance(value, (MonomialRotation, B2Extremal, FiniteBlaschke, InverseCayley))
-
-
-def _is_caratheodory(value) -> bool:
-    return isinstance(value, (HerglotzAtoms, CayleyOfSchwarz))
-
-
 def parse_generator(text: str) -> SchwarzGenerator | CaratheodoryGenerator:
-    """Parse a generator expression; raises GeneratorParseError on bad input."""
+    """Parse a generator expression.
+
+    Raises GeneratorParseError on input outside the grammar, and
+    InvalidGeneratorError (from the generator's constructor) on parameters
+    outside its family, such as ``blaschke(phi=0, m=0)``.
+    """
     parser = _Parser(text)
     value = parser.parse_value()
     kind, val, at = parser.peek()
     if kind != "end":
         raise GeneratorParseError(f"trailing input at position {at}: {val!r}")
-    if not (_is_schwarz(value) or _is_caratheodory(value)):
+    if not isinstance(value, (SchwarzGenerator, CaratheodoryGenerator)):
         raise GeneratorParseError("expression is a bare number, not a generator")
     return value

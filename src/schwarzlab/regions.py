@@ -45,10 +45,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from schwarzlab.bounds import b4_gap_polynomials
-from schwarzlab.families import expand_blaschke, sample_schwarz
+from schwarzlab.families import B1_UNIT_TOL, expand_blaschke, sample_schwarz
 
-#: Region angle-sample and grid defaults: discretization error ~ 2/resolution
-#: + 10/M sits below the 5e-3 scale of the region checks.
+#: Region angle-sample and grid defaults.  At these the b3 region's
+#: max-modulus error stays below 2/resolution + 10/M, under the 5e-3 scale of
+#: the region checks; that figure is empirical (scripts/b3_region_convergence.py
+#: checks it), not a bound, and the sampled raster can admit a cell outside
+#: the exact set.
 DEFAULT_ANGLES = 4096
 DEFAULT_RESOLUTION = 1024
 
@@ -240,7 +243,7 @@ def b3_region(
     Converges to the disk |x| <= 1 - |b1|^3 as angle_samples and
     resolution grow.
     """
-    if abs(b1) > 1.0 + 1e-12:
+    if abs(b1) > 1.0 + B1_UNIT_TOL:
         raise ValueError("|b1| must be <= 1")
     centers = b3_centers(b1, _uniform_thetas(angle_samples))
     family = DiskConstraintFamily(centers=centers, radius=1.0)

@@ -21,10 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Truncation order used throughout the lab unless a caller overrides it.
-DEFAULT_ORDER = 12
-
-
 class OrderMismatchError(ValueError):
     """Operands carry different truncation orders."""
 

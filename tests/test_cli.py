@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,13 @@ from hypothesis import strategies as st
 import schwarzlab.cli as cli
 import schwarzlab.regions as regions
 from schwarzlab.bounds import BoundBlock
-from schwarzlab.families import expand_schwarz, sample_schwarz
+from schwarzlab.families import (
+    B1_UNIT_TOL,
+    B2Extremal,
+    InvalidGeneratorError,
+    expand_schwarz,
+    sample_schwarz,
+)
 from oracles import (
     boundary_oracle,
     dense_b4_margins,
@@ -800,6 +807,19 @@ class TestSharedValidationConstants:
         with pytest.raises(ValueError, match="mode must be eq1, eq2 or both"):
             RunConfig(command="scan", mode="all").validate()
 
+    def test_one_b1_tolerance(self):
+        # the CLI, the b3 region and the second-coefficient extremal agree on |b1| <= 1
+        inside, outside = 1.0 + 0.5 * B1_UNIT_TOL, 1.0 + 2.0 * B1_UNIT_TOL
+        RunConfig(command="region", target="b3", b1=inside).validate()
+        regions.b3_region(inside, angle_samples=8, resolution=16)
+        B2Extremal(b1=inside, theta=0.0)
+        with pytest.raises(ValueError, match=r"\|b1\| <= 1"):
+            RunConfig(command="region", target="b3", b1=outside).validate()
+        with pytest.raises(ValueError, match=r"\|b1\| must be <= 1"):
+            regions.b3_region(outside, angle_samples=8, resolution=16)
+        with pytest.raises(InvalidGeneratorError, match=r"\|b1\| must be <= 1"):
+            B2Extremal(b1=outside, theta=0.0)
+
 
 class TestOutputFile:
     def test_out_flag_writes_file(self, capsys, tmp_path):
@@ -820,6 +840,19 @@ class TestRunConfigValidation:
         cfg.validate()
         assert cfg.order == 12 and cfg.seed == 42
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify"], ["scan"], ["region"], ["expand", "monomial(k=1, theta=0)"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_parser_sets_only_the_flags_given(self, argv):
+        # RunConfig is the one home of the CLI's defaults
+        args = vars(build_parser().parse_args(argv))
+        assert args == {"command": argv[0], **({"spec": argv[1]} if argv[1:] else {})}
+        args = vars(build_parser().parse_args([argv[0], "--seed", "7", *argv[1:]]))
+        args.pop("spec", None)
+        assert RunConfig(**args).seed == 7
+
     def test_region_order_floor(self):
         cfg = RunConfig(command="region", order=3, target="b3", b1=0.1)
         with pytest.raises(ValueError):
@@ -836,13 +869,21 @@ def test_corpus_verification_script_runs():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "run_corpus_verification.py"),
-         "--samples", "20"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+
+    def script(*argv):
+        return subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "run_corpus_verification.py"), *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    proc = script("--samples", "20")
     assert proc.returncode == 0, proc.stderr
     assert "livingston_cayley" in proc.stdout
+    # settings are checked as the CLI checks them
+    proc = script("--order", "3")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: verify needs order >= 4\n"
+    assert proc.stdout == ""
 
 
 class TestPeakMemoryEstimate:
@@ -859,11 +900,38 @@ class TestPeakMemoryEstimate:
         RunConfig(command="region", target="b3", b1=0.3, resolution=10**200),
     ]
 
+    #: The size flags each command reads.
+    READS = {
+        "expand": {"--order"},
+        "verify": {"--samples", "--order"},
+        "scan": {"--samples"},
+        "region": {"--resolution", "--angles"},
+    }
+
     @pytest.mark.parametrize("cfg", HUGE, ids=lambda c: c.command)
     def test_huge_settings_are_refused(self, cfg):
         assert cli.estimate_peak_bytes(cfg) > cli.MAX_PEAK_BYTES
         with pytest.raises(ValueError, match="GiB cap"):
             cfg.validate()
+
+    @pytest.mark.parametrize("cfg", HUGE, ids=lambda c: c.command)
+    def test_refusal_names_only_the_flags_the_command_reads(self, cfg):
+        with pytest.raises(ValueError, match="GiB cap") as refused:
+            cfg.validate()
+        assert set(re.findall(r"--[a-z]+", str(refused.value))) == self.READS[cfg.command]
+
+    def test_the_estimate_reads_exactly_those_flags(self):
+        for base in (
+            RunConfig(command="expand"),
+            RunConfig(command="verify"),
+            RunConfig(command="scan"),
+            RunConfig(command="region", target="b3", b1=0.3),
+            RunConfig(command="region", target="b4", b1=0.3),
+        ):
+            for flag in ("order", "samples", "angles", "resolution"):
+                bigger = RunConfig(**{**base.__dict__, flag: 2 * getattr(base, flag)})
+                moved = cli.estimate_peak_bytes(bigger) != cli.estimate_peak_bytes(base)
+                assert moved == (f"--{flag}" in self.READS[base.command]), (base, flag)
 
     @pytest.mark.parametrize(
         "cfg",

@@ -247,33 +247,64 @@ class TestFiftyDigitEnvelopes:
 
 
 class TestValidation:
+    """Each generator checks its invariants when it is built."""
+
     def test_monomial_k_zero(self):
-        with pytest.raises(InvalidGeneratorError):
-            expand_schwarz(MonomialRotation(k=0, theta=0.0), 4)
+        with pytest.raises(InvalidGeneratorError, match="k must be >= 1"):
+            MonomialRotation(k=0, theta=0.0)
 
     def test_extremal_b1_too_large(self):
-        with pytest.raises(InvalidGeneratorError):
-            expand_schwarz(B2Extremal(b1=1.5, theta=0.0), 4)
+        with pytest.raises(InvalidGeneratorError, match=r"\|b1\| must be <= 1"):
+            B2Extremal(b1=1.5, theta=0.0)
 
     def test_blaschke_m_zero(self):
-        with pytest.raises(InvalidGeneratorError):
-            expand_schwarz(FiniteBlaschke(phi=0.0, m=0, zeros=()), 4)
+        with pytest.raises(InvalidGeneratorError, match="m >= 1"):
+            FiniteBlaschke(phi=0.0, m=0, zeros=())
 
     def test_blaschke_zero_too_close_to_boundary(self):
-        with pytest.raises(InvalidGeneratorError):
-            expand_schwarz(FiniteBlaschke(phi=0.0, m=1, zeros=(0.99,)), 4)
+        with pytest.raises(InvalidGeneratorError, match="exceeds cap 0.95"):
+            FiniteBlaschke(phi=0.0, m=1, zeros=(0.99,))
 
     def test_herglotz_empty(self):
-        with pytest.raises(InvalidGeneratorError):
-            expand_caratheodory(HerglotzAtoms(()), 4)
+        with pytest.raises(InvalidGeneratorError, match="non-empty"):
+            HerglotzAtoms(())
 
     def test_herglotz_bad_weight_sum(self):
-        with pytest.raises(InvalidGeneratorError):
-            expand_caratheodory(HerglotzAtoms(((0.5, 0.0), (0.6, 1.0))), 4)
+        with pytest.raises(InvalidGeneratorError, match="sum to 1"):
+            HerglotzAtoms(((0.5, 0.0), (0.6, 1.0)))
 
     def test_herglotz_nonpositive_weight(self):
-        with pytest.raises(InvalidGeneratorError):
-            expand_caratheodory(HerglotzAtoms(((1.2, 0.0), (-0.2, 1.0))), 4)
+        with pytest.raises(InvalidGeneratorError, match="positive"):
+            HerglotzAtoms(((1.2, 0.0), (-0.2, 1.0)))
+
+    def test_cayley_of_a_caratheodory_generator(self):
+        with pytest.raises(InvalidGeneratorError, match="not a Schwarz generator"):
+            CayleyOfSchwarz(inner=HerglotzAtoms(((1.0, 0.0),)), theta=0)
+
+    def test_inverse_cayley_of_a_schwarz_generator(self):
+        with pytest.raises(InvalidGeneratorError, match="not a Caratheodory generator"):
+            InverseCayley(inner=MonomialRotation(1, 0.0), theta=0)
+
+    @pytest.mark.parametrize(
+        "entry, arg, cls",
+        [
+            (expand_schwarz, 4, "Schwarz"),
+            (evaluate_schwarz, 0.5, "Schwarz"),
+            (expand_caratheodory, 4, "Caratheodory"),
+            (evaluate_caratheodory, 0.5, "Caratheodory"),
+        ],
+        ids=["expand_schwarz", "evaluate_schwarz", "expand_caratheodory",
+             "evaluate_caratheodory"],
+    )
+    def test_entry_points_refuse_the_other_class(self, entry, arg, cls):
+        others = (
+            [HerglotzAtoms(((1.0, 0.0),)), CayleyOfSchwarz(MonomialRotation(1, 0.0), 0.0)]
+            if cls == "Schwarz"
+            else [MonomialRotation(1, 0.0), InverseCayley(HerglotzAtoms(((1.0, 0.0),)), 0.0)]
+        )
+        for g in others:
+            with pytest.raises(InvalidGeneratorError, match=f"not a {cls} generator"):
+                entry(g, arg)
 
 
 class TestEvaluation:

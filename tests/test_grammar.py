@@ -6,6 +6,7 @@ import pytest
 
 from schwarzlab.families import (
     B2Extremal,
+    InvalidGeneratorError,
     CayleyOfSchwarz,
     FiniteBlaschke,
     HerglotzAtoms,
@@ -98,6 +99,22 @@ def test_power_operator_and_parens():
 )
 def test_rejects_malformed(text):
     with pytest.raises(GeneratorParseError):
+        parse_generator(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("blaschke(phi=0, m=0)", "m >= 1"),
+        ("monomial(k=0, theta=0)", "k must be >= 1"),
+        ("extremal1(b1=1.5, theta=0)", "must be <= 1"),
+        ("herglotz(atoms=[(0.5, 0)])", "sum to 1"),
+        # the inner generator is refused when it is built, at any depth
+        ("cayley(theta=0, invcayley(theta=1, herglotz(atoms=[(-1, 0), (2, 1)])))", "positive"),
+    ],
+)
+def test_out_of_family_parameters_are_refused_when_built(text, message):
+    with pytest.raises(InvalidGeneratorError, match=message):
         parse_generator(text)
 
 
