@@ -2,15 +2,19 @@
 """Convergence study of the rasterized third-coefficient region against
 the closed-form radius 1 - |b1|^3, sweeping angle samples and resolution.
 
+Runs ``schwarzlab region --target b3`` in process, so settings are checked
+as the CLI checks them: a refused setting prints ``error: ...`` and exits 2.
+
 Example:
     python3 scripts/b3_region_convergence.py --b1 0.5 0.9
 """
 
 import argparse
+import itertools
 import sys
 import time
 
-from schwarzlab.regions import b3_region
+from schwarzlab.cli import RunConfig, run
 
 
 def main() -> int:
@@ -23,18 +27,22 @@ def main() -> int:
     print(f"{'b1':>5s} {'angles':>7s} {'res':>5s} {'max_modulus':>12s} "
           f"{'exact':>8s} {'error':>10s} {'bound':>10s} {'time':>6s}")
     worst_ratio = 0.0
-    for b1 in args.b1:
-        exact = 1.0 - b1**3
-        for m in args.angles:
-            for res in args.resolutions:
-                start = time.perf_counter()
-                est = b3_region(b1, angle_samples=m, resolution=res)
-                dt = time.perf_counter() - start
-                err = abs(est.max_modulus - exact)
-                bound = 2.0 / res + 10.0 / m
-                worst_ratio = max(worst_ratio, err / bound)
-                print(f"{b1:5.2f} {m:7d} {res:5d} {est.max_modulus:12.6f} "
-                      f"{exact:8.4f} {err:10.2e} {bound:10.2e} {dt:5.2f}s")
+    try:
+        for b1, m, res in itertools.product(args.b1, args.angles, args.resolutions):
+            cfg = RunConfig(command="region", target="b3", b1=b1, angles=m, resolution=res)
+            start = time.perf_counter()
+            _, report = run(cfg)
+            dt = time.perf_counter() - start
+            max_modulus = report["results"][0]["max_modulus"]
+            exact = 1.0 - b1**3
+            err = abs(max_modulus - exact)
+            bound = 2.0 / res + 10.0 / m
+            worst_ratio = max(worst_ratio, err / bound)
+            print(f"{b1:5.2f} {m:7d} {res:5d} {max_modulus:12.6f} "
+                  f"{exact:8.4f} {err:10.2e} {bound:10.2e} {dt:5.2f}s")
+    except (ValueError, OverflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"\nworst error/bound ratio: {worst_ratio:.3f} (must stay below 1)")
     return 0 if worst_ratio < 1.0 else 1
 

@@ -9,6 +9,10 @@ without asserting they agree: the rasterized constraint radius for
 b2 = b3 = 0 across a grid of b1, and the empirical |b4| frontier of a
 sampled corpus binned by |b1|, against the reference curve 1 - |b1|^4.
 
+Runs ``schwarzlab region`` and ``schwarzlab scan`` in process, so settings
+are checked as the CLI checks them: a refused setting prints ``error: ...``
+and exits 2.
+
 Example:
     python3 scripts/map_b4_region.py --samples 2000 --seed 42
 """
@@ -16,11 +20,7 @@ Example:
 import argparse
 import sys
 
-from schwarzlab.regions import (
-    attainability_frontier,
-    attainability_scan,
-    b4_feasible_region,
-)
+from schwarzlab.cli import RunConfig, run
 
 
 def main() -> int:
@@ -35,27 +35,31 @@ def main() -> int:
 
     print("constraint region radius for b2 = b3 = 0 (modes eq1/eq2 coincide):")
     print(f"{'b1':>5s} {'max_modulus':>12s} {'1-|b1|^4':>10s}")
-    for i in range(args.b1_steps):
-        b1 = i / (args.b1_steps - 1) if args.b1_steps > 1 else 0.0
-        est = b4_feasible_region(
-            b1, 0.0, 0.0, angle_samples=args.angles,
-            resolution=args.resolution, mode="both",
-        )
-        print(f"{b1:5.2f} {est.max_modulus:12.6f} {1 - b1**4:10.6f}")
+    try:
+        for i in range(args.b1_steps):
+            b1 = i / (args.b1_steps - 1) if args.b1_steps > 1 else 0.0
+            # b2 and b3 left unset are 0
+            _, region = run(RunConfig(command="region", target="b4", b1=b1,
+                                      angles=args.angles, resolution=args.resolution))
+            print(f"{b1:5.2f} {region['results'][0]['max_modulus']:12.6f} {1 - b1**4:10.6f}")
+        status, scan = run(RunConfig(command="scan", seed=args.seed, samples=args.samples))
+    except (ValueError, OverflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
-    records = attainability_scan(args.seed, args.samples)
-    violations = [r for r in records if not r.member]
-    worst = min(r.margin for r in records)
-    print(f"\nattainability scan: {len(records)} samples, "
-          f"{len(violations)} outside the constraint set, worst margin {worst:.2e}")
+    samples = [row for row in scan["results"] if row["kind"] == "sample"]
+    outside = sum(not row["member"] for row in samples)
+    worst = "non-finite" if scan["worst_slack"] is None else f"{scan['worst_slack']:.2e}"
+    print(f"\nattainability scan: {len(samples)} samples, "
+          f"{outside} outside the constraint set, worst margin {worst}")
 
     print("\nempirical |b4| frontier by |b1| bin (reference column is the")
     print("curve 1 - c^4 at the bin center; descriptive only):")
     print(f"{'bin':>12s} {'count':>6s} {'max |b4|':>10s} {'reference':>10s}")
-    for fb in attainability_frontier(records):
-        label = f"[{fb.lo:.1f},{fb.hi:.1f})"
-        print(f"{label:>12s} {fb.count:6d} {fb.max_abs_b4:10.6f} {fb.reference:10.6f}")
-    return 0 if not violations else 1
+    for row in scan["results"][len(samples):]:
+        label = f"[{row['lo']:.1f},{row['hi']:.1f})"
+        print(f"{label:>12s} {row['count']:6d} {row['max_abs_b4']:10.6f} {row['reference']:10.6f}")
+    return status
 
 
 if __name__ == "__main__":

@@ -164,10 +164,10 @@ def estimate_peak_bytes(cfg: RunConfig) -> int:
     are the allocations that grow with the settings, with factors measured
     on the lab's own runs: about 64 (N+1)^2 bytes per row of a stacked
     series product at order N, 5 kB per sampled function for the corpora,
-    records and report rows (scan reads no angle count), and for a region
-    2 kB per grid row (its span, report rows and text; 960 at most measured),
-    64 per disk and the rasterizer's two block buffers of 8 bytes per
-    (grid row, disk) in a block.
+    coefficient blocks and report rows (scan reads no angle count), and for
+    a region 2 kB per grid row (its span, report rows and text; 960 at most
+    measured), 64 per disk and the rasterizer's two block buffers of 8 bytes
+    per (grid row, disk) in a block.
     """
     product_row = 64 * (cfg.order + 1) ** 2
     if cfg.command == "expand":
@@ -383,30 +383,31 @@ def _run_region(cfg: RunConfig) -> tuple[int, list]:
 
 def _run_scan(cfg: RunConfig) -> tuple[int, list, float]:
     tol = cfg.tol if cfg.tol is not None else MEMBERSHIP_TOL
-    records = attainability_scan(cfg.seed, cfg.samples, tol=tol)
+    B, margins = attainability_scan(cfg.seed, cfg.samples)
     # ranks a non-finite margin below every finite one, as verify does
-    margins = _SlackTable(tol)
-    margins.add("b4_margin", [rec.margin for rec in records], 0)
+    table = _SlackTable(tol)
+    table.add("b4_margin", margins, 0)
     results = []
     status = 0
-    for idx, rec in enumerate(records):
+    for idx, (b, margin) in enumerate(zip(B.tolist(), margins.tolist())):
+        member = margin >= -tol
         results.append(
             {
                 "kind": "sample",
                 "index": idx,
-                "b": [_c2j(c) for c in rec.coeffs],
-                "member": rec.member,
-                "margin": _finite(rec.margin),
+                "b": [_c2j(c) for c in b],
+                "member": member,
+                "margin": _finite(margin),
             }
         )
-        if not (rec.member and math.isfinite(rec.margin)):
+        if not (member and math.isfinite(margin)):
             print(
                 f"check failure: b4 outside constraint set at sample {idx}, "
-                f"margin {rec.margin!r}",
+                f"margin {margin!r}",
                 file=sys.stderr,
             )
             status = 1
-    for fb in attainability_frontier(records):
+    for fb in attainability_frontier(B):
         results.append(
             {
                 "kind": "frontier",
@@ -417,7 +418,7 @@ def _run_scan(cfg: RunConfig) -> tuple[int, list, float]:
                 "reference": float(fb.reference),
             }
         )
-    return status, results, margins.worst()
+    return status, results, table.worst()
 
 
 # ---------------------------------------------------------------------------

@@ -264,7 +264,9 @@ def _build(head: str, positional: list, kwargs: dict, parser: _Parser):
     elif head == "blaschke":
         phi = _as_real(_take(kwargs, positional, "phi", parser), "phi")
         m = _as_int(_take(kwargs, positional, "m", parser), "m")
-        zeros = kwargs.pop("zeros", positional.pop(0) if positional else [])
+        # optional; a positional value is taken only when no keyword gives it
+        has_zeros = "zeros" in kwargs or positional
+        zeros = _take(kwargs, positional, "zeros", parser) if has_zeros else []
         if not isinstance(zeros, list):
             raise GeneratorParseError("zeros must be a list")
         gen = FiniteBlaschke(

@@ -8,10 +8,12 @@ families arise (from the gaps c4 - c1 c3 and c4 - c2^2); the exact shape
 of their joint intersection over all admissible (b1, b2, b3) is unknown,
 so this module reports the rasterized constraint region and, separately,
 empirically attained coefficients, without claiming the two sets agree.
-The scan tests each sampled b4 un-rasterized and unsampled: its margin
-1 - max_theta |b4 - gamma(theta)| over both families is the exact signed
-distance to the constraint set (non-negative inside it), found from the
-roots of a trigonometric polynomial's derivative, so no angle count enters.
+The scan returns the sampled block of b1..b4 and each sample's margin,
+neither rasterized nor sampled: 1 - max_theta |b4 - gamma(theta)| over
+both families is the exact signed distance to the constraint set
+(non-negative inside it), found from the roots of a trigonometric
+polynomial's derivative, so no angle count enters.  Membership (margin >=
+-tol) is the caller's policy; the CLI applies ``--tol``.
 
 Rasterization marks a cell feasible iff its center satisfies every disk
 constraint.  Because an intersection of disks is convex, each grid row y
@@ -281,6 +283,8 @@ def b4_feasible_region(
     """
     if mode not in B4_MODES:
         raise ValueError(f"mode must be eq1, eq2 or both, got {mode!r}")
+    if abs(b1) > 1.0 + B1_UNIT_TOL:
+        raise ValueError("|b1| must be <= 1")
     gammas = b4_centers(b1, b2, b3, _uniform_thetas(angle_samples))
     centers = gammas.ravel() if mode == "both" else gammas[B4_MODES.index(mode)]
     family = DiskConstraintFamily(centers=centers, radius=1.0)
@@ -332,33 +336,21 @@ def _exact_margins(B: np.ndarray) -> np.ndarray:
         return 1.0 - np.abs(A).max(axis=-1)
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    """One sampled Schwarz function: leading coefficients, membership, margin."""
-
-    coeffs: tuple[complex, complex, complex, complex]
-    member: bool
-    margin: float
+#: Sampler degree cap for the scan corpus: degree 4 reaches every b4.
+SCAN_MAX_DEGREE = 4
 
 
-def attainability_scan(
-    seed: int,
-    count: int,
-    tol: float = MEMBERSHIP_TOL,
-    max_degree: int = 4,
-) -> list[ScanRecord]:
-    """Sample Schwarz functions and test b4 against the joint constraint set.
+def attainability_scan(seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample Schwarz functions and measure b4 against the joint constraint set.
 
-    Class members satisfy both constraint families for every theta, so all
-    margins must be >= -tol; a violation indicates a bug in the expansion
-    or the region code, not new mathematics.
+    Returns the ``(count, 4)`` complex block of b1..b4 and the ``(count,)``
+    exact margins, the smaller of the two families'.  Class members satisfy
+    both families for every theta, so a margin below -MEMBERSHIP_TOL
+    indicates a bug in the expansion or the region code, not new
+    mathematics; the tolerance is the caller's to apply.
     """
-    B = expand_blaschke(sample_schwarz(seed, count, max_degree), 4)[:, 1:]
-    margins = _exact_margins(B).min(axis=1)  # np.min keeps a nan margin
-    return [
-        ScanRecord(coeffs=tuple(b), member=m >= -tol, margin=m)
-        for b, m in zip(B.tolist(), margins.tolist())
-    ]
+    B = expand_blaschke(sample_schwarz(seed, count, SCAN_MAX_DEGREE), 4)[:, 1:]
+    return B, _exact_margins(B).min(axis=1)  # np.min keeps a nan margin
 
 
 @dataclass(frozen=True)
@@ -372,8 +364,8 @@ class FrontierBin:
     reference: float  # 1 - c^4 at the bin center; descriptive only
 
 
-def attainability_frontier(records: list[ScanRecord], bins: int = 10) -> list[FrontierBin]:
-    """Bin the scan by |b1| and report the attained max |b4| per bin.
+def attainability_frontier(B: np.ndarray, bins: int = 10) -> list[FrontierBin]:
+    """Bin the ``(S, 4)`` block of b1..b4 by |b1|; the attained max |b4| per bin.
 
     The reference column tabulates 1 - |b1|^4 at bin centers purely for
     side-by-side comparison; no claim is made that it bounds or equals
@@ -382,7 +374,7 @@ def attainability_frontier(records: list[ScanRecord], bins: int = 10) -> list[Fr
     if bins < 1:
         raise ValueError("bins must be >= 1")
     edges = np.linspace(0.0, 1.0, bins + 1)
-    B = np.array([r.coeffs for r in records], dtype=np.complex128).reshape(-1, 4)
+    B = np.asarray(B, dtype=np.complex128).reshape(-1, 4)
     b1, b4 = np.hypot(B.real[:, [0, 3]], B.imag[:, [0, 3]]).T  # Python's abs
     idx = np.searchsorted(edges, b1, side="right") - 1
     idx[b1 == 1.0] = bins - 1  # the last bin is closed

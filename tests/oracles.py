@@ -270,33 +270,32 @@ def scan_oracle(cfg, margins=None):
     a failure and ranks below every finite one.
     """
     from schwarzlab.families import expand_schwarz, sample_schwarz
-    from schwarzlab.regions import MEMBERSHIP_TOL, ScanRecord
+    from schwarzlab.regions import MEMBERSHIP_TOL
 
     tol = cfg.tol if cfg.tol is not None else MEMBERSHIP_TOL
-    records = []
-    for idx, g in enumerate(sample_schwarz(cfg.seed, cfg.samples, 4)):
-        w = expand_schwarz(g, 4)
-        b = (w[1], w[2], w[3], w[4])
-        margin = b4_margin_oracle(*b, cfg.angles) if margins is None else margins[idx]
-        records.append(ScanRecord(coeffs=b, member=margin >= -tol, margin=margin))
-
+    coeffs = []
     results = []
     status = 0
     worst, worst_rank = math.inf, math.inf
-    for idx, rec in enumerate(records):
+    for idx, g in enumerate(sample_schwarz(cfg.seed, cfg.samples, 4)):
+        w = expand_schwarz(g, 4)
+        b = (w[1], w[2], w[3], w[4])
+        coeffs.append(b)
+        margin = b4_margin_oracle(*b, cfg.angles) if margins is None else margins[idx]
+        member = margin >= -tol
         results.append({
             "kind": "sample",
             "index": idx,
-            "b": [[c.real, c.imag] for c in rec.coeffs],
-            "member": rec.member,
-            "margin": rec.margin,
+            "b": [[c.real, c.imag] for c in b],
+            "member": member,
+            "margin": margin,
         })
-        if not (rec.member and math.isfinite(rec.margin)):
+        if not (member and math.isfinite(margin)):
             status = 1
-        rank = rec.margin if math.isfinite(rec.margin) else -math.inf
+        rank = margin if math.isfinite(margin) else -math.inf
         if rank < worst_rank:
-            worst, worst_rank = rec.margin, rank
-    for fb in frontier_oracle(records):
+            worst, worst_rank = margin, rank
+    for fb in frontier_oracle(coeffs):
         results.append({
             "kind": "frontier",
             "lo": fb.lo,
@@ -308,10 +307,10 @@ def scan_oracle(cfg, margins=None):
     return status, results, worst
 
 
-def frontier_oracle(records, bins=10):
-    """|b1| bins of a scan, each record tested against every bin in turn.
+def frontier_oracle(coeffs, bins=10):
+    """|b1| bins of a scan's rows (b1, b2, b3, b4), each tested against every bin in turn.
 
-    A record lands in the bin with lo <= |b1| < hi; the last bin also takes
+    A row lands in the bin with lo <= |b1| < hi; the last bin also takes
     |b1| == 1.  Each bin reports its count and its largest |b4| (0 if empty).
     """
     from schwarzlab.regions import FrontierBin
@@ -321,9 +320,9 @@ def frontier_oracle(records, bins=10):
     for i in range(bins):
         lo, hi = float(edges[i]), float(edges[i + 1])
         sel = [
-            abs(r.coeffs[3])
-            for r in records
-            if lo <= abs(r.coeffs[0]) < hi or (i == bins - 1 and abs(r.coeffs[0]) == hi)
+            abs(b[3])
+            for b in coeffs
+            if lo <= abs(b[0]) < hi or (i == bins - 1 and abs(b[0]) == hi)
         ]
         center = 0.5 * (lo + hi)
         out.append(FrontierBin(lo=lo, hi=hi, count=len(sel),

@@ -175,8 +175,8 @@ def test_criterion_6_b3_region_matches_cube_law():
 def test_criterion_7_b4_explorer():
     est = b4_feasible_region(0.5, 0.0, 0.0, angle_samples=4096, resolution=1024)
     region_err = abs(est.max_modulus - 0.9375)
-    records = attainability_scan(seed=42, count=1000)
-    violations = sum(1 for r in records if r.margin < -1e-6)
+    _, margins = attainability_scan(seed=42, count=1000)
+    violations = int(np.count_nonzero(~(margins >= -1e-6)))  # a nan margin counts
     doubled = b4_feasible_region(0.5, 0.0, 0.0, angle_samples=8192, resolution=1024)
     drift = abs(doubled.max_modulus - est.max_modulus)
     _report(

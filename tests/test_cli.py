@@ -45,13 +45,7 @@ from schwarzlab.cli import (
     render_json,
     run,
 )
-from schwarzlab.regions import (
-    B4_MODES,
-    MEMBERSHIP_TOL,
-    MIN_FAMILY_SIZE,
-    MIN_RESOLUTION,
-    ScanRecord,
-)
+from schwarzlab.regions import B4_MODES, MIN_FAMILY_SIZE, MIN_RESOLUTION
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -651,12 +645,12 @@ class TestBoundaryCellsMatchOracle:
 class TestScanNonFiniteMargin:
     @staticmethod
     def patch_scan(monkeypatch, margins):
-        records = [
-            ScanRecord(coeffs=(0.5 + 0j, 0j, 0j, 0.1 + 0j),
-                       member=m >= -MEMBERSHIP_TOL, margin=m)
-            for m in margins
-        ]
-        monkeypatch.setattr(cli, "attainability_scan", lambda *a, **k: records)
+        B = np.tile([0.5 + 0j, 0j, 0j, 0.1 + 0j], (len(margins), 1))
+        monkeypatch.setattr(cli, "attainability_scan", lambda *a: (B, np.array(margins)))
+
+    @staticmethod
+    def members(out):
+        return [row["member"] for row in json.loads(out)["results"] if row["kind"] == "sample"]
 
     def test_single_nan_margin_is_worst_and_fails(self, capsys, monkeypatch):
         self.patch_scan(monkeypatch, [math.nan])
@@ -664,6 +658,7 @@ class TestScanNonFiniteMargin:
         report = json.loads(out)
         assert code == report["exit_status"] == 1
         assert report["worst_slack"] is None
+        assert self.members(out) == [False]
         assert "check failure" in err and "sample 0" in err
 
     def test_nan_ranks_below_finite_margins(self, capsys, monkeypatch):
@@ -671,13 +666,16 @@ class TestScanNonFiniteMargin:
         code, out, err = run_cli(capsys, ["scan", "--samples", "4"])
         assert code == 1
         assert json.loads(out)["worst_slack"] is None
+        assert self.members(out) == [True, False, False, True]
         assert "sample 1," in err and "sample 2," in err
 
     def test_infinite_margin_fails(self, capsys, monkeypatch):
+        # +inf passes margin >= -tol, so the member flag alone would not flag it
         self.patch_scan(monkeypatch, [0.5, math.inf])
         code, out, err = run_cli(capsys, ["scan", "--samples", "2"])
         assert code == 1
         assert json.loads(out)["worst_slack"] is None
+        assert self.members(out) == [True, True]
         assert "sample 1," in err and "sample 0," not in err
 
 
@@ -808,15 +806,18 @@ class TestSharedValidationConstants:
             RunConfig(command="scan", mode="all").validate()
 
     def test_one_b1_tolerance(self):
-        # the CLI, the b3 region and the second-coefficient extremal agree on |b1| <= 1
+        # the CLI, both regions and the second-coefficient extremal agree on |b1| <= 1
         inside, outside = 1.0 + 0.5 * B1_UNIT_TOL, 1.0 + 2.0 * B1_UNIT_TOL
         RunConfig(command="region", target="b3", b1=inside).validate()
         regions.b3_region(inside, angle_samples=8, resolution=16)
+        regions.b4_feasible_region(inside, 0j, 0j, angle_samples=8, resolution=16)
         B2Extremal(b1=inside, theta=0.0)
         with pytest.raises(ValueError, match=r"\|b1\| <= 1"):
             RunConfig(command="region", target="b3", b1=outside).validate()
         with pytest.raises(ValueError, match=r"\|b1\| must be <= 1"):
             regions.b3_region(outside, angle_samples=8, resolution=16)
+        with pytest.raises(ValueError, match=r"\|b1\| must be <= 1"):
+            regions.b4_feasible_region(outside, 0j, 0j, angle_samples=8, resolution=16)
         with pytest.raises(InvalidGeneratorError, match=r"\|b1\| must be <= 1"):
             B2Extremal(b1=outside, theta=0.0)
 
@@ -864,17 +865,20 @@ class TestRunConfigValidation:
         assert set(report) == {"command", "config", "results", "worst_slack", "exit_status"}
 
 
-def test_corpus_verification_script_runs():
+def _run_script(name, *argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
     )
+    return subprocess.run(
+        [sys.executable, str(REPO / "scripts" / name), *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
 
+
+def test_corpus_verification_script_runs():
     def script(*argv):
-        return subprocess.run(
-            [sys.executable, str(REPO / "scripts" / "run_corpus_verification.py"), *argv],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        return _run_script("run_corpus_verification.py", *argv)
 
     proc = script("--samples", "20")
     assert proc.returncode == 0, proc.stderr
@@ -884,6 +888,22 @@ def test_corpus_verification_script_runs():
     assert proc.returncode == 2
     assert proc.stderr == "error: verify needs order >= 4\n"
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("map_b4_region.py", "--samples", "5", "--resolution", "8"),
+         "resolution must be >= 16"),
+        (("b3_region_convergence.py", "--b1", "1.5"), "region needs |b1| <= 1"),
+    ],
+    ids=["map_b4_region", "b3_region_convergence"],
+)
+def test_region_scripts_refuse_settings_as_the_cli_does(argv, message):
+    proc = _run_script(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n"
+    assert "Traceback" not in proc.stderr
 
 
 class TestPeakMemoryEstimate:

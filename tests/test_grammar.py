@@ -95,11 +95,23 @@ def test_power_operator_and_parens():
         "0.5 + 2",
         "monomial(k=1, k=2, theta=0)",
         "blaschke(phi=0, m=1, zeros=0.5)",
+        # a positional value next to zeros= is extra, not dropped
+        "blaschke(phi=0, m=1, zeros=[0.5], 7)",
+        "blaschke(0, 1, 7, zeros=[0.5])",
     ],
 )
 def test_rejects_malformed(text):
     with pytest.raises(GeneratorParseError):
         parse_generator(text)
+
+
+def test_blaschke_zeros_by_position_or_keyword():
+    # a positional value is the zeros only when no keyword gives them
+    assert parse_generator("blaschke(0, 1, [0.5])") == parse_generator(
+        "blaschke(phi=0, m=1, zeros=[0.5])"
+    )
+    with pytest.raises(GeneratorParseError, match="too many arguments to 'blaschke'"):
+        parse_generator("blaschke(0, 1, 7, zeros=[0.5])")
 
 
 @pytest.mark.parametrize(

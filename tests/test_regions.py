@@ -35,7 +35,6 @@ from schwarzlab.regions import (
     BoundingBox,
     DiskConstraintFamily,
     FrontierBin,
-    ScanRecord,
     attainability_frontier,
     attainability_scan,
     b3_centers,
@@ -198,6 +197,12 @@ class TestB4Region:
         with pytest.raises(ValueError):
             b4_feasible_region(0.1, 0.0, 0.0, angle_samples=128, resolution=64, mode="all")
 
+    @pytest.mark.parametrize("b1", [1.5, 0.9 + 0.9j])
+    def test_rejects_b1_outside_disk(self, b1):
+        # refused as b3_region refuses it, not rasterized to an empty region
+        with pytest.raises(ValueError, match=r"\|b1\| must be <= 1"):
+            b4_feasible_region(b1, 0.0, 0.0, angle_samples=64, resolution=32)
+
     def test_mode_checked_before_any_center(self):
         # two angles would fail the angle floor; the mode is refused first
         with pytest.raises(ValueError, match="mode must be eq1, eq2 or both"):
@@ -257,10 +262,16 @@ class TestB4Region:
 
 class TestAttainabilityScan:
     def test_sampled_corpus_is_inside(self):
-        records = attainability_scan(seed=5, count=200)
-        assert len(records) == 200
-        assert all(r.member for r in records)
-        assert min(r.margin for r in records) >= -1e-6
+        B, margins = attainability_scan(seed=5, count=200)
+        assert B.shape == (200, 4) and B.dtype == np.complex128
+        assert margins.shape == (200,)
+        assert margins.min() >= -regions.MEMBERSHIP_TOL
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 99])
+    def test_rows_do_not_depend_on_the_sample_count(self, n):
+        B, margins = attainability_scan(seed=19, count=100)
+        b, m = attainability_scan(seed=19, count=n)
+        assert np.array_equal(b, B[:n]) and np.array_equal(m, margins[:n])
 
     def test_rotated_quartic_monomial_sits_on_boundary(self):
         w = expand_schwarz(MonomialRotation(k=4, theta=1.1), 4)
@@ -273,13 +284,12 @@ class TestAttainabilityScan:
         assert abs(margin) < 1e-12
 
     def test_determinism(self):
-        a = attainability_scan(seed=11, count=50)
-        b = attainability_scan(seed=11, count=50)
-        assert a == b
+        (a, ma), (b, mb) = (attainability_scan(seed=11, count=50) for _ in range(2))
+        assert np.array_equal(a, b) and np.array_equal(ma, mb)
 
     def test_frontier_structure(self):
-        records = attainability_scan(seed=13, count=300)
-        bins = attainability_frontier(records, bins=10)
+        B, _ = attainability_scan(seed=13, count=300)
+        bins = attainability_frontier(B, bins=10)
         assert len(bins) == 10
         assert sum(b.count for b in bins) == 300
         for fb in bins:
@@ -293,13 +303,14 @@ class TestAttainabilityScan:
     def test_frontier_matches_per_bin_oracle(self, bins):
         # the bin edges themselves, |b1| == 1 (in the last bin) and |b1|
         # just above 1 (in no bin), next to a sampled corpus
-        records = attainability_scan(seed=13, count=300)
+        rows = attainability_scan(seed=13, count=300)[0].tolist()
         rng = np.random.default_rng(bins)
         extra = list(np.linspace(0.0, 1.0, bins + 1)) + [1j, -1.0, 1.0 + 2e-16]
         for b1 in extra:
             b4 = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-            records.append(ScanRecord(coeffs=(complex(b1), 0j, 0j, b4), member=True, margin=0.0))
-        assert attainability_frontier(records, bins=bins) == frontier_oracle(records, bins=bins)
+            rows.append([complex(b1), 0j, 0j, b4])
+        assert attainability_frontier(np.array(rows), bins=bins) == frontier_oracle(rows, bins=bins)
+
 
 def _corpus(seeds, count):
     """(S, 4) b1..b4 of the scan's samples at each seed, stacked."""
@@ -384,9 +395,11 @@ class TestExactMargins:
     @pytest.mark.parametrize("seed", [42, *range(1001, 1011)])
     def test_no_member_flips(self, seed):
         table = angle_table(regions.DEFAULT_ANGLES)
-        for rec in attainability_scan(seed=seed, count=250):
-            sampled = sampled_b4_margin(table, *rec.coeffs, "both")
-            assert rec.member == (sampled >= -regions.MEMBERSHIP_TOL), (seed, rec)
+        B, margins = attainability_scan(seed=seed, count=250)
+        for b, margin in zip(B.tolist(), margins.tolist()):
+            sampled = sampled_b4_margin(table, *b, "both")
+            member = margin >= -regions.MEMBERSHIP_TOL
+            assert member == (sampled >= -regions.MEMBERSHIP_TOL), (seed, b, margin)
 
     def test_b1_zero_drops_the_degree(self):
         # A(z) = b4 + a1 z: the farthest point is |b4| + |a1| away
