@@ -3,7 +3,8 @@
 the closed-form radius 1 - |b1|^3, sweeping angle samples and resolution.
 
 Runs ``schwarzlab region --target b3`` in process, so settings are checked
-as the CLI checks them: a refused setting prints ``error: ...`` and exits 2.
+as the CLI checks them, all before the first row is printed: a refused
+setting prints only ``error: ...`` and exits 2.
 
 Example:
     python3 scripts/b3_region_convergence.py --b1 0.5 0.9
@@ -24,12 +25,16 @@ def main() -> int:
     ap.add_argument("--resolutions", type=int, nargs="+", default=[128, 256, 512, 1024])
     args = ap.parse_args()
 
-    print(f"{'b1':>5s} {'angles':>7s} {'res':>5s} {'max_modulus':>12s} "
-          f"{'exact':>8s} {'error':>10s} {'bound':>10s} {'time':>6s}")
+    runs = list(itertools.product(args.b1, args.angles, args.resolutions))
+    cfgs = [RunConfig(command="region", target="b3", b1=b1, angles=m, resolution=res)
+            for b1, m, res in runs]
     worst_ratio = 0.0
     try:
-        for b1, m, res in itertools.product(args.b1, args.angles, args.resolutions):
-            cfg = RunConfig(command="region", target="b3", b1=b1, angles=m, resolution=res)
+        for cfg in cfgs:
+            cfg.validate()
+        print(f"{'b1':>5s} {'angles':>7s} {'res':>5s} {'max_modulus':>12s} "
+              f"{'exact':>8s} {'error':>10s} {'bound':>10s} {'time':>6s}")
+        for (b1, m, res), cfg in zip(runs, cfgs):
             start = time.perf_counter()
             _, report = run(cfg)
             dt = time.perf_counter() - start

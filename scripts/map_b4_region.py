@@ -10,8 +10,8 @@ b2 = b3 = 0 across a grid of b1, and the empirical |b4| frontier of a
 sampled corpus binned by |b1|, against the reference curve 1 - |b1|^4.
 
 Runs ``schwarzlab region`` and ``schwarzlab scan`` in process, so settings
-are checked as the CLI checks them: a refused setting prints ``error: ...``
-and exits 2.
+are checked as the CLI checks them, all before the first row is printed: a
+refused setting prints only ``error: ...`` and exits 2.
 
 Example:
     python3 scripts/map_b4_region.py --samples 2000 --seed 42
@@ -33,16 +33,20 @@ def main() -> int:
     ap.add_argument("--b1-steps", type=int, default=5)
     args = ap.parse_args()
 
-    print("constraint region radius for b2 = b3 = 0 (modes eq1/eq2 coincide):")
-    print(f"{'b1':>5s} {'max_modulus':>12s} {'1-|b1|^4':>10s}")
+    b1s = [i / (args.b1_steps - 1) if args.b1_steps > 1 else 0.0 for i in range(args.b1_steps)]
+    # b2 and b3 left unset are 0
+    regions = [RunConfig(command="region", target="b4", b1=b1, angles=args.angles,
+                         resolution=args.resolution) for b1 in b1s]
+    scan_cfg = RunConfig(command="scan", seed=args.seed, samples=args.samples)
     try:
-        for i in range(args.b1_steps):
-            b1 = i / (args.b1_steps - 1) if args.b1_steps > 1 else 0.0
-            # b2 and b3 left unset are 0
-            _, region = run(RunConfig(command="region", target="b4", b1=b1,
-                                      angles=args.angles, resolution=args.resolution))
+        for cfg in (*regions, scan_cfg):
+            cfg.validate()
+        print("constraint region radius for b2 = b3 = 0 (modes eq1/eq2 coincide):")
+        print(f"{'b1':>5s} {'max_modulus':>12s} {'1-|b1|^4':>10s}")
+        for b1, cfg in zip(b1s, regions):
+            _, region = run(cfg)
             print(f"{b1:5.2f} {region['results'][0]['max_modulus']:12.6f} {1 - b1**4:10.6f}")
-        status, scan = run(RunConfig(command="scan", seed=args.seed, samples=args.samples))
+        status, scan = run(scan_cfg)
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

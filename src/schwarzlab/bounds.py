@@ -39,7 +39,12 @@ from typing import Sequence
 
 import numpy as np
 
-from schwarzlab.families import SchwarzGenerator, evaluate_schwarz
+from schwarzlab.families import (
+    FiniteBlaschke,
+    SchwarzGenerator,
+    evaluate_blaschke,
+    evaluate_schwarz,
+)
 from schwarzlab.series import TruncatedSeries, from_pairs, pair_mul, to_pairs
 
 INEQUALITY_TOL = 1e-9
@@ -112,9 +117,9 @@ def livingston_kernel(P, pairs: Sequence[tuple[int, int]]) -> BoundBlock:
         if not (1 <= t < s <= order):
             raise IndexError(f"need 1 <= t < s <= {order}, got (s={s}, t={t})")
     s, t = np.array(pairs, dtype=int).reshape(-1, 2).T
-    cs, ct, cst = (_parts(P[..., idx]) for idx in (s, t, s - t))
-    prod = pair_mul(ct, cst)
-    return BoundBlock(_modulus((cs[0] - prod[0], cs[1] - prod[1])), 2.0)
+    prod = pair_mul(_parts(P[..., t]), _parts(P[..., s - t]))
+    gap = [np.subtract(c, p, out=p) for c, p in zip(_parts(P[..., s]), prod)]
+    return BoundBlock(_modulus(gap), 2.0)
 
 
 def coefficient_bound_kernel(W) -> BoundBlock:
@@ -136,9 +141,10 @@ def pointwise_contraction_kernel(
     radii,
     angles_per_radius: int,
 ) -> BoundBlock:
-    """|w(z)| <= |z| on a polar grid, one closed-form evaluation per generator.
+    """|w(z)| <= |z| on a polar grid, by closed-form evaluation.
 
-    Columns run over the radii, and over the angles within each radius.
+    Columns run over the radii, and over the angles within each radius; a
+    block of Blaschke products is evaluated at once by ``evaluate_blaschke``.
     """
     radii = [float(r) for r in radii]
     if any(not (0.0 < r < 1.0) for r in radii):
@@ -147,8 +153,9 @@ def pointwise_contraction_kernel(
         raise ValueError("need at least one angle per radius")
     phases = np.exp(2j * math.pi * np.arange(angles_per_radius) / angles_per_radius)
     z = (np.array(radii)[:, None] * phases).ravel()
-    lhs = np.abs(np.stack([evaluate_schwarz(g, z) for g in gens]))
-    return BoundBlock(lhs, np.repeat(radii, angles_per_radius))
+    blaschke = all(isinstance(g, FiniteBlaschke) for g in gens)
+    values = evaluate_blaschke(gens, z) if blaschke else [evaluate_schwarz(g, z) for g in gens]
+    return BoundBlock(np.abs(values), np.repeat(radii, angles_per_radius))
 
 
 def b4_gap_polynomials(B) -> np.ndarray:

@@ -55,6 +55,7 @@ from schwarzlab.families import (
     expand_caratheodory,
     expand_schwarz,
     harmonic_boundary_atoms,
+    herglotz_block,
     sample_herglotz,
     sample_schwarz,
 )
@@ -83,8 +84,9 @@ VERIFY_B4_THETAS = tuple(2.0 * math.pi * k / 64 for k in range(64))
 VERIFY_CAYLEY_THETAS = (0.0, 1.0, 2.0, math.pi)
 #: Sampler degree cap for the verify corpus.
 VERIFY_MAX_DEGREE = 6
-#: Corpus functions checked per kernel call; bounds the size of temporaries.
-VERIFY_BLOCK = 16
+#: Byte budget of a verify block's temporaries: 64 (N+1)^2 bytes of stacked
+#: products and 8 KiB of pointwise grid and b4 rotations per corpus function.
+VERIFY_BLOCK_BYTES = 2**22
 #: Highest index s of the Livingston pairs (s, t) checked by `verify`.
 VERIFY_LIVINGSTON_MAX_S = 10
 #: A run whose estimated peak working memory (see :func:`estimate_peak_bytes`)
@@ -164,16 +166,18 @@ def estimate_peak_bytes(cfg: RunConfig) -> int:
     are the allocations that grow with the settings, with factors measured
     on the lab's own runs: about 64 (N+1)^2 bytes per row of a stacked
     series product at order N, 5 kB per sampled function for the corpora,
-    coefficient blocks and report rows (scan reads no angle count), and for
-    a region 2 kB per grid row (its span, report rows and text; 960 at most
-    measured), 64 per disk and the rasterizer's two block buffers of 8 bytes
-    per (grid row, disk) in a block.
+    coefficient blocks and report rows (scan reads no angle count), one
+    verify block (:func:`_verify_block`), and for a region 2 kB per grid
+    row (its span, report rows and text; 960 at most measured), 64 per disk
+    and the rasterizer's two block buffers of 8 bytes per (grid row, disk)
+    in a block.
     """
     product_row = 64 * (cfg.order + 1) ** 2
     if cfg.command == "expand":
         return 2 * product_row
     if cfg.command == "verify":
-        return 5000 * cfg.samples + VERIFY_BLOCK * product_row
+        rows, row_bytes = _verify_block(cfg.order)
+        return 5000 * cfg.samples + min(cfg.samples, rows) * row_bytes
     if cfg.command == "scan":
         return 5000 * cfg.samples
     disks = cfg.angles * (2 if cfg.target == "b4" and cfg.mode == "both" else 1)
@@ -293,10 +297,10 @@ class _SlackTable:
         ]
 
 
-def _blocks(items: list):
-    """(first index, slice) pairs covering ``items`` in VERIFY_BLOCK steps."""
-    for first in range(0, len(items), VERIFY_BLOCK):
-        yield first, items[first : first + VERIFY_BLOCK]
+def _verify_block(order: int) -> tuple[int, int]:
+    """(rows, bytes per row) of a verify block; rows fill VERIFY_BLOCK_BYTES, at least 16."""
+    row_bytes = 64 * (order + 1) ** 2 + 8192
+    return max(16, VERIFY_BLOCK_BYTES // row_bytes), row_bytes
 
 
 def _run_verify(cfg: RunConfig) -> tuple[int, list, float]:
@@ -306,23 +310,22 @@ def _run_verify(cfg: RunConfig) -> tuple[int, list, float]:
     pairs = [(s, t) for s in range(2, s_max + 1) for t in range(1, s)]
 
     schwarz_gens = sample_schwarz(cfg.seed, cfg.samples, VERIFY_MAX_DEGREE)
-    for first, gens in _blocks(schwarz_gens):
+    herglotz_gens = sample_herglotz(cfg.seed, cfg.samples)
+    rows = _verify_block(cfg.order)[0]
+    for first in range(0, cfg.samples, rows):
+        gens = schwarz_gens[first : first + rows]
         W = expand_blaschke(gens, cfg.order)
         table.add("coefficient_bound", coefficient_bound_kernel(W).slack, first)
         table.add("b2_bound", power_bound_kernel(W, 2).slack, first)
         table.add("b3_bound", power_bound_kernel(W, 3).slack, first)
-        pointwise = pointwise_contraction_kernel(
-            gens, VERIFY_RADII, VERIFY_ANGLES_PER_RADIUS
-        )
+        pointwise = pointwise_contraction_kernel(gens, VERIFY_RADII, VERIFY_ANGLES_PER_RADIUS)
         table.add("pointwise_contraction", pointwise.slack, first)
         eq1, eq2 = fourth_coefficient_kernel(W, VERIFY_B4_THETAS)
         table.add("b4_eq1", eq1.slack, first)
         table.add("b4_eq2", eq2.slack, first)
         P = cayley_block(W, VERIFY_CAYLEY_THETAS)
         table.add("livingston_cayley", livingston_kernel(P, pairs).slack, first)
-
-    for first, gens in _blocks(sample_herglotz(cfg.seed, cfg.samples)):
-        P = np.stack([expand_caratheodory(gen, cfg.order).coeffs for gen in gens])
+        P = herglotz_block(herglotz_gens[first : first + rows], cfg.order)
         table.add("livingston_herglotz", livingston_kernel(P, pairs).slack, first)
 
     # boundary propagation is only testable on constructed boundary

@@ -13,12 +13,12 @@ Taylor series to a requested order, while ``evaluate_*`` evaluates the
 function itself at points of the disk (used by pointwise checks that must
 not be contaminated by truncation).
 
-:func:`expand_blaschke` and :func:`cayley_block` expand whole stacks of
-Blaschke products and their Cayley transforms at once; a row's bits do
-not depend on the rows stacked with it, and the one-function paths
-(``expand_schwarz`` of a Blaschke product, :func:`cayley_from_schwarz`)
-are their one-row views.  :func:`inverse_cayley` solves (p + 1) v = p - 1
-by one triangular recurrence, and the second-coefficient extremal has a
+:func:`expand_blaschke`, :func:`cayley_block`, :func:`herglotz_block` and
+:func:`evaluate_blaschke` work on whole stacks at once, a row's bits not
+depending on the rows stacked with it; ``expand_schwarz``,
+``evaluate_schwarz``, ``expand_caratheodory`` and :func:`cayley_from_schwarz`
+are their one-row views.  :func:`inverse_cayley` solves (p + 1) v = p - 1 by
+one triangular recurrence, and the second-coefficient extremal has a
 geometric tail, built by the same doubling as a Blaschke factor's.
 """
 
@@ -141,8 +141,7 @@ class CayleyOfSchwarz:
 
     def __post_init__(self):
         # the inner generator checked its own invariants when it was built
-        if not isinstance(self.inner, SchwarzGenerator):
-            raise InvalidGeneratorError(f"not a Schwarz generator: {self.inner!r}")
+        _require([self.inner], SchwarzGenerator, "Schwarz generator")
 
 
 @dataclass(frozen=True)
@@ -153,8 +152,7 @@ class InverseCayley:
     theta: float
 
     def __post_init__(self):
-        if not isinstance(self.inner, CaratheodoryGenerator):
-            raise InvalidGeneratorError(f"not a Caratheodory generator: {self.inner!r}")
+        _require([self.inner], CaratheodoryGenerator, "Caratheodory generator")
 
 
 SchwarzGenerator = Union[MonomialRotation, B2Extremal, FiniteBlaschke, InverseCayley]
@@ -242,6 +240,14 @@ def _finite(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _require(gens, family: type, name: str, order: int = 1) -> None:
+    for g in gens:
+        if not isinstance(g, family):
+            raise InvalidGeneratorError(f"not a {name}: {g!r}")
+    if order < 1:
+        raise ValueError("need order >= 1")
+
+
 def _fill_geometric(c: np.ndarray, base) -> None:
     """Fill ``c[k] = c[0] base^k`` down an ``(n, 2, K)`` pair stack.
 
@@ -290,11 +296,7 @@ def expand_blaschke(gens: Sequence[FiniteBlaschke], order: int) -> np.ndarray:
     row with fewer zeros than others is left alone, not multiplied by 1,
     so its bits do not depend on the rows stacked with it.
     """
-    for g in gens:
-        if not isinstance(g, FiniteBlaschke):
-            raise InvalidGeneratorError(f"not a finite Blaschke product: {g!r}")
-    if order < 1:
-        raise ValueError("need order >= 1")
+    _require(gens, FiniteBlaschke, "finite Blaschke product", order)
     n = order + 1
     counts = np.array([len(g.zeros) for g in gens], dtype=int)
     acc = np.zeros((n, 2, len(gens)))
@@ -320,6 +322,22 @@ def expand_blaschke(gens: Sequence[FiniteBlaschke], order: int) -> np.ndarray:
     return _finite(out)
 
 
+def herglotz_block(gens: Sequence[HerglotzAtoms], order: int) -> np.ndarray:
+    """Taylor coefficients of a stack of Herglotz atom sums, ``(S, order+1)``.
+
+    c_k = 2 sum_j lambda_j e^{i k alpha_j} by one ``(S_n, 1, n) @ (S_n, n, N)``
+    product per atom count n; padding to one count would change a row's bits.
+    """
+    _require(gens, HerglotzAtoms, "Herglotz atom sum", order)
+    out = np.ones((len(gens), order + 1), dtype=np.complex128)
+    for n in {len(g.atoms) for g in gens}:
+        rows = [i for i, g in enumerate(gens) if len(g.atoms) == n]
+        atoms = np.array([gens[i].atoms for i in rows])
+        E = np.exp(1j * (atoms[:, :, 1, None] * np.arange(1, order + 1)))
+        out[rows, 1:] = 2.0 * (atoms[:, None, :, 0] @ E)[:, 0]
+    return _finite(out)
+
+
 def expand_schwarz(g: SchwarzGenerator, order: int) -> TruncatedSeries:
     """Taylor expansion of a Schwarz generator to the given order.
 
@@ -328,10 +346,7 @@ def expand_schwarz(g: SchwarzGenerator, order: int) -> TruncatedSeries:
     """
     if isinstance(g, FiniteBlaschke):
         return TruncatedSeries(expand_blaschke([g], order)[0])
-    if not isinstance(g, SchwarzGenerator):
-        raise InvalidGeneratorError(f"not a Schwarz generator: {g!r}")
-    if order < 1:
-        raise ValueError("need order >= 1")
+    _require([g], SchwarzGenerator, "Schwarz generator", order)
     if isinstance(g, MonomialRotation):
         arr = np.zeros(order + 1, dtype=np.complex128)
         if g.k <= order:
@@ -352,27 +367,16 @@ def expand_schwarz(g: SchwarzGenerator, order: int) -> TruncatedSeries:
         _fill_geometric(w[2:], (t.real, t.imag))
         return TruncatedSeries(from_pairs(w)[0])
     # InverseCayley
-    p = expand_caratheodory(g.inner, order)
-    return inverse_cayley(p, g.theta)
+    return inverse_cayley(expand_caratheodory(g.inner, order), g.theta)
 
 
 def expand_caratheodory(g: CaratheodoryGenerator, order: int) -> TruncatedSeries:
     """Taylor expansion of a Caratheodory generator to the given order."""
-    if not isinstance(g, CaratheodoryGenerator):
-        raise InvalidGeneratorError(f"not a Caratheodory generator: {g!r}")
-    if order < 1:
-        raise ValueError("need order >= 1")
+    _require([g], CaratheodoryGenerator, "Caratheodory generator", order)
     if isinstance(g, HerglotzAtoms):
-        weights = np.array([w for w, _ in g.atoms])
-        angles = np.array([a for _, a in g.atoms])
-        ks = np.arange(1, order + 1)
-        arr = np.zeros(order + 1, dtype=np.complex128)
-        arr[0] = 1.0
-        arr[1:] = 2.0 * (weights @ np.exp(1j * np.outer(angles, ks)))
-        return TruncatedSeries(arr)
+        return TruncatedSeries(herglotz_block([g], order)[0])
     # CayleyOfSchwarz
-    w = expand_schwarz(g.inner, order)
-    return cayley_from_schwarz(w, g.theta)
+    return cayley_from_schwarz(expand_schwarz(g.inner, order), g.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +385,7 @@ def expand_caratheodory(g: CaratheodoryGenerator, order: int) -> TruncatedSeries
 
 def evaluate_schwarz(g: SchwarzGenerator, z: np.ndarray | complex) -> np.ndarray:
     """Evaluate the generator's function at points of the open disk."""
-    if not isinstance(g, SchwarzGenerator):
-        raise InvalidGeneratorError(f"not a Schwarz generator: {g!r}")
+    _require([g], SchwarzGenerator, "Schwarz generator")
     z = np.asarray(z, dtype=np.complex128)
     if isinstance(g, MonomialRotation):
         return np.exp(1j * g.theta) * z**g.k
@@ -392,23 +395,39 @@ def evaluate_schwarz(g: SchwarzGenerator, z: np.ndarray | complex) -> np.ndarray
         rot = np.exp(1j * g.theta)
         return (g.b1 * z + rot * z**2) / (1.0 + rot * np.conj(g.b1) * z)
     if isinstance(g, FiniteBlaschke):
-        acc = np.exp(1j * g.phi) * z**g.m
-        for a in g.zeros:
-            a = complex(a)
-            if a == 0:
-                acc = acc * z
-            else:
-                acc = acc * (abs(a) / a) * (a - z) / (1.0 - np.conj(a) * z)
-        return acc
+        return evaluate_blaschke([g], z.ravel())[0].reshape(z.shape)
     # InverseCayley
     p = evaluate_caratheodory(g.inner, z)
     return np.exp(-1j * g.theta) * (p - 1.0) / (p + 1.0)
 
 
+def evaluate_blaschke(gens: Sequence[FiniteBlaschke], z) -> np.ndarray:
+    """A stack of finite Blaschke products at the points ``z``, ``(S, len(z))``.
+
+    Row s is e^{i phi} z^m times its zeros' factors in turn, each taken as
+    ((acc * unit) * (a - z)) / (1 - conj(a) z), unit = |a|/a in Python
+    arithmetic, or acc * z for a = 0, on only the rows that have the zero.
+    """
+    _require(gens, FiniteBlaschke, "finite Blaschke product")
+    n = len(z)  # two points at least: numpy rounds a one-element complex product unfused
+    z = np.resize(np.asarray(z, dtype=np.complex128), max(n, 2))
+    powers = {m: z**m for m in {g.m for g in gens}}
+    rots = np.exp(1j * np.array([g.phi for g in gens]))[:, None]
+    acc = rots * np.array([powers[g.m] for g in gens]).reshape(len(gens), len(z))
+    for j in range(max((len(g.zeros) for g in gens), default=0)):
+        slot = [(i, complex(g.zeros[j])) for i, g in enumerate(gens) if len(g.zeros) > j]
+        origin = [i for i, a in slot if a == 0]
+        acc[origin] = acc[origin] * z
+        rows = [i for i, a in slot if a != 0]
+        a = np.array([a for _, a in slot if a != 0])[:, None]
+        units = np.array([abs(b) / b for _, b in slot if b != 0])[:, None]
+        acc[rows] = acc[rows] * units * (a - z) / (1.0 - np.conj(a) * z)
+    return acc[:, :n]
+
+
 def evaluate_caratheodory(g: CaratheodoryGenerator, z: np.ndarray | complex) -> np.ndarray:
     """Evaluate the generator's function at points of the open disk."""
-    if not isinstance(g, CaratheodoryGenerator):
-        raise InvalidGeneratorError(f"not a Caratheodory generator: {g!r}")
+    _require([g], CaratheodoryGenerator, "Caratheodory generator")
     z = np.asarray(z, dtype=np.complex128)
     if isinstance(g, HerglotzAtoms):
         acc = np.zeros_like(z)
@@ -444,7 +463,7 @@ def sample_schwarz(seed: int, count: int, max_degree: int) -> list[FiniteBlaschk
         n_zeros = int(rng.integers(0, max_degree - m + 1))
         radii = SAMPLING_ZERO_RADIUS * np.sqrt(rng.uniform(size=n_zeros))
         angles = rng.uniform(0.0, 2.0 * np.pi, size=n_zeros)
-        zeros = tuple(complex(c) for c in radii * np.exp(1j * angles))
+        zeros = tuple((radii * np.exp(1j * angles)).tolist())
         phi = float(rng.uniform(0.0, 2.0 * np.pi))
         out.append(FiniteBlaschke(phi=phi, m=m, zeros=zeros))
     return out
@@ -467,7 +486,7 @@ def sample_herglotz(seed: int, count: int, max_atoms: int = DEFAULT_MAX_ATOMS) -
         weights = rng.dirichlet(np.ones(n)) + 1e-15
         weights = weights / weights.sum()
         angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        out.append(HerglotzAtoms(tuple((float(w), float(a)) for w, a in zip(weights, angles))))
+        out.append(HerglotzAtoms(tuple(zip(weights.tolist(), angles.tolist()))))
     return out
 
 

@@ -35,7 +35,6 @@ from oracles import (
 )
 from schwarzlab.cli import (
     RunConfig,
-    VERIFY_BLOCK,
     _config_payload,
     _SlackTable,
     _c2csv,
@@ -240,8 +239,11 @@ class TestVerifyMatchesScalarOracle:
         code, out, _ = run_cli(capsys, _verify_argv(cfg))
         assert (code, out) == (status, expected)
 
-    def test_failing_rows_match(self, capsys):
-        assert 37 % VERIFY_BLOCK != 0
+    def test_failing_rows_match(self, capsys, monkeypatch):
+        # no budget leaves 16-row blocks, so the 37 samples span several
+        # blocks, the last one partial
+        monkeypatch.setattr(cli, "VERIFY_BLOCK_BYTES", 0)
+        assert cli._verify_block(12)[0] == 16 and 37 % 16 != 0
         cfg = RunConfig(command="verify", samples=37, seed=42, tol=1e-17)
         status, expected = _oracle_json(cfg)
         code, out, err = run_cli(capsys, _verify_argv(cfg))
@@ -896,14 +898,20 @@ def test_corpus_verification_script_runs():
         (("map_b4_region.py", "--samples", "5", "--resolution", "8"),
          "resolution must be >= 16"),
         (("b3_region_convergence.py", "--b1", "1.5"), "region needs |b1| <= 1"),
+        # refused after settings that pass: every run is checked before the first row
+        (("map_b4_region.py", "--samples", "0"), "samples must be >= 1"),
+        (("b3_region_convergence.py", "--resolutions", "128", "8"),
+         "resolution must be >= 16"),
     ],
-    ids=["map_b4_region", "b3_region_convergence"],
+    ids=["map_b4_region", "b3_region_convergence", "map_b4_region_scan",
+         "b3_region_convergence_later_run"],
 )
 def test_region_scripts_refuse_settings_as_the_cli_does(argv, message):
     proc = _run_script(*argv)
     assert proc.returncode == 2
     assert proc.stderr == f"error: {message}\n"
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 class TestPeakMemoryEstimate:

@@ -1,8 +1,10 @@
-"""Tests for the stacked expansion kernels: expand_blaschke, cayley_block, stacked_mul.
+"""Tests for the stacked kernels: expand_blaschke, cayley_block, herglotz_block,
+evaluate_blaschke and stacked_mul.
 
 A row of a stacked kernel must equal, bit for bit, what the kernel gives
 for that row alone, so batched and one-at-a-time runs report the same
-numbers.  The 50-digit mpmath references bound the float error of both
+numbers; herglotz_block and evaluate_blaschke rows also equal, bit for
+bit, the per-function formulas they replaced.  The 50-digit mpmath references bound the float error of both
 kernels; each bound is twice the worst error the previous per-function
 path (a truncated product and reciprocal per Blaschke factor, Horner
 composition for the Cayley transform) measured on the same corpora.
@@ -16,15 +18,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import schwarzlab.cli as cli
 from schwarzlab.families import (
     B2Extremal,
     FiniteBlaschke,
+    HerglotzAtoms,
     InvalidGeneratorError,
     MonomialRotation,
     cayley_block,
     cayley_from_schwarz,
+    evaluate_blaschke,
+    evaluate_schwarz,
     expand_blaschke,
+    expand_caratheodory,
     expand_schwarz,
+    herglotz_block,
+    sample_herglotz,
     sample_schwarz,
 )
 from schwarzlab.series import (
@@ -236,3 +245,153 @@ def test_error_against_50_digit_reference(order, count):
     )
     assert blaschke_err <= BLASCHKE_BOUND[order]
     assert cayley_err <= CAYLEY_BOUND[order]
+
+
+# ---------------------------------------------------------------------------
+# herglotz_block and evaluate_blaschke
+# ---------------------------------------------------------------------------
+
+def herglotz_per_function(g: HerglotzAtoms, order: int) -> np.ndarray:
+    """c_0 = 1, c_k = 2 (weights @ e^{i k alpha}): one product per function."""
+    weights = np.array([w for w, _ in g.atoms])
+    angles = np.array([a for _, a in g.atoms])
+    out = np.ones(order + 1, dtype=np.complex128)
+    out[1:] = 2.0 * (weights @ np.exp(1j * np.outer(angles, np.arange(1, order + 1))))
+    return out
+
+
+def blaschke_per_function(g: FiniteBlaschke, z: np.ndarray) -> np.ndarray:
+    """e^{i phi} z^m times each factor in turn, ((acc * unit) * (a - z)) / (1 - conj(a) z)."""
+    acc = np.exp(1j * g.phi) * z**g.m
+    for a in g.zeros:
+        a = complex(a)
+        if a == 0:
+            acc = acc * z
+        else:
+            acc = acc * (abs(a) / a) * (a - z) / (1.0 - np.conj(a) * z)
+    return acc
+
+
+#: The pointwise grid of ``verify``: 8 radii, 16 angles each.
+VERIFY_GRID = (np.array(cli.VERIFY_RADII)[:, None]
+               * np.exp(2j * math.pi * np.arange(16) / 16)).ravel()
+
+atom_angles = st.one_of(
+    st.floats(-10.0, 10.0, allow_nan=False),
+    st.sampled_from([0.0, -0.0, math.pi / 2, math.pi, -math.pi, 2.0 * math.pi]),
+)
+herglotz = st.lists(
+    st.tuples(st.floats(1e-3, 1.0), atom_angles), min_size=1, max_size=8
+).map(lambda atoms: HerglotzAtoms(tuple(
+    (w / math.fsum(w for w, _ in atoms), a) for w, a in atoms
+)))
+blaschke_m6 = st.builds(
+    FiniteBlaschke,
+    phi=st.one_of(angles, st.sampled_from([0.0, -0.0, math.pi / 2, math.pi])),
+    m=st.integers(1, 6),
+    zeros=st.lists(zeros, max_size=6).map(tuple),
+)
+disk_points = st.lists(
+    st.one_of(
+        st.builds(lambda r, t: r * cmath.exp(1j * t), st.floats(0.0, 0.99), angles),
+        axis_zeros,
+        st.just(0j),
+    ),
+    min_size=1, max_size=24,
+).map(lambda zs: np.array(zs, dtype=np.complex128))
+
+
+class TestHerglotzBlock:
+    @settings(deadline=None, max_examples=80)
+    @given(st.lists(herglotz, min_size=1, max_size=40), st.integers(1, 40))
+    def test_rows_match_one_row_calls(self, gens, order):
+        P = herglotz_block(gens, order)
+        assert P.shape == (len(gens), order + 1)
+        for i, g in enumerate(gens):
+            assert np.array_equal(bits(P[i]), bits(herglotz_block([g], order)[0]))
+            assert np.array_equal(bits(P[i]), bits(expand_caratheodory(g, order).coeffs))
+            assert np.array_equal(bits(P[i]), bits(herglotz_per_function(g, order)))
+
+    @pytest.mark.parametrize("order", [4, 12, 40])
+    def test_sampled_corpus_keeps_the_per_function_bits(self, order):
+        # 1 to 8 atoms mixed in one block, as verify stacks them
+        gens = sample_herglotz(order, 400)
+        assert {len(g.atoms) for g in gens} == set(range(1, 9))
+        P = herglotz_block(gens, order)
+        for i, g in enumerate(gens):
+            assert np.array_equal(bits(P[i]), bits(herglotz_per_function(g, order)))
+
+    def test_validation(self):
+        assert herglotz_block([], 5).shape == (0, 6)
+        with pytest.raises(ValueError, match="order"):
+            herglotz_block(sample_herglotz(1, 3), 0)
+        with pytest.raises(InvalidGeneratorError, match="Herglotz"):
+            herglotz_block([*sample_herglotz(1, 3), MonomialRotation(1, 0.0)], 4)
+        with pytest.raises(ValueError, match="finite"):
+            herglotz_block([HerglotzAtoms(((1.0, math.inf),))], 4)
+
+
+class TestEvaluateBlaschke:
+    @settings(deadline=None, max_examples=80)
+    @given(st.lists(blaschke_m6, min_size=1, max_size=40), disk_points)
+    def test_rows_match_one_row_calls(self, gens, z):
+        values = evaluate_blaschke(gens, z)
+        assert values.shape == (len(gens), len(z))
+        for i, g in enumerate(gens):
+            assert np.array_equal(bits(values[i]), bits(evaluate_blaschke([g], z)[0]))
+            assert np.array_equal(bits(values[i]), bits(evaluate_schwarz(g, z)))
+            assert np.array_equal(bits(values[i]), bits(blaschke_per_function(g, z)))
+
+    @pytest.mark.parametrize("seed", [0, 42, 1001])
+    def test_verify_corpus_keeps_the_per_function_bits(self, seed):
+        gens = _corpus(seed, 200)
+        values = evaluate_blaschke(gens, VERIFY_GRID)
+        for i, g in enumerate(gens):
+            assert np.array_equal(bits(values[i]), bits(blaschke_per_function(g, VERIFY_GRID)))
+
+    def test_one_function_at_one_point(self):
+        # numpy rounds a complex product of one-element operands with no
+        # stride unfused, so a 1 x 1 block must not be computed as one
+        gens = [FiniteBlaschke(0.0, 1, (0j, 0j)), *_corpus(7, 40)]
+        for t in np.linspace(0.0, 2.0 * math.pi, 9):
+            z = np.array([0.5 * cmath.exp(1j * t)])
+            for g in gens:
+                one = evaluate_blaschke([g], z)
+                assert one.shape == (1, 1)
+                assert np.array_equal(bits(one[0]), bits(blaschke_per_function(g, z)))
+
+    def test_one_row_view_keeps_the_shape_of_z(self):
+        g = FiniteBlaschke(0.3, 2, (0.5j, 0j))
+        z = VERIFY_GRID.reshape(8, 16)
+        assert evaluate_schwarz(g, z).shape == (8, 16)
+        assert np.array_equal(bits(evaluate_schwarz(g, z)),
+                              bits(blaschke_per_function(g, VERIFY_GRID).reshape(8, 16)))
+        assert evaluate_schwarz(g, 0.25).shape == ()
+
+    def test_validation(self):
+        assert evaluate_blaschke([], VERIFY_GRID).shape == (0, len(VERIFY_GRID))
+        with pytest.raises(InvalidGeneratorError, match="Blaschke"):
+            evaluate_blaschke([B2Extremal(0.3, 0.0)], VERIFY_GRID)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--samples", "37", "--seed", "5"],
+        ["verify", "--samples", "37", "--seed", "42", "--tol", "1e-17"],
+        ["verify", "--samples", "20", "--seed", "11", "--order", "4", "--format", "csv"],
+        ["verify", "--samples", "20", "--seed", "1001", "--order", "40"],
+    ],
+    ids=["default", "failing", "order4_csv", "order40"],
+)
+def test_verify_report_does_not_depend_on_the_block_size(capsys, monkeypatch, argv):
+    def report():
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    default = report()
+    samples = int(argv[argv.index("--samples") + 1])
+    for rows in (1, 7, samples, 3 * samples):
+        monkeypatch.setattr(cli, "_verify_block", lambda order, rows=rows: (rows, 0))
+        assert report() == default
