@@ -32,7 +32,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -92,14 +92,49 @@ VERIFY_LIVINGSTON_MAX_S = 10
 #: A run whose estimated peak working memory (see :func:`estimate_peak_bytes`)
 #: exceeds this many bytes is refused before it allocates anything.
 MAX_PEAK_BYTES = 2 * 1024**3
-#: The size flags each command reads, named when a run is refused for memory.
-_SIZE_FLAGS = {"expand": "--order", "verify": "--samples or --order",
-               "scan": "--samples", "region": "--resolution or --angles"}
+#: The settings that the estimate reads, named when a run is refused for memory.
+_SIZE_SETTINGS = ("order", "samples", "angles", "resolution")
+
+
+def _parse_complex_flag(text: str) -> complex:
+    parts = text.split(",")
+    try:
+        if len(parts) == 1:
+            return complex(float(parts[0]), 0.0)
+        if len(parts) == 2:
+            return complex(float(parts[0]), float(parts[1]))
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected 're' or 're,im', got {text!r}")
+
+
+#: The flag of each setting, as argparse keywords; RunConfig.validate checks the choices too.
+_FLAG_SPECS = {
+    **dict.fromkeys(("order", "seed", "samples"), {"type": int}),
+    "tol": {"type": float},
+    **dict.fromkeys(("b1", "b2", "b3"), {"type": _parse_complex_flag}),
+    "target": {"choices": ("b3", "b4")},
+    "mode": {"choices": B4_MODES},
+    "angles": {"type": int, "metavar": "M"},
+    "resolution": {"type": int, "metavar": "R"},
+    "format": {"choices": ("csv", "json")},
+    "out": {"metavar": "PATH"},
+}
+#: The settings every command reads.
+_EVERY_COMMAND = ("format", "out")
+#: The other settings each command reads.  Only these become its flags, are
+#: checked and are echoed; the rest must stay at their defaults.
+COMMAND_SETTINGS = {
+    "expand": ("order",),
+    "verify": ("order", "seed", "samples", "tol"),
+    "region": ("b1", "b2", "b3", "target", "mode", "angles", "resolution"),
+    "scan": ("seed", "samples", "tol"),
+}
 
 
 @dataclass
 class RunConfig:
-    """Validated CLI run configuration and the CLI's defaults; unused fields stay at None."""
+    """Validated CLI run configuration and the CLI's defaults, which unread settings keep."""
 
     command: str
     order: int = 12
@@ -117,33 +152,31 @@ class RunConfig:
     resolution: int = DEFAULT_RESOLUTION
 
     def validate(self) -> None:
-        if self.command not in ("expand", "verify", "region", "scan"):
+        if self.command not in COMMAND_SETTINGS:
             raise ValueError(f"unknown command {self.command!r}")
-        min_order = 1 if self.command == "expand" else 4
+        reads = COMMAND_SETTINGS[self.command] + _EVERY_COMMAND
+        for field in fields(self)[1:]:
+            if field.name not in reads and getattr(self, field.name) != field.default:
+                raise ValueError(f"{self.command} does not read {field.name}")
+        # every default passes the checks below, so they refuse only what the command reads
+        min_order = 4 if self.command == "verify" else 1
         if self.order < min_order:
             raise ValueError(f"{self.command} needs order >= {min_order}")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if self.format not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
-        if self.mode not in B4_MODES:
-            raise ValueError("mode must be eq1, eq2 or both")
-        if self.angles < MIN_FAMILY_SIZE:
-            raise ValueError(f"angles must be >= {MIN_FAMILY_SIZE}")
-        if self.resolution < MIN_RESOLUTION:
-            raise ValueError(f"resolution must be >= {MIN_RESOLUTION}")
+        floors = {"samples": 1, "angles": MIN_FAMILY_SIZE, "resolution": MIN_RESOLUTION}
+        for name, floor in floors.items():
+            if getattr(self, name) < floor:
+                raise ValueError(f"{name} must be >= {floor}")
+        for name in reads:
+            choices = _FLAG_SPECS[name].get("choices")
+            if choices and getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be {', '.join(choices[:-1])} or {choices[-1]}")
         if self.command == "region":
-            if self.target not in ("b3", "b4"):
-                raise ValueError("region needs --target b3 or b4")
             if self.b1 is None:
                 raise ValueError("region needs --b1")
             # flags the target or mode ignores are only echoed (null if not finite)
-            read = {"b1": self.b1}
-            if self.target == "b4":
-                read["b2"] = self.b2
-                if self.mode != "eq1":
-                    read["b3"] = self.b3
-            for flag, z in read.items():
+            used = 1 if self.target == "b3" else 2 if self.mode == "eq1" else 3
+            for flag in ("b1", "b2", "b3")[:used]:
+                z = getattr(self, flag)
                 if z is not None and not cmath.isfinite(z):
                     raise ValueError(f"--{flag} must be finite")
             if abs(self.b1) > 1.0 + B1_UNIT_TOL:
@@ -152,10 +185,11 @@ class RunConfig:
             raise ValueError("tol must be finite and positive")
         peak = estimate_peak_bytes(self)
         if peak > MAX_PEAK_BYTES:
+            sizes = [f"--{name}" for name in reads if name in _SIZE_SETTINGS]
             # integer GiB: a float quotient overflows for absurd settings
             raise ValueError(
                 f"{self.command} would need about {-(-peak // 2**30)} GiB, over the "
-                f"{MAX_PEAK_BYTES // 2**30} GiB cap; lower {_SIZE_FLAGS[self.command]}"
+                f"{MAX_PEAK_BYTES // 2**30} GiB cap; lower {' or '.join(sizes)}"
             )
 
 
@@ -211,7 +245,8 @@ def _flag2j(z: Optional[complex]) -> Optional[list]:
 
 
 def _config_payload(cfg: RunConfig, spec: Optional[str]) -> dict:
-    return {
+    """Every setting, in one key order; one that the command does not read is null."""
+    payload = {
         "order": cfg.order,
         "seed": cfg.seed,
         "samples": cfg.samples,
@@ -223,10 +258,12 @@ def _config_payload(cfg: RunConfig, spec: Optional[str]) -> dict:
         "b2": _flag2j(cfg.b2),
         "b3": _flag2j(cfg.b3),
         "target": cfg.target,
-        "mode": cfg.mode if cfg.command in ("region", "scan") else None,
-        "angles": cfg.angles if cfg.command in ("region", "scan") else None,
-        "resolution": cfg.resolution if cfg.command == "region" else None,
+        "mode": cfg.mode,
+        "angles": cfg.angles,
+        "resolution": cfg.resolution,
     }
+    echoed = COMMAND_SETTINGS[cfg.command] + _EVERY_COMMAND + ("spec",)
+    return {key: value if key in echoed else None for key, value in payload.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +272,9 @@ def _config_payload(cfg: RunConfig, spec: Optional[str]) -> dict:
 
 def _run_expand(cfg: RunConfig, spec: str) -> tuple[int, list]:
     gen = parse_generator(spec)
-    if isinstance(gen, CaratheodoryGenerator):
-        series = expand_caratheodory(gen, cfg.order)
-    else:
-        series = expand_schwarz(gen, cfg.order)
-    results = [
-        {"k": k, "value": _c2j(series[k])} for k in range(1, cfg.order + 1)
-    ]
-    return 0, results
+    expand = expand_caratheodory if isinstance(gen, CaratheodoryGenerator) else expand_schwarz
+    series = expand(gen, cfg.order)
+    return 0, [{"k": k, "value": _c2j(series[k])} for k in range(1, cfg.order + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +335,7 @@ def _verify_block(order: int) -> tuple[int, int]:
     return max(16, VERIFY_BLOCK_BYTES // row_bytes), row_bytes
 
 
-def _run_verify(cfg: RunConfig) -> tuple[int, list, float]:
+def _run_verify(cfg: RunConfig) -> tuple[int, list, Optional[float]]:
     tol = cfg.tol if cfg.tol is not None else INEQUALITY_TOL
     table = _SlackTable(tol)
     s_max = min(VERIFY_LIVINGSTON_MAX_S, cfg.order)
@@ -343,7 +375,8 @@ def _run_verify(cfg: RunConfig) -> tuple[int, list, float]:
             file=sys.stderr,
         )
         status = 1
-    return status, table.results(), table.worst()
+    results = [dict(row, worst_slack=_finite(row["worst_slack"])) for row in table.results()]
+    return status, results, _finite(table.worst())
 
 
 # ---------------------------------------------------------------------------
@@ -368,23 +401,21 @@ def _region_payload(est: RegionEstimate, target: str, mode: Optional[str]) -> di
 def _run_region(cfg: RunConfig) -> tuple[int, list]:
     if cfg.target == "b3":
         est = b3_region(cfg.b1, angle_samples=cfg.angles, resolution=cfg.resolution)
-        payload = _region_payload(est, "b3", None)
-    else:
-        b2 = cfg.b2 if cfg.b2 is not None else 0j
-        b3 = cfg.b3 if cfg.b3 is not None else 0j
-        est = b4_feasible_region(
-            cfg.b1, b2, b3,
-            angle_samples=cfg.angles, resolution=cfg.resolution, mode=cfg.mode,
-        )
-        payload = _region_payload(est, "b4", cfg.mode)
-    return 0, [payload]
+        return 0, [_region_payload(est, "b3", None)]
+    b2 = cfg.b2 if cfg.b2 is not None else 0j
+    b3 = cfg.b3 if cfg.b3 is not None else 0j
+    est = b4_feasible_region(
+        cfg.b1, b2, b3,
+        angle_samples=cfg.angles, resolution=cfg.resolution, mode=cfg.mode,
+    )
+    return 0, [_region_payload(est, "b4", cfg.mode)]
 
 
 # ---------------------------------------------------------------------------
 # scan
 # ---------------------------------------------------------------------------
 
-def _run_scan(cfg: RunConfig) -> tuple[int, list, float]:
+def _run_scan(cfg: RunConfig) -> tuple[int, list, Optional[float]]:
     tol = cfg.tol if cfg.tol is not None else MEMBERSHIP_TOL
     B, margins = attainability_scan(cfg.seed, cfg.samples)
     # ranks a non-finite margin below every finite one, as verify does
@@ -421,7 +452,7 @@ def _run_scan(cfg: RunConfig) -> tuple[int, list, float]:
                 "reference": float(fb.reference),
             }
         )
-    return status, results, table.worst()
+    return status, results, _finite(table.worst())
 
 
 # ---------------------------------------------------------------------------
@@ -574,16 +605,12 @@ def _csv_scan(results: list) -> list[str]:
     return lines
 
 
+_CSV_LINES = {"expand": _csv_expand, "verify": _csv_verify,
+              "region": _csv_region, "scan": _csv_scan}
+
+
 def render_csv(command: str, results: list) -> str:
-    if command == "expand":
-        lines = _csv_expand(results)
-    elif command == "verify":
-        lines = _csv_verify(results)
-    elif command == "region":
-        lines = _csv_region(results)
-    else:
-        lines = _csv_scan(results)
-    return "\n".join(lines) + "\n"
+    return "\n".join(_CSV_LINES[command](results)) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -593,20 +620,15 @@ def render_csv(command: str, results: list) -> str:
 def run(cfg: RunConfig, spec: Optional[str] = None) -> tuple[int, dict]:
     """Execute one command; returns (exit_status, report payload)."""
     cfg.validate()
-    worst: Optional[float] = None
+    worst = None
     if cfg.command == "expand":
         if spec is None:
             raise GeneratorParseError("expand needs a generator expression")
         status, results = _run_expand(cfg, spec)
-    elif cfg.command == "verify":
-        status, results, worst_val = _run_verify(cfg)
-        results = [dict(row, worst_slack=_finite(row["worst_slack"])) for row in results]
-        worst = _finite(worst_val)
     elif cfg.command == "region":
         status, results = _run_region(cfg)
     else:
-        status, results, worst_val = _run_scan(cfg)
-        worst = _finite(worst_val)
+        status, results, worst = (_run_verify if cfg.command == "verify" else _run_scan)(cfg)
     report = {
         "command": cfg.command,
         "config": _config_payload(cfg, spec),
@@ -637,18 +659,6 @@ def _join_negative_values(argv) -> list[str]:
     return out
 
 
-def _parse_complex_flag(text: str) -> complex:
-    parts = text.split(",")
-    try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected 're' or 're,im', got {text!r}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schwarzlab",
@@ -656,45 +666,27 @@ def build_parser() -> argparse.ArgumentParser:
         "Caratheodory functions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, summary):
+    summaries = {
+        "expand": "expand a generator to coefficients",
+        "verify": "run the inequality suite on corpora",
+        "region": "rasterize a coefficient region",
+        "scan": "attainability scan for b4",
+    }
+    for name, summary in summaries.items():
         # a flag left off the command line stays unset: RunConfig holds the defaults
         p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
-        p.add_argument("--order", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--out", metavar="PATH")
-        return p
-
-    p_expand = command("expand", "expand a generator to coefficients")
-    p_expand.add_argument("spec", help="generator expression")
-
-    command("verify", "run the inequality suite on corpora")
-
-    p_region = command("region", "rasterize a coefficient region")
-    p_region.add_argument("--b1", type=_parse_complex_flag)
-    p_region.add_argument("--b2", type=_parse_complex_flag)
-    p_region.add_argument("--b3", type=_parse_complex_flag)
-    p_region.add_argument("--target", choices=("b3", "b4"))
-    p_region.add_argument("--mode", choices=B4_MODES)
-    p_region.add_argument("--angles", type=int, metavar="M")
-    p_region.add_argument("--resolution", type=int, metavar="R")
-
-    p_scan = command("scan", "attainability scan for b4")
-    p_scan.add_argument("--angles", type=int, metavar="M",
-                        help="validated and echoed only: scan margins are exact")
-
+        for setting in COMMAND_SETTINGS[name] + _EVERY_COMMAND:
+            p.add_argument(f"--{setting}", **_FLAG_SPECS[setting])
+        if name == "expand":
+            p.add_argument("spec", help="generator expression")
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = vars(parser.parse_args(_join_negative_values(argv)))
+        args = vars(parser.parse_args(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     spec = args.pop("spec", None)
@@ -707,13 +699,13 @@ def main(argv: Optional[list[str]] = None) -> int:
             if cfg.format == "json"
             else render_csv(cfg.command, report["results"])
         )
-    except (GeneratorParseError, InvalidGeneratorError, ValueError, OverflowError) as exc:
+        if cfg.out:  # an unwritable path is refused like a bad setting
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
+    except (GeneratorParseError, InvalidGeneratorError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-    else:
+    if not cfg.out:
         sys.stdout.write(text)
     return status
 

@@ -311,12 +311,15 @@ def _build(head: str, positional: list, kwargs: dict, parser: _Parser):
 def parse_generator(text: str) -> SchwarzGenerator | CaratheodoryGenerator:
     """Parse a generator expression.
 
-    Raises GeneratorParseError on input outside the grammar, and
-    InvalidGeneratorError (from the generator's constructor) on parameters
-    outside its family, such as ``blaschke(phi=0, m=0)``.
+    Raises GeneratorParseError on input outside the grammar or nested too
+    deeply, and InvalidGeneratorError (from the generator's constructor) on
+    parameters outside its family, such as ``blaschke(phi=0, m=0)``.
     """
     parser = _Parser(text)
-    value = parser.parse_value()
+    try:
+        value = parser.parse_value()
+    except RecursionError:  # the parser takes a few frames per nesting level
+        raise GeneratorParseError("expression nests too deeply") from None
     kind, val, at = parser.peek()
     if kind != "end":
         raise GeneratorParseError(f"trailing input at position {at}: {val!r}")

@@ -230,6 +230,17 @@ def _uniform_thetas(m: int) -> np.ndarray:
     return 2.0 * math.pi * np.arange(m) / m
 
 
+def _unit_disk_region(b1, centers_at, angle_samples, resolution) -> RegionEstimate:
+    """Rasterize the unit disks about ``centers_at(thetas)`` at uniform thetas, in the box
+    of half-width 1 + max |center| about 0; |b1| > 1 is refused before any center is built."""
+    if abs(b1) > 1.0 + B1_UNIT_TOL:
+        raise ValueError("|b1| must be <= 1")
+    centers = centers_at(_uniform_thetas(angle_samples)).ravel()
+    family = DiskConstraintFamily(centers=centers, radius=1.0)
+    hw = 1.0 + float(np.max(np.abs(centers)))
+    return intersect_disk_family(family, BoundingBox(0j, hw), resolution)
+
+
 def b3_centers(b1: complex, thetas: np.ndarray) -> np.ndarray:
     """Centers e^{i 2 theta} b1^3 of the third-coefficient constraint family."""
     return (complex(b1) ** 3) * np.exp(2j * thetas)
@@ -245,12 +256,7 @@ def b3_region(
     Converges to the disk |x| <= 1 - |b1|^3 as angle_samples and
     resolution grow.
     """
-    if abs(b1) > 1.0 + B1_UNIT_TOL:
-        raise ValueError("|b1| must be <= 1")
-    centers = b3_centers(b1, _uniform_thetas(angle_samples))
-    family = DiskConstraintFamily(centers=centers, radius=1.0)
-    hw = 1.0 + float(np.max(np.abs(centers)))
-    return intersect_disk_family(family, BoundingBox(0j, hw), resolution)
+    return _unit_disk_region(b1, lambda thetas: b3_centers(b1, thetas), angle_samples, resolution)
 
 
 def b4_centers(b1: complex, b2: complex, b3: complex, thetas: np.ndarray) -> np.ndarray:
@@ -283,13 +289,10 @@ def b4_feasible_region(
     """
     if mode not in B4_MODES:
         raise ValueError(f"mode must be eq1, eq2 or both, got {mode!r}")
-    if abs(b1) > 1.0 + B1_UNIT_TOL:
-        raise ValueError("|b1| must be <= 1")
-    gammas = b4_centers(b1, b2, b3, _uniform_thetas(angle_samples))
-    centers = gammas.ravel() if mode == "both" else gammas[B4_MODES.index(mode)]
-    family = DiskConstraintFamily(centers=centers, radius=1.0)
-    hw = 1.0 + float(np.max(np.abs(centers)))
-    return intersect_disk_family(family, BoundingBox(0j, hw), resolution)
+    rows = slice(None) if mode == "both" else B4_MODES.index(mode)
+    return _unit_disk_region(
+        b1, lambda thetas: b4_centers(b1, b2, b3, thetas)[rows], angle_samples, resolution
+    )
 
 
 #: Points e^{i k pi/2} added to every row's candidates: they cover a constant

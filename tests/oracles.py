@@ -262,12 +262,12 @@ def dense_b4_margins(B, angle_samples=2**20, chunk=2**13):
     return (1.0 - np.sqrt(best)).reshape(-1, 2)
 
 
-def scan_oracle(cfg, margins=None):
+def scan_oracle(cfg, angles=None, margins=None):
     """Per-sample reference for ``scan``: returns (status, results, worst).
 
-    Each sample's margin comes from :func:`b4_margin_oracle` at
-    ``cfg.angles``, or from ``margins`` when given.  A non-finite margin is
-    a failure and ranks below every finite one.
+    Each sample's margin comes from :func:`b4_margin_oracle` at ``angles``
+    uniform rotations, or from ``margins`` when given.  A non-finite margin
+    is a failure and ranks below every finite one.
     """
     from schwarzlab.families import expand_schwarz, sample_schwarz
     from schwarzlab.regions import MEMBERSHIP_TOL
@@ -281,7 +281,7 @@ def scan_oracle(cfg, margins=None):
         w = expand_schwarz(g, 4)
         b = (w[1], w[2], w[3], w[4])
         coeffs.append(b)
-        margin = b4_margin_oracle(*b, cfg.angles) if margins is None else margins[idx]
+        margin = b4_margin_oracle(*b, angles) if margins is None else margins[idx]
         member = margin >= -tol
         results.append({
             "kind": "sample",

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its report formats."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -20,7 +21,11 @@ from schwarzlab.bounds import BoundBlock
 from schwarzlab.families import (
     B1_UNIT_TOL,
     B2Extremal,
+    CayleyOfSchwarz,
+    FiniteBlaschke,
     InvalidGeneratorError,
+    InverseCayley,
+    expand_caratheodory,
     expand_schwarz,
     sample_schwarz,
 )
@@ -44,6 +49,7 @@ from schwarzlab.cli import (
     render_json,
     run,
 )
+from schwarzlab.grammar import parse_generator
 from schwarzlab.regions import B4_MODES, MIN_FAMILY_SIZE, MIN_RESOLUTION
 
 REPO = Path(__file__).resolve().parents[1]
@@ -112,6 +118,39 @@ class TestExpand:
     def test_order_too_small_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, ["expand", "--order", "0", "monomial(k=1, theta=0)"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "invcayley(theta=0, cayley(theta=0, " * 400 + "blaschke(phi=0, m=1)" + "))" * 400,
+            "monomial(k=1, theta=" + "(" * 2000 + "0" + ")" * 2000 + ")",
+        ],
+        ids=["400-invcayley-cayley-pairs", "2000-parentheses"],
+    )
+    def test_too_deep_nesting_exits_2(self, capsys, spec):
+        assert run_cli(capsys, ["expand", spec]) == (2, "", "error: expression nests too deeply\n")
+
+    def test_deep_workload_shape_is_unchanged(self, capsys):
+        # three invcayley/cayley pairs at order 64, as in the benchmark's expand-deep;
+        # they collapse to one Cayley transform at theta = 0.3 - 2.3 = -2.0
+        zeros = "[(0.3+0.4i), (-0.5+0.1i), 0.95, 0]"
+        spec = (
+            "cayley(theta=0.3, invcayley(theta=1.2, cayley(theta=0.4, invcayley(theta=2.0, "
+            "cayley(theta=0.1, invcayley(theta=0.5, cayley(theta=0.9, "
+            f"blaschke(phi=1.0, m=1, zeros={zeros}))))))))"
+        )
+        blaschke = FiniteBlaschke(phi=1.0, m=1, zeros=(0.3 + 0.4j, -0.5 + 0.1j, 0.95 + 0j, 0j))
+        gen = blaschke
+        for i, theta in enumerate((0.9, 0.5, 0.1, 2.0, 0.4, 1.2, 0.3)):
+            gen = (InverseCayley if i % 2 else CayleyOfSchwarz)(inner=gen, theta=theta)
+        assert parse_generator(spec) == gen
+        code, out, _ = run_cli(capsys, ["expand", "--order", "64", spec])
+        assert code == 0
+        values = [complex(*row["value"]) for row in json.loads(out)["results"]]
+        series = expand_caratheodory(gen, 64)
+        assert values == [complex(series[k]) for k in range(1, 65)]
+        collapsed = expand_caratheodory(CayleyOfSchwarz(inner=blaschke, theta=-2.0), 64)
+        assert max(abs(v - collapsed[k]) for k, v in enumerate(values, 1)) < 1e-10
 
 
 class TestVerify:
@@ -296,8 +335,8 @@ class TestToleranceValidation:
             ["verify", "--samples", "5", "--tol", "nan"],
             ["verify", "--samples", "5", "--tol", "inf"],
             ["verify", "--samples", "5", "--tol", "0"],
-            ["scan", "--samples", "5", "--angles", "64", "--tol", "inf"],
-            ["scan", "--samples", "5", "--angles", "64", "--tol", "nan"],
+            ["scan", "--samples", "5", "--tol", "inf"],
+            ["scan", "--samples", "5", "--tol", "nan"],
         ],
     )
     def test_non_finite_or_non_positive_tol_exits_2(self, capsys, argv):
@@ -403,7 +442,7 @@ class TestRegion:
 class TestScan:
     def test_members_and_frontier(self, capsys):
         code, out, err = run_cli(
-            capsys, ["scan", "--samples", "40", "--seed", "3", "--angles", "1024"]
+            capsys, ["scan", "--samples", "40", "--seed", "3"]
         )
         assert code == 0, err
         report = json.loads(out)
@@ -417,7 +456,7 @@ class TestScan:
     def test_scan_csv_sections(self, capsys):
         code, out, _ = run_cli(
             capsys,
-            ["scan", "--samples", "10", "--angles", "512", "--format", "csv"],
+            ["scan", "--samples", "10", "--format", "csv"],
         )
         assert code == 0
         lines = out.splitlines()
@@ -426,7 +465,7 @@ class TestScan:
         assert lines[sep + 1] == "bin_lo,bin_hi,count,max_abs_b4,reference"
 
     def test_deterministic_bytes(self, capsys):
-        argv = ["scan", "--samples", "15", "--seed", "5", "--angles", "512"]
+        argv = ["scan", "--samples", "15", "--seed", "5"]
         _, out1, _ = run_cli(capsys, argv)
         _, out2, _ = run_cli(capsys, argv)
         assert out1 == out2
@@ -436,8 +475,7 @@ class TestScan:
         # below that forces the violation branch
         code, out, err = run_cli(
             capsys,
-            ["scan", "--samples", "5", "--seed", "3", "--angles", "512",
-             "--tol", "1e-18"],
+            ["scan", "--samples", "5", "--seed", "3", "--tol", "1e-18"],
         )
         assert code == 1
         assert "check failure" in err
@@ -445,7 +483,7 @@ class TestScan:
 
 
 def _scan_oracle_reports(cfg, margins=None):
-    status, results, worst = scan_oracle(cfg, margins)
+    status, results, worst = scan_oracle(cfg, margins=margins)
     report = {
         "command": "scan",
         "config": _config_payload(cfg, None),
@@ -457,8 +495,7 @@ def _scan_oracle_reports(cfg, margins=None):
 
 
 def _scan_argv(cfg, fmt):
-    argv = ["scan", "--seed", str(cfg.seed), "--samples", str(cfg.samples),
-            "--angles", str(cfg.angles), "--format", fmt]
+    argv = ["scan", "--seed", str(cfg.seed), "--samples", str(cfg.samples), "--format", fmt]
     if cfg.tol is not None:
         argv += ["--tol", repr(cfg.tol)]
     return argv
@@ -472,14 +509,14 @@ def _dense_scan_margins(seed, samples):
 
 
 class TestScanMatchesOracle:
-    """The scan's margins lie between the 2^20-angle reference and the
-    sampled one at ``--angles``; with those margins, the report equals the
-    per-sample reference byte for byte."""
+    """The scan's margins lie between the 2^20-angle reference and the one
+    sampled at ``angles`` rotations; with those margins, the report equals
+    the per-sample reference byte for byte."""
 
-    def check(self, capsys, cfg):
+    def check(self, capsys, cfg, angles):
         code, out, err = run_cli(capsys, _scan_argv(cfg, "json"))
         got = [row["margin"] for row in strict_json(out)["results"] if row["kind"] == "sample"]
-        _, sampled, _ = scan_oracle(cfg)
+        _, sampled, _ = scan_oracle(cfg, angles=angles)
         for margin, row, dense in zip(got, sampled, _dense_scan_margins(cfg.seed, cfg.samples)):
             assert margin <= row["margin"] + 1e-15
             assert abs(margin - dense) <= 1e-10
@@ -492,12 +529,12 @@ class TestScanMatchesOracle:
     @pytest.mark.parametrize("angles", [3, 7, 512, 4096])
     @pytest.mark.parametrize("samples", [1, 250])
     def test_json_and_csv(self, capsys, seed, angles, samples):
-        cfg = RunConfig(command="scan", seed=seed, samples=samples, angles=angles)
-        assert self.check(capsys, cfg)[0] == 0
+        cfg = RunConfig(command="scan", seed=seed, samples=samples)
+        assert self.check(capsys, cfg, angles)[0] == 0
 
     def test_failing_samples_match(self, capsys):
-        cfg = RunConfig(command="scan", seed=3, samples=5, angles=512, tol=1e-18)
-        code, err = self.check(capsys, cfg)
+        cfg = RunConfig(command="scan", seed=3, samples=5, tol=1e-18)
+        code, err = self.check(capsys, cfg, 512)
         assert code == 1
         assert "check failure" in err
 
@@ -751,7 +788,7 @@ class TestRenderJson:
         [
             (RunConfig(command="expand", order=6), "blaschke(phi=1.0, m=1, zeros=[0.3])"),
             (RunConfig(command="verify", samples=3), None),
-            (RunConfig(command="scan", samples=3, angles=16), None),
+            (RunConfig(command="scan", samples=3), None),
         ],
         ids=["expand", "verify", "scan"],
     )
@@ -796,7 +833,8 @@ class TestSharedValidationConstants:
 
     def test_floors_and_messages(self, capsys):
         code, _, err = run_cli(
-            capsys, ["scan", "--samples", "1", "--angles", str(MIN_FAMILY_SIZE - 1)]
+            capsys, ["region", "--target", "b3", "--b1", "0.1",
+                     "--angles", str(MIN_FAMILY_SIZE - 1)],
         )
         assert code == 2 and "error: angles must be >= 3" in err
         code, _, err = run_cli(
@@ -805,7 +843,7 @@ class TestSharedValidationConstants:
         )
         assert code == 2 and "error: resolution must be >= 16" in err
         with pytest.raises(ValueError, match="mode must be eq1, eq2 or both"):
-            RunConfig(command="scan", mode="all").validate()
+            RunConfig(command="region", target="b4", b1=0.1, mode="all").validate()
 
     def test_one_b1_tolerance(self):
         # the CLI, both regions and the second-coefficient extremal agree on |b1| <= 1
@@ -836,6 +874,65 @@ class TestOutputFile:
         report = json.loads(path.read_text())
         assert report["results"][1]["value"] == [1.0, 0.0]
 
+    @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, where):
+        path = tmp_path / "missing" / "report.json" if where == "missing-directory" else tmp_path
+        code, out, err = run_cli(
+            capsys, ["expand", "--order", "4", "--out", str(path), "monomial(k=2, theta=0)"]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
+
+
+#: The settings each command reads besides --format and --out, and a value
+#: of each setting other than its default.
+READS = {
+    "expand": {"order"},
+    "verify": {"order", "seed", "samples", "tol"},
+    "region": {"b1", "b2", "b3", "target", "mode", "angles", "resolution"},
+    "scan": {"seed", "samples", "tol"},
+}
+OTHER_VALUES = {"order": 5, "seed": 7, "samples": 3, "tol": 1e-3, "b1": 0.5, "b2": 0.1,
+                "b3": 0.1, "target": "b3", "mode": "eq1", "angles": 64, "resolution": 32}
+#: A cheap valid run of each command, with its positional spec.
+RUNS = {
+    "expand": (RunConfig(command="expand", order=3), "monomial(k=1, theta=0)"),
+    "verify": (RunConfig(command="verify", samples=2, tol=1e-9), None),
+    "region": (RunConfig(command="region", target="b4", b1=0.5, b2=0.1, b3=0.1,
+                         angles=16, resolution=16), None),
+    "scan": (RunConfig(command="scan", samples=2, tol=1e-6), None),
+}
+
+
+class TestUnreadSettings:
+    """A command takes, checks and echoes only the settings it reads."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, f) for c in READS for f in OTHER_VALUES if f not in READS[c]],
+    )
+    def test_unread_flag_exits_2(self, capsys, command, flag):
+        _, spec = RUNS[command]
+        argv = [command, f"--{flag}", str(OTHER_VALUES[flag]), *([spec] if spec else [])]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --" + flag in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", READS)
+    def test_unread_settings_echo_null_and_are_refused(self, command):
+        cfg, spec = RUNS[command]
+        config = run(cfg, spec)[1]["config"]
+        assert list(config) == ["order", "seed", "samples", "tol", "format", "out", "spec",
+                                "b1", "b2", "b3", "target", "mode", "angles", "resolution"]
+        for name, value in OTHER_VALUES.items():
+            if name in READS[command]:
+                assert config[name] is not None, name
+                continue
+            assert config[name] is None, name
+            with pytest.raises(ValueError, match=f"^{command} does not read {name}$"):
+                dataclasses.replace(cfg, **{name: value}).validate()
+
 
 class TestRunConfigValidation:
     def test_defaults(self):
@@ -844,25 +941,25 @@ class TestRunConfigValidation:
         assert cfg.order == 12 and cfg.seed == 42
 
     @pytest.mark.parametrize(
-        "argv",
-        [["verify"], ["scan"], ["region"], ["expand", "monomial(k=1, theta=0)"]],
-        ids=lambda argv: argv[0],
+        "argv, flag",
+        [
+            pytest.param(["verify"], "seed", id="verify"),
+            pytest.param(["scan"], "seed", id="scan"),
+            pytest.param(["region"], "resolution", id="region"),
+            pytest.param(["expand", "monomial(k=1, theta=0)"], "order", id="expand"),
+        ],
     )
-    def test_parser_sets_only_the_flags_given(self, argv):
+    def test_parser_sets_only_the_flags_given(self, argv, flag):
         # RunConfig is the one home of the CLI's defaults
         args = vars(build_parser().parse_args(argv))
         assert args == {"command": argv[0], **({"spec": argv[1]} if argv[1:] else {})}
-        args = vars(build_parser().parse_args([argv[0], "--seed", "7", *argv[1:]]))
+        args = vars(build_parser().parse_args([argv[0], f"--{flag}", "77", *argv[1:]]))
         args.pop("spec", None)
-        assert RunConfig(**args).seed == 7
-
-    def test_region_order_floor(self):
-        cfg = RunConfig(command="region", order=3, target="b3", b1=0.1)
-        with pytest.raises(ValueError):
-            cfg.validate()
+        assert args == {"command": argv[0], flag: 77}
+        assert getattr(RunConfig(**args), flag) == 77
 
     def test_run_returns_report(self):
-        status, report = run(RunConfig(command="scan", samples=5, angles=512))
+        status, report = run(RunConfig(command="scan", samples=5))
         assert status == 0
         assert set(report) == {"command", "config", "results", "worst_slack", "exit_status"}
 
@@ -991,17 +1088,6 @@ class TestPeakMemoryEstimate:
         verify = RunConfig(command="verify")
         assert grows(verify, samples=2 * verify.samples)
         assert grows(verify, order=2 * verify.order)
-
-    def test_scan_estimate_does_not_depend_on_angles(self, capsys):
-        # scan echoes --angles but never reads it, so no angle count is refused
-        base = cli.estimate_peak_bytes(RunConfig(command="scan"))
-        for angles in (3, 4096, 2 * 10**7, 10**10):
-            cfg = RunConfig(command="scan", angles=angles)
-            assert cli.estimate_peak_bytes(cfg) == base
-            cfg.validate()
-        code, out, err = run_cli(capsys, ["scan", "--samples", "1", "--angles", "20000000"])
-        assert (code, err) == (0, "")
-        assert json.loads(out)["config"]["angles"] == 20000000
 
     def test_region_is_charged_per_row_not_per_cell(self, capsys, tmp_path):
         # a 16384-row b3 region peaks about 14 MiB above the interpreter

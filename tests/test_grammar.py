@@ -72,6 +72,20 @@ def test_deep_nesting():
     assert isinstance(g.inner.inner, MonomialRotation)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "invcayley(theta=0, cayley(theta=0, " * 400 + "blaschke(phi=0, m=1)" + "))" * 400,
+        "monomial(k=1, theta=" + "(" * 2000 + "0" + ")" * 2000 + ")",
+    ],
+    ids=["400-invcayley-cayley-pairs", "2000-parentheses"],
+)
+def test_too_deep_nesting_is_a_parse_error(text):
+    # the interpreter's recursion limit is left as it is
+    with pytest.raises(GeneratorParseError, match="^expression nests too deeply$"):
+        parse_generator(text)
+
+
 def test_power_operator_and_parens():
     g = parse_generator("monomial(k=1, theta=(1+1)**2/4)")
     assert g.theta == pytest.approx(1.0)
