@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import re
@@ -659,6 +660,17 @@ def _join_negative_values(argv) -> list[str]:
     return out
 
 
+class _Unread(argparse.Action):
+    """A flag of a setting that ``command`` does not read: refused as RunConfig refuses it."""
+
+    def __init__(self, option_strings, dest, command, **kwargs):
+        super().__init__(option_strings, dest, help=argparse.SUPPRESS, **kwargs)
+        self.command = command
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"{self.command} does not read {self.dest}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schwarzlab",
@@ -675,18 +687,27 @@ def build_parser() -> argparse.ArgumentParser:
     for name, summary in summaries.items():
         # a flag left off the command line stays unset: RunConfig holds the defaults
         p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
-        for setting in COMMAND_SETTINGS[name] + _EVERY_COMMAND:
-            p.add_argument(f"--{setting}", **_FLAG_SPECS[setting])
+        reads = COMMAND_SETTINGS[name] + _EVERY_COMMAND
+        for setting in _FLAG_SPECS:
+            if setting in reads:
+                p.add_argument(f"--{setting}", **_FLAG_SPECS[setting])
+            else:  # refused with its value, which is thus never read as expand's expression
+                p.add_argument(f"--{setting}", action=_Unread, command=name)
         if name == "expand":
             p.add_argument("spec", help="generator expression")
     return parser
 
 
+@functools.cache
+def _main_parser() -> argparse.ArgumentParser:
+    """The parser every call of :func:`main` reuses, built on the first."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = vars(parser.parse_args(argv))
+        args = vars(_main_parser().parse_args(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     spec = args.pop("spec", None)

@@ -243,7 +243,7 @@ def _finite(arr: np.ndarray) -> np.ndarray:
 def _require(gens, family: type, name: str, order: int = 1) -> None:
     for g in gens:
         if not isinstance(g, family):
-            raise InvalidGeneratorError(f"not a {name}: {g!r}")
+            raise InvalidGeneratorError(f"not a {name}: {type(g).__name__}")
     if order < 1:
         raise ValueError("need order >= 1")
 
@@ -444,50 +444,73 @@ def evaluate_caratheodory(g: CaratheodoryGenerator, z: np.ndarray | complex) -> 
 # ---------------------------------------------------------------------------
 # Deterministic sampling
 # ---------------------------------------------------------------------------
+#
+# A sampler draws its whole corpus as one (count, W) block of uniforms in
+# [0, 1) from np.random.default_rng(seed), row i reading the stretch
+# [i W, (i + 1) W) of the stream, so the first k rows of any corpus are the
+# count-k corpus.  An integer in {0 .. k - 1} is floor(u k): u <= 1 - 2^-53
+# keeps the product below k.
 
 def sample_schwarz(seed: int, count: int, max_degree: int) -> list[FiniteBlaschke]:
     """Seed-reproducible corpus of finite Blaschke products.
 
     m is uniform in {1, 2} (capped by max_degree), the zero count uniform
     in {0 .. max_degree - m}, zeros area-uniform in the disk of radius 0.9,
-    phi uniform in [0, 2 pi).
+    phi uniform in [0, 2 pi).  Each row reads 1 + 2 max_degree uniforms.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        m = int(rng.integers(1, min(2, max_degree) + 1))
-        n_zeros = int(rng.integers(0, max_degree - m + 1))
-        radii = SAMPLING_ZERO_RADIUS * np.sqrt(rng.uniform(size=n_zeros))
-        angles = rng.uniform(0.0, 2.0 * np.pi, size=n_zeros)
-        zeros = tuple((radii * np.exp(1j * angles)).tolist())
-        phi = float(rng.uniform(0.0, 2.0 * np.pi))
-        out.append(FiniteBlaschke(phi=phi, m=m, zeros=zeros))
-    return out
+    return _blaschke_rows(np.random.default_rng(seed).random((count, 1 + 2 * max_degree)))
+
+
+def _blaschke_rows(U: np.ndarray) -> list[FiniteBlaschke]:
+    """Blaschke products of a ``(count, 1 + 2D)`` block of uniforms, D the degree cap.
+
+    A row holds m, the zero count, phi, then D - 1 radii and D - 1 angles,
+    the first (zero count) of each making the zeros.
+    """
+    degree = U.shape[1] // 2
+    ms = 1 + np.floor(U[:, 0] * min(2, degree)).astype(int)
+    counts = np.floor(U[:, 1] * (degree + 1 - ms)).astype(int)
+    phis = 2.0 * np.pi * U[:, 2]
+    radii = SAMPLING_ZERO_RADIUS * np.sqrt(U[:, 3 : 2 + degree])
+    zeros = radii * np.exp(1j * (2.0 * np.pi * U[:, 2 + degree :]))
+    rows = zip(phis.tolist(), ms.tolist(), counts.tolist(), zeros.tolist())
+    return [FiniteBlaschke(phi=phi, m=m, zeros=tuple(z[:k])) for phi, m, k, z in rows]
 
 
 def sample_herglotz(seed: int, count: int, max_atoms: int = DEFAULT_MAX_ATOMS) -> list[HerglotzAtoms]:
     """Seed-reproducible corpus of finite-atomic Caratheodory functions.
 
     Atom count uniform in {1 .. max_atoms}, weights Dirichlet-uniform
-    (floored away from zero), angles uniform in [0, 2 pi).
+    (floored away from zero), angles uniform in [0, 2 pi).  Each row reads
+    1 + 2 max_atoms uniforms.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if max_atoms < 1:
         raise ValueError("max_atoms must be >= 1")
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        n = int(rng.integers(1, max_atoms + 1))
-        weights = rng.dirichlet(np.ones(n)) + 1e-15
-        weights = weights / weights.sum()
-        angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        out.append(HerglotzAtoms(tuple(zip(weights.tolist(), angles.tolist()))))
-    return out
+    return _herglotz_rows(np.random.default_rng(seed).random((count, 1 + 2 * max_atoms)))
+
+
+def _herglotz_rows(U: np.ndarray) -> list[HerglotzAtoms]:
+    """Atom sums of a ``(count, 1 + 2A)`` block of uniforms, A the atom cap.
+
+    A row holds the atom count, then A uniforms whose exponentials
+    -log(1 - u), normalized over the atoms used, are Dirichlet(1, .., 1)
+    weights, then A angles.
+    """
+    cap = U.shape[1] // 2
+    counts = 1 + np.floor(U[:, 0] * cap).astype(int)
+    # the floor keeps every weight positive and an all-zero row off 0/0
+    expo = np.where(np.arange(cap) < counts[:, None], 1e-15 - np.log1p(-U[:, 1 : 1 + cap]), 0.0)
+    # summed in order along each row, so a row's bits do not depend on the others
+    weights = expo / np.cumsum(expo, axis=1)[:, -1:]
+    angles = 2.0 * np.pi * U[:, 1 + cap :]
+    rows = zip(counts.tolist(), weights.tolist(), angles.tolist())
+    return [HerglotzAtoms(tuple(zip(w[:k], a[:k]))) for k, w, a in rows]
 
 
 def harmonic_boundary_atoms(k: int, theta: float) -> HerglotzAtoms:

@@ -227,7 +227,8 @@ class _Parser:
 def _as_scalar(value, what: str) -> complex:
     if isinstance(value, complex):
         return value
-    raise GeneratorParseError(f"{what} must be a number, got {value!r}")
+    # named by its kind: the repr of a deeply nested generator overflows the stack
+    raise GeneratorParseError(f"{what} must be a number, got {type(value).__name__}")
 
 
 def _as_real(value, what: str) -> float:

@@ -130,6 +130,12 @@ class TestExpand:
     def test_too_deep_nesting_exits_2(self, capsys, spec):
         assert run_cli(capsys, ["expand", spec]) == (2, "", "error: expression nests too deeply\n")
 
+    def test_nested_value_is_named_by_its_kind(self, capsys):
+        # 200 pairs parse, but their repr would overflow the stack
+        inner = "invcayley(theta=0, cayley(theta=0, " * 200 + "blaschke(phi=0, m=1)" + "))" * 200
+        code, out, err = run_cli(capsys, ["expand", f"monomial(k={inner}, theta=0)"])
+        assert (code, out, err) == (2, "", "error: k must be a number, got InverseCayley\n")
+
     def test_deep_workload_shape_is_unchanged(self, capsys):
         # three invcayley/cayley pairs at order 64, as in the benchmark's expand-deep;
         # they collapse to one Cayley transform at theta = 0.3 - 2.3 = -2.0
@@ -471,7 +477,7 @@ class TestScan:
         assert out1 == out2
 
     def test_membership_failure_exits_1(self, capsys):
-        # seed 3 includes a boundary sample with margin ~ -4e-16; a tolerance
+        # seed 3 includes two boundary samples with margin -2.2e-16; a tolerance
         # below that forces the violation branch
         code, out, err = run_cli(
             capsys,
@@ -917,7 +923,9 @@ class TestUnreadSettings:
         argv = [command, f"--{flag}", str(OTHER_VALUES[flag]), *([spec] if spec else [])]
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, "")
-        assert "unrecognized arguments: --" + flag in err and "Traceback" not in err
+        # in RunConfig's words, and never blaming expand's expression
+        assert err.endswith(f"error: {command} does not read {flag}\n")
+        assert "Traceback" not in err and (spec is None or spec not in err)
 
     @pytest.mark.parametrize("command", READS)
     def test_unread_settings_echo_null_and_are_refused(self, command):

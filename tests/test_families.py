@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import schwarzlab.families as families
 from schwarzlab.families import (
     B2Extremal,
     CayleyOfSchwarz,
@@ -285,6 +286,14 @@ class TestValidation:
         with pytest.raises(InvalidGeneratorError, match="not a Caratheodory generator"):
             InverseCayley(inner=MonomialRotation(1, 0.0), theta=0)
 
+    def test_nested_wrong_family_is_named_by_its_kind(self):
+        # the repr of 200 nested pairs would overflow the stack
+        p = HerglotzAtoms(((1.0, 0.0),))
+        for _ in range(200):
+            p = CayleyOfSchwarz(inner=InverseCayley(inner=p, theta=0.0), theta=0.0)
+        with pytest.raises(InvalidGeneratorError, match="^not a Schwarz generator: CayleyOfSchwarz$"):
+            CayleyOfSchwarz(inner=p, theta=0.0)
+
     @pytest.mark.parametrize(
         "entry, arg, cls",
         [
@@ -362,6 +371,9 @@ class TestSampling:
             assert g.m in (1, 2)
             assert g.m + len(g.zeros) <= 6
             assert all(abs(a) <= 0.9 for a in g.zeros)
+        # every m and zero count occurs
+        assert {(g.m, len(g.zeros)) for g in gens} == {(m, k) for m in (1, 2) for k in range(7 - m)}
+        assert {g.m for g in sample_schwarz(seed=2, count=50, max_degree=1)} == {1}
 
     def test_schwarz_coefficients_bounded(self):
         from schwarzlab.bounds import coefficient_bound_kernel
@@ -378,6 +390,76 @@ class TestSampling:
             assert 1 <= len(g.atoms) <= 8
             total = sum(w for w, _ in g.atoms)
             assert abs(total - 1.0) <= 1e-12
+
+
+def _ks_uniform(u) -> float:
+    """Kolmogorov-Smirnov distance of a sample from the uniform law on [0, 1]."""
+    u = np.sort(np.asarray(u))
+    n = len(u)
+    return max((np.arange(1, n + 1) / n - u).max(), (u - np.arange(n) / n).max())
+
+
+class TestSamplingStream:
+    """Row i of a corpus reads uniforms [i W, (i + 1) W) of default_rng(seed)."""
+
+    @pytest.mark.parametrize("seed", [0, 42, 1001])
+    def test_rows_read_their_own_stretch_of_the_stream(self, seed):
+        for sample, rows, width in [
+            (lambda n: sample_schwarz(seed, n, 6), families._blaschke_rows, 13),
+            (lambda n: sample_herglotz(seed, n), families._herglotz_rows, 17),
+        ]:
+            stream = np.random.default_rng(seed).random(40 * width)
+            corpus = sample(40)
+            for i in (0, 1, 39):
+                assert rows(stream[i * width : (i + 1) * width][None]) == corpus[i : i + 1]
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 99, 255])
+    def test_a_shorter_corpus_is_a_prefix(self, n):
+        for degree in (1, 4, 6):
+            assert sample_schwarz(7, n, degree) == sample_schwarz(7, 256, degree)[:n]
+        for cap in (1, 3, 8):
+            assert sample_herglotz(7, n, cap) == sample_herglotz(7, 256, cap)[:n]
+
+    def test_every_atom_count_occurs_and_weights_are_positive(self):
+        gens = sample_herglotz(seed=6, count=2000)
+        assert {len(g.atoms) for g in gens} == set(range(1, 9))
+        for g in gens:
+            weights = [w for w, _ in g.atoms]
+            assert min(weights) > 0.0
+            assert abs(math.fsum(weights) - 1.0) <= families.WEIGHT_SUM_TOL
+
+    def test_laws_of_the_docstrings(self):
+        # area-uniform zeros: (|a| / 0.9)^2 is uniform; Dirichlet(1, .., 1) weights:
+        # 1 - (1 - w_1)^(n - 1) is uniform for n atoms; angles and phi uniform.
+        # The bound is the 1% critical distance of the KS test, 1.63 / sqrt(N).
+        gens = sample_schwarz(seed=8, count=4000, max_degree=6)
+        zeros = np.array([a for g in gens for a in g.zeros])
+        atoms = [g.atoms for g in sample_herglotz(seed=8, count=4000) if len(g.atoms) > 1]
+        first = np.array([1.0 - (1.0 - a[0][0]) ** (len(a) - 1) for a in atoms])
+        angles = np.array([t for a in atoms for _, t in a])
+        for u in (
+            (np.abs(zeros) / families.SAMPLING_ZERO_RADIUS) ** 2,
+            np.angle(zeros) / (2 * math.pi) % 1.0,
+            np.array([g.phi for g in gens]) / (2 * math.pi),
+            first,
+            angles / (2 * math.pi),
+        ):
+            assert _ks_uniform(u) < 1.63 / math.sqrt(len(u))
+
+    @pytest.mark.parametrize("u", [0.0, float(np.nextafter(1.0, 0.0))])
+    def test_extreme_rows_give_valid_generators(self, u):
+        # an all-zero Herglotz row has zero exponentials: the floor keeps it off 0/0
+        with np.errstate(all="raise"):
+            [blaschke] = families._blaschke_rows(np.full((1, 13), u))
+            [atoms] = families._herglotz_rows(np.full((1, 17), u))
+        if u == 0.0:
+            assert blaschke == FiniteBlaschke(phi=0.0, m=1, zeros=())
+            assert atoms == HerglotzAtoms(((1.0, 0.0),))
+        else:
+            assert (blaschke.m, len(blaschke.zeros)) == (2, 4)
+            assert all(abs(a) <= families.SAMPLING_ZERO_RADIUS for a in blaschke.zeros)
+            assert len(atoms.atoms) == 8 and all(w == atoms.atoms[0][0] for w, _ in atoms.atoms)
+            assert blaschke.phi < 2 * math.pi and atoms.atoms[0][1] < 2 * math.pi
 
 
 class TestHarmonicBoundaryAtoms:

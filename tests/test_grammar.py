@@ -86,6 +86,15 @@ def test_too_deep_nesting_is_a_parse_error(text):
         parse_generator(text)
 
 
+def test_nested_value_is_named_by_its_kind():
+    # 200 pairs parse, but their repr would overflow the stack
+    inner = "invcayley(theta=0, cayley(theta=0, " * 200 + "blaschke(phi=0, m=1)" + "))" * 200
+    with pytest.raises(GeneratorParseError, match="^k must be a number, got InverseCayley$"):
+        parse_generator(f"monomial(k={inner}, theta=0)")
+    with pytest.raises(GeneratorParseError, match="^zero must be a number, got list$"):
+        parse_generator("blaschke(phi=0, m=1, zeros=[[0.5]])")
+
+
 def test_power_operator_and_parens():
     g = parse_generator("monomial(k=1, theta=(1+1)**2/4)")
     assert g.theta == pytest.approx(1.0)

@@ -379,7 +379,7 @@ class TestExactMargins:
         assert np.abs(got - dense_b4_margins(B, 2**20)).max() <= 1e-10
 
     def test_agrees_with_50_digit_oracle(self):
-        # measured envelopes: 7.5e-16 over 30 samples at each of seeds 42
+        # measured envelopes: 6.9e-16 over 30 samples at each of seeds 42
         # and 1001-1010, 7.1e-15 over random tuples with |b_k| up to 2.1,
         # 3.3e-16 where a tiny b1 spreads the companion coefficients
         corpus = _corpus([42], 40).tolist() + _corpus(range(1001, 1011), 5).tolist()
