@@ -40,6 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from schwarzlab.families import (
+    BlaschkeStack,
     FiniteBlaschke,
     SchwarzGenerator,
     evaluate_blaschke,
@@ -137,14 +138,15 @@ def power_bound_kernel(W, k: int) -> BoundBlock:
 
 
 def pointwise_contraction_kernel(
-    gens: Sequence[SchwarzGenerator],
+    gens: BlaschkeStack | Sequence[SchwarzGenerator],
     radii,
     angles_per_radius: int,
 ) -> BoundBlock:
     """|w(z)| <= |z| on a polar grid, by closed-form evaluation.
 
     Columns run over the radii, and over the angles within each radius; a
-    block of Blaschke products is evaluated at once by ``evaluate_blaschke``.
+    stack or list of Blaschke products is evaluated at once by
+    ``evaluate_blaschke``, other generators one at a time.
     """
     radii = [float(r) for r in radii]
     if any(not (0.0 < r < 1.0) for r in radii):
@@ -153,7 +155,7 @@ def pointwise_contraction_kernel(
         raise ValueError("need at least one angle per radius")
     phases = np.exp(2j * math.pi * np.arange(angles_per_radius) / angles_per_radius)
     z = (np.array(radii)[:, None] * phases).ravel()
-    blaschke = all(isinstance(g, FiniteBlaschke) for g in gens)
+    blaschke = isinstance(gens, BlaschkeStack) or all(isinstance(g, FiniteBlaschke) for g in gens)
     values = evaluate_blaschke(gens, z) if blaschke else [evaluate_schwarz(g, z) for g in gens]
     return BoundBlock(np.abs(values), np.repeat(radii, angles_per_radius))
 

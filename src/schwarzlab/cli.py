@@ -55,12 +55,13 @@ from schwarzlab.families import (
     expand_blaschke,
     expand_caratheodory,
     expand_schwarz,
-    harmonic_boundary_atoms,
+    harmonic_boundary_stack,
     herglotz_block,
     sample_herglotz,
     sample_schwarz,
 )
 from schwarzlab.grammar import GeneratorParseError, parse_generator
+from schwarzlab.series import TruncatedSeries
 from schwarzlab.regions import (
     B4_MODES,
     CHUNK_DOUBLES,
@@ -200,9 +201,11 @@ def estimate_peak_bytes(cfg: RunConfig) -> int:
     Pure arithmetic on the settings, so it is safe at any size.  The terms
     are the allocations that grow with the settings, with factors measured
     on the lab's own runs: about 64 (N+1)^2 bytes per row of a stacked
-    series product at order N, 5 kB per sampled function for the corpora,
-    coefficient blocks and report rows (scan reads no angle count), one
-    verify block (:func:`_verify_block`), and for a region 2 kB per grid
+    series product at order N; per sampled function, for the corpora,
+    coefficient blocks and report rows, 1.1 kB in verify (860 at most
+    measured) and 3.55 kB in scan, whose report has a row per function
+    (2840 measured; scan reads no angle count); one verify block
+    (:func:`_verify_block`); and for a region 2 kB per grid
     row (its span, report rows and text; 960 at most measured), 64 per disk
     and the rasterizer's two block buffers of 8 bytes per (grid row, disk)
     in a block.
@@ -212,9 +215,9 @@ def estimate_peak_bytes(cfg: RunConfig) -> int:
         return 2 * product_row
     if cfg.command == "verify":
         rows, row_bytes = _verify_block(cfg.order)
-        return 5000 * cfg.samples + min(cfg.samples, rows) * row_bytes
+        return 1100 * cfg.samples + min(cfg.samples, rows) * row_bytes
     if cfg.command == "scan":
-        return 5000 * cfg.samples
+        return 3550 * cfg.samples
     disks = cfg.angles * (2 if cfg.target == "b4" and cfg.mode == "both" else 1)
     block = min(cfg.resolution * disks, max(CHUNK_DOUBLES, disks))
     return 2048 * cfg.resolution + 16 * block + 64 * disks
@@ -342,32 +345,34 @@ def _run_verify(cfg: RunConfig) -> tuple[int, list, Optional[float]]:
     s_max = min(VERIFY_LIVINGSTON_MAX_S, cfg.order)
     pairs = [(s, t) for s in range(2, s_max + 1) for t in range(1, s)]
 
-    schwarz_gens = sample_schwarz(cfg.seed, cfg.samples, VERIFY_MAX_DEGREE)
-    herglotz_gens = sample_herglotz(cfg.seed, cfg.samples)
+    # both corpora read the same stream: see the README on their coupling
+    schwarz = sample_schwarz(cfg.seed, cfg.samples, VERIFY_MAX_DEGREE)
+    herglotz = sample_herglotz(cfg.seed, cfg.samples)
     rows = _verify_block(cfg.order)[0]
     for first in range(0, cfg.samples, rows):
-        gens = schwarz_gens[first : first + rows]
-        W = expand_blaschke(gens, cfg.order)
+        block = schwarz[first : first + rows]
+        W = expand_blaschke(block, cfg.order)
         table.add("coefficient_bound", coefficient_bound_kernel(W).slack, first)
         table.add("b2_bound", power_bound_kernel(W, 2).slack, first)
         table.add("b3_bound", power_bound_kernel(W, 3).slack, first)
-        pointwise = pointwise_contraction_kernel(gens, VERIFY_RADII, VERIFY_ANGLES_PER_RADIUS)
+        pointwise = pointwise_contraction_kernel(block, VERIFY_RADII, VERIFY_ANGLES_PER_RADIUS)
         table.add("pointwise_contraction", pointwise.slack, first)
         eq1, eq2 = fourth_coefficient_kernel(W, VERIFY_B4_THETAS)
         table.add("b4_eq1", eq1.slack, first)
         table.add("b4_eq2", eq2.slack, first)
         P = cayley_block(W, VERIFY_CAYLEY_THETAS)
         table.add("livingston_cayley", livingston_kernel(P, pairs).slack, first)
-        P = herglotz_block(herglotz_gens[first : first + rows], cfg.order)
+        P = herglotz_block(herglotz[first : first + rows], cfg.order)
         table.add("livingston_herglotz", livingston_kernel(P, pairs).slack, first)
 
     # boundary propagation is only testable on constructed boundary
     # functions: the hypothesis set has measure zero under sampling
-    for k in (1, 2, 3):
-        for theta in (0.0, 2.0 * math.pi / 5):
-            p = expand_caratheodory(harmonic_boundary_atoms(k, theta), cfg.order)
-            # the one-row block is indexed by k
-            table.add("harmonic_propagation", harmonic_propagation(p, k, tol).slack, k)
+    boundary = [(k, theta) for k in (1, 2, 3) for theta in (0.0, 2.0 * math.pi / 5)]
+    P = herglotz_block(harmonic_boundary_stack(boundary), cfg.order)
+    for (k, _), p in zip(boundary, P):
+        # the one-row block is indexed by k
+        block = harmonic_propagation(TruncatedSeries(p), k, tol)
+        table.add("harmonic_propagation", block.slack, k)
 
     status = 0
     for family, idx, slack in table.violations():

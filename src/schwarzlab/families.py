@@ -13,11 +13,16 @@ Taylor series to a requested order, while ``evaluate_*`` evaluates the
 function itself at points of the disk (used by pointwise checks that must
 not be contaminated by truncation).
 
-:func:`expand_blaschke`, :func:`cayley_block`, :func:`herglotz_block` and
-:func:`evaluate_blaschke` work on whole stacks at once, a row's bits not
-depending on the rows stacked with it; ``expand_schwarz``,
-``evaluate_schwarz``, ``expand_caratheodory`` and :func:`cayley_from_schwarz`
-are their one-row views.  :func:`inverse_cayley` solves (p + 1) v = p - 1 by
+Corpora are struct-of-arrays: a :class:`BlaschkeStack` or
+:class:`HerglotzStack` holds S functions as read-only padded arrays and
+checks the family's invariants once, vectorized, by the same definition
+that the dataclass runs on its one row.  The samplers return stacks, and
+:func:`expand_blaschke`, :func:`herglotz_block` and :func:`evaluate_blaschke`
+read their arrays, a row's bits not depending on the rows stacked with it;
+a list of generators is converted once by the stack's ``of``.
+``expand_schwarz``, ``evaluate_schwarz``, ``expand_caratheodory`` and
+:func:`cayley_from_schwarz` are one-row views of these kernels and of
+:func:`cayley_block`.  :func:`inverse_cayley` solves (p + 1) v = p - 1 by
 one triangular recurrence, and the second-coefficient extremal has a
 geometric tail, built by the same doubling as a Blaschke factor's.
 """
@@ -26,8 +31,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Sequence, Union
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from typing import Union
 
 import numpy as np
 
@@ -102,13 +108,8 @@ class FiniteBlaschke:
     zeros: tuple[complex, ...] = ()
 
     def __post_init__(self):
-        if self.m < 1:
-            raise InvalidGeneratorError("Blaschke factor needs m >= 1 so that w(0) = 0")
-        for a in self.zeros:
-            if abs(a) > ZERO_MODULUS_CAP:
-                raise InvalidGeneratorError(
-                    f"Blaschke zero modulus {abs(a):.4f} exceeds cap {ZERO_MODULUS_CAP}"
-                )
+        zeros = np.array(self.zeros, dtype=np.complex128).reshape(1, -1)
+        _check_blaschke(np.array([self.m]), np.array([zeros.shape[1]]), zeros)
 
 
 @dataclass(frozen=True)
@@ -123,13 +124,184 @@ class HerglotzAtoms:
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if not self.atoms:
-            raise InvalidGeneratorError("atom list must be non-empty")
-        weights = [w for w, _ in self.atoms]
-        if any(w <= 0 for w in weights):
-            raise InvalidGeneratorError("atom weights must be positive")
-        if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
-            raise InvalidGeneratorError("atom weights must sum to 1")
+        weights = np.array([w for w, _ in self.atoms], dtype=float).reshape(1, -1)
+        _check_herglotz(np.array([weights.shape[1]]), weights)
+
+
+def _used(counts: np.ndarray, width: int) -> np.ndarray:
+    """``(S, width)`` mask of the slots that rows with these counts use."""
+    return np.arange(width) < counts[:, None]
+
+
+def _check_blaschke(m: np.ndarray, counts: np.ndarray, zeros: np.ndarray) -> None:
+    """The Blaschke family's invariants, for every row of a padded stack.
+
+    Row s has power m[s] and the zeros zeros[s, :counts[s]]; the slots past
+    a row's count are never read.  Raises :class:`InvalidGeneratorError` on
+    the first failure in row-major order.
+    """
+    if (m < 1).any():
+        raise InvalidGeneratorError("Blaschke factor needs m >= 1 so that w(0) = 0")
+    # np.hypot is Python's abs; a nan modulus passes, as abs(a) > cap is false
+    moduli = np.hypot(zeros.real, zeros.imag, out=np.zeros(zeros.shape),
+                      where=_used(counts, zeros.shape[1]))
+    over = np.flatnonzero(moduli > ZERO_MODULUS_CAP)
+    if over.size:
+        raise InvalidGeneratorError(
+            f"Blaschke zero modulus {moduli.flat[over[0]]:.4f} exceeds cap {ZERO_MODULUS_CAP}"
+        )
+
+
+def _check_herglotz(counts: np.ndarray, weights: np.ndarray) -> None:
+    """The Herglotz family's invariants, for every row of a padded stack.
+
+    Row s has the weights weights[s, :counts[s]], summed left to right;
+    the slots past a row's count are never read.
+    """
+    if (counts < 1).any():
+        raise InvalidGeneratorError("atom list must be non-empty")
+    used = _used(counts, weights.shape[1])
+    w = np.where(used, weights, 0.0)
+    if (used & (w <= 0)).any():
+        raise InvalidGeneratorError("atom weights must be positive")
+    total = np.zeros(len(w))
+    for column in w.T:
+        total += column
+    if (np.abs(total - 1.0) > WEIGHT_SUM_TOL).any():
+        raise InvalidGeneratorError("atom weights must sum to 1")
+
+
+def _freeze(stack, **specs: tuple[type, int]) -> None:
+    """Store each named field of ``stack`` as a read-only copy of the given
+    dtype and rank, with one row per function."""
+    rows = None
+    for name, (dtype, ndim) in specs.items():
+        value = np.array(getattr(stack, name), dtype=dtype)
+        if value.ndim != ndim or rows not in (None, len(value)):
+            raise ValueError(
+                f"{type(stack).__name__}.{name} needs rank {ndim} and one row per function"
+            )
+        rows = len(value)
+        value.flags.writeable = False
+        object.__setattr__(stack, name, value)
+
+
+def _check_counts(stack, counts: np.ndarray, width: int) -> None:
+    if ((counts < 0) | (counts > width)).any():
+        raise ValueError(f"{type(stack).__name__} counts must lie in 0 .. {width}")
+
+
+class _Stack(Sequence):
+    """A corpus of one family as padded arrays; ``stack[i]`` is row i's generator."""
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    @classmethod
+    def _checked(cls, *arrays: np.ndarray):
+        """The stack of arrays whose rows were checked already, by the stack
+        they are sliced from or by the generators they are read from."""
+        stack = object.__new__(cls)
+        for name, value in zip(cls.__dataclass_fields__, arrays):
+            value.flags.writeable = False
+            object.__setattr__(stack, name, value)
+        return stack
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self._checked(*(getattr(self, f.name)[i] for f in fields(self)))
+        i = range(len(self))[i]
+        return self._row(i, int(self.counts[i]))
+
+    def _values(self) -> list[np.ndarray]:
+        """Every field, a padded one cut to its used slots."""
+        arrays = [getattr(self, f.name) for f in fields(self)]
+        return [a[_used(self.counts, a.shape[1])] if a.ndim == 2 else a for a in arrays]
+
+    def __eq__(self, other) -> bool:
+        """Equal rows: the same counts and the same values in the used slots."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.counts, other.counts) and all(
+            map(np.array_equal, self._values(), other._values())
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class BlaschkeStack(_Stack):
+    """S finite Blaschke products: ``phi``, ``m``, ``counts`` (S,) and ``zeros`` (S, D).
+
+    Row s is ``FiniteBlaschke(phi[s], m[s], zeros[s, :counts[s]])``; the
+    zero slots past a row's count are padding, never checked nor read.
+    """
+
+    phi: np.ndarray
+    m: np.ndarray
+    counts: np.ndarray
+    zeros: np.ndarray
+
+    def __post_init__(self):
+        _freeze(self, phi=(np.float64, 1), m=(np.intp, 1), counts=(np.intp, 1),
+                zeros=(np.complex128, 2))
+        _check_counts(self, self.counts, self.zeros.shape[1])
+        _check_blaschke(self.m, self.counts, self.zeros)
+
+    @classmethod
+    def of(cls, gens) -> "BlaschkeStack":
+        """The stack of ``gens``: a stack itself, or a sequence of finite Blaschke
+        products, which checked their invariants when they were built."""
+        if isinstance(gens, cls):
+            return gens
+        _require(gens, FiniteBlaschke, "finite Blaschke product")
+        counts = [len(g.zeros) for g in gens]
+        zeros = np.zeros((len(gens), max(counts, default=0)), dtype=np.complex128)
+        for row, g in zip(zeros, gens):
+            row[: len(g.zeros)] = g.zeros
+        phi = np.array([g.phi for g in gens], dtype=np.float64)
+        m = np.array([g.m for g in gens], dtype=np.intp)
+        return cls._checked(phi, m, np.array(counts, dtype=np.intp), zeros)
+
+    def _row(self, i: int, k: int) -> FiniteBlaschke:
+        zeros = tuple(self.zeros[i, :k].tolist())
+        return FiniteBlaschke(float(self.phi[i]), int(self.m[i]), zeros)
+
+
+@dataclass(frozen=True, eq=False)
+class HerglotzStack(_Stack):
+    """S Herglotz atom sums: ``counts`` (S,), ``weights`` and ``angles`` (S, A).
+
+    Row s is ``HerglotzAtoms`` of the pairs (weights[s, j], angles[s, j]),
+    j < counts[s]; the slots past a row's count are padding, never checked
+    nor read.
+    """
+
+    counts: np.ndarray
+    weights: np.ndarray
+    angles: np.ndarray
+
+    def __post_init__(self):
+        _freeze(self, counts=(np.intp, 1), weights=(np.float64, 2), angles=(np.float64, 2))
+        if self.angles.shape != self.weights.shape:
+            raise ValueError("HerglotzStack weights and angles need one shape")
+        _check_counts(self, self.counts, self.weights.shape[1])
+        _check_herglotz(self.counts, self.weights)
+
+    @classmethod
+    def of(cls, gens) -> "HerglotzStack":
+        """The stack of ``gens``: a stack itself, or a sequence of Herglotz atom
+        sums, which checked their invariants when they were built."""
+        if isinstance(gens, cls):
+            return gens
+        _require(gens, HerglotzAtoms, "Herglotz atom sum")
+        counts = [len(g.atoms) for g in gens]
+        atoms = np.zeros((2, len(gens), max(counts, default=0)))
+        for row, g in enumerate(gens):
+            atoms[:, row, : len(g.atoms)] = np.transpose(g.atoms)
+        return cls._checked(np.array(counts, dtype=np.intp), *atoms)
+
+    def _row(self, i: int, k: int) -> HerglotzAtoms:
+        pairs = zip(self.weights[i, :k].tolist(), self.angles[i, :k].tolist())
+        return HerglotzAtoms(tuple(pairs))
 
 
 @dataclass(frozen=True)
@@ -288,7 +460,7 @@ def _blaschke_factors(zeros: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
-def expand_blaschke(gens: Sequence[FiniteBlaschke], order: int) -> np.ndarray:
+def expand_blaschke(gens: BlaschkeStack | Sequence[FiniteBlaschke], order: int) -> np.ndarray:
     """Taylor coefficients of a stack of finite Blaschke products, ``(S, order+1)``.
 
     Each row is e^{i phi} z^m times the product of its factors, taken
@@ -296,45 +468,47 @@ def expand_blaschke(gens: Sequence[FiniteBlaschke], order: int) -> np.ndarray:
     row with fewer zeros than others is left alone, not multiplied by 1,
     so its bits do not depend on the rows stacked with it.
     """
-    _require(gens, FiniteBlaschke, "finite Blaschke product", order)
+    stack = BlaschkeStack.of(gens)
+    if order < 1:
+        raise ValueError("need order >= 1")
     n = order + 1
-    counts = np.array([len(g.zeros) for g in gens], dtype=int)
-    acc = np.zeros((n, 2, len(gens)))
+    acc = np.zeros((n, 2, len(stack)))
     acc[0, 0] = 1.0
-    slots = [np.flatnonzero(counts > j) for j in range(int(counts.max(initial=0)))]
+    slots = stack.counts.max(initial=0)
     if slots:
-        zeros = [gens[i].zeros[j] for j, rows in enumerate(slots) for i in rows]
-        factors = _blaschke_factors(np.array(zeros, dtype=np.complex128), order)
-        first = 0
-        for j, rows in enumerate(slots):
-            block = factors[..., first : first + len(rows)]
-            acc[..., rows] = block if j == 0 else stacked_mul(acc[..., rows], block)
-            first += len(rows)
-    rots = [cmath.exp(1j * g.phi) for g in gens]
-    rot = (np.array([z.real for z in rots]), np.array([z.imag for z in rots]))
-    re, im = pair_mul(rot, (acc[:, 0], acc[:, 1]))
-    out = np.zeros((len(gens), n), dtype=np.complex128)
-    ms = np.array([g.m for g in gens], dtype=int)
-    for m in sorted({g.m for g in gens if g.m <= order}):
-        rows = ms == m
+        # the factors of the used zeros slot by slot, each slot's rows in order
+        used = _used(stack.counts, stack.zeros.shape[1])
+        factors = _blaschke_factors(stack.zeros.T[used.T], order)
+    first = 0
+    for j in range(slots):
+        rows = np.flatnonzero(stack.counts > j)
+        block = factors[..., first : first + len(rows)]
+        acc[..., rows] = block if j == 0 else stacked_mul(acc[..., rows], block)
+        first += len(rows)
+    rot = np.array([cmath.exp(1j * phi) for phi in stack.phi.tolist()], dtype=np.complex128)
+    re, im = pair_mul((rot.real, rot.imag), (acc[:, 0], acc[:, 1]))
+    out = np.zeros((len(stack), n), dtype=np.complex128)
+    for m in set(stack.m[stack.m <= order].tolist()):
+        rows = stack.m == m
         out.real[rows, m:] = re[: n - m, rows].T
         out.imag[rows, m:] = im[: n - m, rows].T
     return _finite(out)
 
 
-def herglotz_block(gens: Sequence[HerglotzAtoms], order: int) -> np.ndarray:
+def herglotz_block(gens: HerglotzStack | Sequence[HerglotzAtoms], order: int) -> np.ndarray:
     """Taylor coefficients of a stack of Herglotz atom sums, ``(S, order+1)``.
 
     c_k = 2 sum_j lambda_j e^{i k alpha_j} by one ``(S_n, 1, n) @ (S_n, n, N)``
     product per atom count n; padding to one count would change a row's bits.
     """
-    _require(gens, HerglotzAtoms, "Herglotz atom sum", order)
-    out = np.ones((len(gens), order + 1), dtype=np.complex128)
-    for n in {len(g.atoms) for g in gens}:
-        rows = [i for i, g in enumerate(gens) if len(g.atoms) == n]
-        atoms = np.array([gens[i].atoms for i in rows])
-        E = np.exp(1j * (atoms[:, :, 1, None] * np.arange(1, order + 1)))
-        out[rows, 1:] = 2.0 * (atoms[:, None, :, 0] @ E)[:, 0]
+    stack = HerglotzStack.of(gens)
+    if order < 1:
+        raise ValueError("need order >= 1")
+    out = np.ones((len(stack), order + 1), dtype=np.complex128)
+    for n in set(stack.counts.tolist()):
+        rows = stack.counts == n
+        E = np.exp(1j * (stack.angles[rows, :n, None] * np.arange(1, order + 1)))
+        out[rows, 1:] = 2.0 * (stack.weights[rows, None, :n] @ E)[:, 0]
     return _finite(out)
 
 
@@ -401,27 +575,33 @@ def evaluate_schwarz(g: SchwarzGenerator, z: np.ndarray | complex) -> np.ndarray
     return np.exp(-1j * g.theta) * (p - 1.0) / (p + 1.0)
 
 
-def evaluate_blaschke(gens: Sequence[FiniteBlaschke], z) -> np.ndarray:
+def evaluate_blaschke(gens: BlaschkeStack | Sequence[FiniteBlaschke], z) -> np.ndarray:
     """A stack of finite Blaschke products at the points ``z``, ``(S, len(z))``.
 
     Row s is e^{i phi} z^m times its zeros' factors in turn, each taken as
     ((acc * unit) * (a - z)) / (1 - conj(a) z), unit = |a|/a in Python
     arithmetic, or acc * z for a = 0, on only the rows that have the zero.
     """
-    _require(gens, FiniteBlaschke, "finite Blaschke product")
+    stack = BlaschkeStack.of(gens)
     n = len(z)  # two points at least: numpy rounds a one-element complex product unfused
     z = np.resize(np.asarray(z, dtype=np.complex128), max(n, 2))
-    powers = {m: z**m for m in {g.m for g in gens}}
-    rots = np.exp(1j * np.array([g.phi for g in gens]))[:, None]
-    acc = rots * np.array([powers[g.m] for g in gens]).reshape(len(gens), len(z))
-    for j in range(max((len(g.zeros) for g in gens), default=0)):
-        slot = [(i, complex(g.zeros[j])) for i, g in enumerate(gens) if len(g.zeros) > j]
-        origin = [i for i, a in slot if a == 0]
-        acc[origin] = acc[origin] * z
-        rows = [i for i, a in slot if a != 0]
-        a = np.array([a for _, a in slot if a != 0])[:, None]
-        units = np.array([abs(b) / b for _, b in slot if b != 0])[:, None]
-        acc[rows] = acc[rows] * units * (a - z) / (1.0 - np.conj(a) * z)
+    powers = np.empty((len(stack), len(z)), dtype=np.complex128)
+    for m in set(stack.m.tolist()):
+        powers[stack.m == m] = z**m
+    acc = np.exp(1j * stack.phi)[:, None] * powers
+    # every used zero, slot by slot, each slot's rows in order
+    slots, rows = np.nonzero(_used(stack.counts, stack.zeros.shape[1]).T)
+    a = stack.zeros[rows, slots]
+    origin = a == 0
+    units = np.ones(len(a), dtype=np.complex128)
+    units[~origin] = [abs(b) / b for b in a[~origin].tolist()]
+    for j in range(stack.counts.max(initial=0)):
+        slot = slots == j
+        at_origin = rows[slot & origin]
+        acc[at_origin] = acc[at_origin] * z
+        slot &= ~origin
+        r, aj, unit = rows[slot], a[slot, None], units[slot, None]
+        acc[r] = acc[r] * unit * (aj - z) / (1.0 - np.conj(aj) * z)
     return acc[:, :n]
 
 
@@ -451,7 +631,7 @@ def evaluate_caratheodory(g: CaratheodoryGenerator, z: np.ndarray | complex) -> 
 # count-k corpus.  An integer in {0 .. k - 1} is floor(u k): u <= 1 - 2^-53
 # keeps the product below k.
 
-def sample_schwarz(seed: int, count: int, max_degree: int) -> list[FiniteBlaschke]:
+def sample_schwarz(seed: int, count: int, max_degree: int) -> BlaschkeStack:
     """Seed-reproducible corpus of finite Blaschke products.
 
     m is uniform in {1, 2} (capped by max_degree), the zero count uniform
@@ -465,7 +645,7 @@ def sample_schwarz(seed: int, count: int, max_degree: int) -> list[FiniteBlaschk
     return _blaschke_rows(np.random.default_rng(seed).random((count, 1 + 2 * max_degree)))
 
 
-def _blaschke_rows(U: np.ndarray) -> list[FiniteBlaschke]:
+def _blaschke_rows(U: np.ndarray) -> BlaschkeStack:
     """Blaschke products of a ``(count, 1 + 2D)`` block of uniforms, D the degree cap.
 
     A row holds m, the zero count, phi, then D - 1 radii and D - 1 angles,
@@ -477,11 +657,10 @@ def _blaschke_rows(U: np.ndarray) -> list[FiniteBlaschke]:
     phis = 2.0 * np.pi * U[:, 2]
     radii = SAMPLING_ZERO_RADIUS * np.sqrt(U[:, 3 : 2 + degree])
     zeros = radii * np.exp(1j * (2.0 * np.pi * U[:, 2 + degree :]))
-    rows = zip(phis.tolist(), ms.tolist(), counts.tolist(), zeros.tolist())
-    return [FiniteBlaschke(phi=phi, m=m, zeros=tuple(z[:k])) for phi, m, k, z in rows]
+    return BlaschkeStack(phis, ms, counts, zeros)
 
 
-def sample_herglotz(seed: int, count: int, max_atoms: int = DEFAULT_MAX_ATOMS) -> list[HerglotzAtoms]:
+def sample_herglotz(seed: int, count: int, max_atoms: int = DEFAULT_MAX_ATOMS) -> HerglotzStack:
     """Seed-reproducible corpus of finite-atomic Caratheodory functions.
 
     Atom count uniform in {1 .. max_atoms}, weights Dirichlet-uniform
@@ -495,7 +674,7 @@ def sample_herglotz(seed: int, count: int, max_atoms: int = DEFAULT_MAX_ATOMS) -
     return _herglotz_rows(np.random.default_rng(seed).random((count, 1 + 2 * max_atoms)))
 
 
-def _herglotz_rows(U: np.ndarray) -> list[HerglotzAtoms]:
+def _herglotz_rows(U: np.ndarray) -> HerglotzStack:
     """Atom sums of a ``(count, 1 + 2A)`` block of uniforms, A the atom cap.
 
     A row holds the atom count, then A uniforms whose exponentials
@@ -505,25 +684,30 @@ def _herglotz_rows(U: np.ndarray) -> list[HerglotzAtoms]:
     cap = U.shape[1] // 2
     counts = 1 + np.floor(U[:, 0] * cap).astype(int)
     # the floor keeps every weight positive and an all-zero row off 0/0
-    expo = np.where(np.arange(cap) < counts[:, None], 1e-15 - np.log1p(-U[:, 1 : 1 + cap]), 0.0)
+    expo = np.where(_used(counts, cap), 1e-15 - np.log1p(-U[:, 1 : 1 + cap]), 0.0)
     # summed in order along each row, so a row's bits do not depend on the others
     weights = expo / np.cumsum(expo, axis=1)[:, -1:]
-    angles = 2.0 * np.pi * U[:, 1 + cap :]
-    rows = zip(counts.tolist(), weights.tolist(), angles.tolist())
-    return [HerglotzAtoms(tuple(zip(w[:k], a[:k]))) for k, w, a in rows]
+    return HerglotzStack(counts, weights, 2.0 * np.pi * U[:, 1 + cap :])
 
 
-def harmonic_boundary_atoms(k: int, theta: float) -> HerglotzAtoms:
-    """Function of class P with c_k = 2 e^{i theta} on the coefficient boundary.
+def harmonic_boundary_stack(pairs: Sequence[tuple[int, float]]) -> HerglotzStack:
+    """Functions of class P on the coefficient boundary, one row per (k, theta) in ``pairs``.
 
     k equally weighted atoms at angles theta/k + 2 pi l / k give
     c_j = 2 e^{i j theta / k} when k divides j and 0 otherwise, so the
     k-th coefficient sits at modulus exactly 2 and every harmonic c_{nk}
     equals 2 e^{i n theta}.
     """
-    if k < 1:
+    counts = [k for k, _ in pairs]
+    if min(counts, default=1) < 1:
         raise ValueError("k must be >= 1")
-    atoms = tuple(
-        (1.0 / k, theta / k + 2.0 * math.pi * l / k) for l in range(k)
-    )
-    return HerglotzAtoms(atoms)
+    weights, angles = np.zeros((2, len(counts), max(counts, default=0)))
+    for row, (k, theta) in enumerate(pairs):
+        weights[row, :k] = 1.0 / k
+        angles[row, :k] = [theta / k + 2.0 * math.pi * l / k for l in range(k)]
+    return HerglotzStack(counts, weights, angles)
+
+
+def harmonic_boundary_atoms(k: int, theta: float) -> HerglotzAtoms:
+    """The boundary function for (k, theta) of :func:`harmonic_boundary_stack`."""
+    return harmonic_boundary_stack([(k, theta)])[0]
