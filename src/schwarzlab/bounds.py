@@ -4,9 +4,11 @@ Each classical bound has one array kernel that checks a whole block of
 functions at once and returns a :class:`BoundBlock`: lhs and rhs arrays
 with one row per function and one column per check, and slack = rhs - lhs.
 Every inequality is written once, as its kernel; a single function is a
-one-row block.  The b4 constraint is written once as its gap polynomials,
-:func:`b4_gap_polynomials`, which the b4 kernel here and the region
-centres and scan margins of :mod:`schwarzlab.regions` all read.
+one-row block, and every input block is checked by
+:func:`schwarzlab.series.coefficient_block`.  The b4 constraint is
+written once as its gap polynomials, :func:`b4_gap_polynomials`, which
+the b4 kernel here and the region centres and scan margins of
+:mod:`schwarzlab.regions` all read.
 
 Bit-exactness: a kernel row reproduces, bit for bit, what plain Python
 complex arithmetic gives for the same check, so batched and one-at-a-time
@@ -46,7 +48,7 @@ from schwarzlab.families import (
     evaluate_blaschke,
     evaluate_schwarz,
 )
-from schwarzlab.series import TruncatedSeries, from_pairs, pair_mul, to_pairs
+from schwarzlab.series import coefficient_block, from_pairs, pair_mul, to_pairs
 
 INEQUALITY_TOL = 1e-9
 
@@ -81,28 +83,6 @@ def _modulus(z) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# input blocks
-# ---------------------------------------------------------------------------
-
-def _schwarz_block(W, min_order: int = 1) -> np.ndarray:
-    W = np.asarray(W, dtype=np.complex128)
-    if W.ndim != 2:
-        raise ValueError("need a (functions, order + 1) coefficient block")
-    if (W[:, 0] != 0).any():
-        raise ValueError("Schwarz series must have b_0 = 0")
-    if W.shape[1] - 1 < min_order:
-        raise ValueError(f"need order >= {min_order}")
-    return W
-
-
-def _caratheodory_block(P) -> np.ndarray:
-    P = np.asarray(P, dtype=np.complex128)
-    if (P[..., 0] != 1).any():
-        raise ValueError("Caratheodory series must have c_0 = 1")
-    return P
-
-
-# ---------------------------------------------------------------------------
 # array kernels
 # ---------------------------------------------------------------------------
 
@@ -112,7 +92,7 @@ def livingston_kernel(P, pairs: Sequence[tuple[int, int]]) -> BoundBlock:
     ``P`` stacks Caratheodory coefficient rows c_0..c_N along its last
     axis; the result has P's leading shape plus one column per pair.
     """
-    P = _caratheodory_block(P)
+    P = coefficient_block(P, 1, ndim=None)
     order = P.shape[-1] - 1
     for s, t in pairs:
         if not (1 <= t < s <= order):
@@ -125,13 +105,13 @@ def livingston_kernel(P, pairs: Sequence[tuple[int, int]]) -> BoundBlock:
 
 def coefficient_bound_kernel(W) -> BoundBlock:
     """|b_k| <= 1 for k = 1..N on each row of a Schwarz coefficient block."""
-    W = _schwarz_block(W)
+    W = coefficient_block(W, 0)
     return BoundBlock(_modulus(_parts(W[:, 1:])), 1.0)
 
 
 def power_bound_kernel(W, k: int) -> BoundBlock:
     """|b_k| <= 1 - |b_1|^k (k = 2 and 3), one column per row of ``W``."""
-    W = _schwarz_block(W, min_order=k)
+    W = coefficient_block(W, 0, min_order=k)
     a1 = _modulus(_parts(W[:, 1])).tolist()
     rhs = np.array([1.0 - a**k for a in a1])
     return BoundBlock(_modulus(_parts(W[:, k, None])), rhs[:, None])
@@ -191,7 +171,7 @@ def fourth_coefficient_kernel(W, thetas) -> tuple[BoundBlock, BoundBlock]:
     families.  The blocks come in the order ``b4_eq1`` (c4 - c1 c3) and
     ``b4_eq2`` (c4 - c2^2), the CLI's --mode tokens.
     """
-    W = _schwarz_block(W, min_order=4)
+    W = coefficient_block(W, 0, min_order=4)
     # A[:, s, f, k] is the (re, im) pair of a_k of row s, family f
     A = np.stack(_parts(b4_gap_polynomials(W[:, 1:5])))[..., None]
     z = _parts(np.exp(1j * np.asarray(thetas, dtype=float)))
@@ -202,27 +182,22 @@ def fourth_coefficient_kernel(W, thetas) -> tuple[BoundBlock, BoundBlock]:
     )
 
 
-def harmonic_propagation(
-    p: TruncatedSeries, k: int, tol: float = INEQUALITY_TOL
-) -> BoundBlock:
+def harmonic_propagation(c, k: int, tol: float = INEQUALITY_TOL) -> BoundBlock:
     """If c_k sits on the boundary (c_k = 2 e^{i theta}) then c_{nk} = 2 e^{i n theta}.
 
-    One row, one column per n = 1..N/k with lhs |c_{nk} - 2 e^{i n theta}|
-    and rhs 0.  The hypothesis is gated at |c_k| >= 2 - tol; below the gate
-    the single column checks |c_k| <= 2 instead, since an exact boundary
-    hit is unreachable in floating point except by construction.
+    ``c`` is one Caratheodory row c_0..c_N.  One row, one column per
+    n = 1..N/k with lhs |c_{nk} - 2 e^{i n theta}| and rhs 0.  The
+    hypothesis is gated at |c_k| >= 2 - tol; below the gate the single
+    column checks |c_k| <= 2 instead, since an exact boundary hit is
+    unreachable in floating point except by construction.
     """
-    _caratheodory_block(p.coeffs)
-    if k < 1:
-        raise IndexError("k must be >= 1")
-    if k > p.order:
-        raise IndexError(f"k={k} exceeds series order {p.order}")
-    ck = p[k]
+    c = coefficient_block(c, 1, ndim=1).tolist()
+    order = len(c) - 1
+    if not 1 <= k <= order:
+        raise IndexError(f"need 1 <= k <= {order}, got k={k}")
+    ck = c[k]
     if abs(ck) < 2.0 - tol:
         return BoundBlock(np.array([[abs(ck)]]), 2.0)
     theta = np.angle(ck / 2.0)
-    lhs = [
-        abs(p[n * k] - 2.0 * np.exp(1j * n * theta))
-        for n in range(1, p.order // k + 1)
-    ]
+    lhs = [abs(c[n * k] - 2.0 * np.exp(1j * n * theta)) for n in range(1, order // k + 1)]
     return BoundBlock(np.array([lhs]), 0.0)

@@ -61,7 +61,6 @@ from schwarzlab.families import (
     sample_schwarz,
 )
 from schwarzlab.grammar import GeneratorParseError, parse_generator
-from schwarzlab.series import TruncatedSeries
 from schwarzlab.regions import (
     B4_MODES,
     CHUNK_DOUBLES,
@@ -371,7 +370,7 @@ def _run_verify(cfg: RunConfig) -> tuple[int, list, Optional[float]]:
     P = herglotz_block(harmonic_boundary_stack(boundary), cfg.order)
     for (k, _), p in zip(boundary, P):
         # the one-row block is indexed by k
-        block = harmonic_propagation(TruncatedSeries(p), k, tol)
+        block = harmonic_propagation(p, k, tol)
         table.add("harmonic_propagation", block.slack, k)
 
     status = 0

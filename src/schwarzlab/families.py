@@ -20,11 +20,13 @@ that the dataclass runs on its one row.  The samplers return stacks, and
 :func:`expand_blaschke`, :func:`herglotz_block` and :func:`evaluate_blaschke`
 read their arrays, a row's bits not depending on the rows stacked with it;
 a list of generators is converted once by the stack's ``of``.
-``expand_schwarz``, ``evaluate_schwarz``, ``expand_caratheodory`` and
-:func:`cayley_from_schwarz` are one-row views of these kernels and of
-:func:`cayley_block`.  :func:`inverse_cayley` solves (p + 1) v = p - 1 by
-one triangular recurrence, and the second-coefficient extremal has a
-geometric tail, built by the same doubling as a Blaschke factor's.
+``expand_schwarz``, ``evaluate_schwarz`` and ``expand_caratheodory`` are
+one-row views of these kernels and of :func:`cayley_block`, and return
+one ``(order+1,)`` coefficient array.  :func:`inverse_cayley` solves
+(p + 1) v = p - 1 by one triangular recurrence, and the second-coefficient
+extremal has a geometric tail, built by the same doubling as a Blaschke
+factor's.  Coefficient inputs and outputs are checked by the rules of
+:mod:`schwarzlab.series`.
 """
 
 from __future__ import annotations
@@ -38,10 +40,11 @@ from typing import Union
 import numpy as np
 
 from schwarzlab.series import (
-    CompositionDomainError,
-    TruncatedSeries,
+    coefficient_block,
     from_pairs,
     pair_mul,
+    require_finite,
+    require_order,
     stacked_mul,
     to_pairs,
     with_turn,
@@ -348,14 +351,8 @@ def cayley_block(W, thetas) -> np.ndarray:
     summed in that order of j, each term an unfused complex product, so
     a row's bits do not depend on the rows or angles stacked with it.
     """
-    W = _finite(np.asarray(W, dtype=np.complex128))
-    if W.ndim != 2:
-        raise ValueError("need a (functions, order + 1) coefficient block")
-    if (W[:, 0] != 0).any():
-        raise CompositionDomainError("Schwarz series must vanish at the origin")
+    W = require_finite(coefficient_block(W, 0))
     n = W.shape[1]
-    if n < 2:
-        raise ValueError("need order >= 1")
     rots = [cmath.exp(1j * float(t)) for t in thetas]
     rot = (np.array([z.real for z in rots]), np.array([z.imag for z in rots]))
     # u = e^{i theta_t} w_s, one row (s, t) per function and angle along the
@@ -374,50 +371,32 @@ def cayley_block(W, thetas) -> np.ndarray:
         np.add(terms[0, :m], terms[1, :m], out=terms[0, :m])
         np.add(P[2 * k + 2 :], terms[0, :m], out=P[2 * k + 2 :])
     out = from_pairs(P.reshape(n, 2, -1)).reshape(len(W), len(rots), n)
-    return _finite(out)
+    return require_finite(out)
 
 
-def cayley_from_schwarz(w: TruncatedSeries, theta: float) -> TruncatedSeries:
-    """p = (1 + e^{i theta} w)/(1 - e^{i theta} w) on truncated series.
+def inverse_cayley(c, theta: float) -> np.ndarray:
+    """w = e^{-i theta} (p - 1)/(p + 1) of one Caratheodory row c_0..c_N.
 
-    The one-row view of :func:`cayley_block`; requires w(0) = 0 exactly.
+    Inverse of :func:`cayley_block` at theta; requires c_0 = 1 exactly.
+    v = (p - 1)/(p + 1) solves (p + 1) v = p - 1, so v_0 = 0 exactly and
+
+        v_k = (c_k - sum_{j=1..k-1} c_j v_{k-j}) / 2.
     """
-    return TruncatedSeries(cayley_block(w.coeffs[None], [theta])[0, 0])
-
-
-def inverse_cayley(p: TruncatedSeries, theta: float) -> TruncatedSeries:
-    """w = e^{-i theta} (p - 1)/(p + 1); inverse of cayley_from_schwarz.
-
-    Requires p(0) = 1 exactly.  v = (p - 1)/(p + 1) solves (p + 1) v =
-    p - 1, so v_0 = 0 exactly and
-
-        v_k = (p_k - sum_{j=1..k-1} p_j v_{k-j}) / 2.
-    """
-    if p.coeffs[0] != 1:
-        raise ValueError("Caratheodory series must have constant term 1")
-    c = p.coeffs
+    c = coefficient_block(c, 1, ndim=1)
     v = np.zeros(len(c), dtype=np.complex128)
     for k in range(1, len(c)):
         v[k] = 0.5 * (c[k] - np.dot(c[1:k], v[k - 1 : 0 : -1]))
-    return TruncatedSeries(np.exp(-1j * theta) * v)
+    return require_finite(np.exp(-1j * theta) * v)
 
 
 # ---------------------------------------------------------------------------
 # Taylor expansion of generators
 # ---------------------------------------------------------------------------
 
-def _finite(arr: np.ndarray) -> np.ndarray:
-    if not np.isfinite(arr).all():
-        raise ValueError("coefficients must be finite")
-    return arr
-
-
-def _require(gens, family: type, name: str, order: int = 1) -> None:
+def _require(gens, family: type, name: str) -> None:
     for g in gens:
         if not isinstance(g, family):
             raise InvalidGeneratorError(f"not a {name}: {type(g).__name__}")
-    if order < 1:
-        raise ValueError("need order >= 1")
 
 
 def _fill_geometric(c: np.ndarray, base) -> None:
@@ -469,8 +448,7 @@ def expand_blaschke(gens: BlaschkeStack | Sequence[FiniteBlaschke], order: int) 
     so its bits do not depend on the rows stacked with it.
     """
     stack = BlaschkeStack.of(gens)
-    if order < 1:
-        raise ValueError("need order >= 1")
+    require_order(order)
     n = order + 1
     acc = np.zeros((n, 2, len(stack)))
     acc[0, 0] = 1.0
@@ -492,7 +470,7 @@ def expand_blaschke(gens: BlaschkeStack | Sequence[FiniteBlaschke], order: int) 
         rows = stack.m == m
         out.real[rows, m:] = re[: n - m, rows].T
         out.imag[rows, m:] = im[: n - m, rows].T
-    return _finite(out)
+    return require_finite(out)
 
 
 def herglotz_block(gens: HerglotzStack | Sequence[HerglotzAtoms], order: int) -> np.ndarray:
@@ -502,55 +480,54 @@ def herglotz_block(gens: HerglotzStack | Sequence[HerglotzAtoms], order: int) ->
     product per atom count n; padding to one count would change a row's bits.
     """
     stack = HerglotzStack.of(gens)
-    if order < 1:
-        raise ValueError("need order >= 1")
+    require_order(order)
     out = np.ones((len(stack), order + 1), dtype=np.complex128)
     for n in set(stack.counts.tolist()):
         rows = stack.counts == n
         E = np.exp(1j * (stack.angles[rows, :n, None] * np.arange(1, order + 1)))
         out[rows, 1:] = 2.0 * (stack.weights[rows, None, :n] @ E)[:, 0]
-    return _finite(out)
+    return require_finite(out)
 
 
-def expand_schwarz(g: SchwarzGenerator, order: int) -> TruncatedSeries:
-    """Taylor expansion of a Schwarz generator to the given order.
+def expand_schwarz(g: SchwarzGenerator, order: int) -> np.ndarray:
+    """Taylor coefficients b_0..b_order of a Schwarz generator, ``(order+1,)``.
 
     Coefficients are exact up to roundoff: truncated arithmetic drops
     only powers beyond the order, never corrupts retained ones.
     """
     if isinstance(g, FiniteBlaschke):
-        return TruncatedSeries(expand_blaschke([g], order)[0])
-    _require([g], SchwarzGenerator, "Schwarz generator", order)
+        return expand_blaschke([g], order)[0]
+    _require([g], SchwarzGenerator, "Schwarz generator")
+    require_order(order)
+    if isinstance(g, InverseCayley):
+        return inverse_cayley(expand_caratheodory(g.inner, order), g.theta)
+    w = np.zeros(order + 1, dtype=np.complex128)
     if isinstance(g, MonomialRotation):
-        arr = np.zeros(order + 1, dtype=np.complex128)
         if g.k <= order:
-            arr[g.k] = np.exp(1j * g.theta)
-        return TruncatedSeries(arr)
-    if isinstance(g, B2Extremal):
-        if abs(g.b1) >= 1.0 - B1_UNIT_TOL:
-            arr = np.zeros(order + 1, dtype=np.complex128)
-            arr[1] = g.b1 / abs(g.b1)
-            return TruncatedSeries(arr)
+            w[g.k] = np.exp(1j * g.theta)
+    elif abs(g.b1) >= 1.0 - B1_UNIT_TOL:  # B2Extremal at its rotation branch
+        w[1] = g.b1 / abs(g.b1)
+    else:
         # w = (b1 z + e z^2)/(1 - t z) with e = e^{i theta}, t = -e conj(b1):
         # w_1 = b1 and w_k = e (1 - |b1|^2) t^{k-2}
         b1, rot = complex(g.b1), cmath.exp(1j * g.theta)
         t, lead = -rot * b1.conjugate(), rot * (1.0 - abs(b1) ** 2)
-        w = np.zeros((order + 1, 2, 1))
-        w[1, :, 0] = b1.real, b1.imag
-        w[2:3, :, 0] = lead.real, lead.imag  # no row at order 1
-        _fill_geometric(w[2:], (t.real, t.imag))
-        return TruncatedSeries(from_pairs(w)[0])
-    # InverseCayley
-    return inverse_cayley(expand_caratheodory(g.inner, order), g.theta)
+        pairs = np.zeros((order + 1, 2, 1))
+        pairs[1, :, 0] = b1.real, b1.imag
+        pairs[2:3, :, 0] = lead.real, lead.imag  # no row at order 1
+        _fill_geometric(pairs[2:], (t.real, t.imag))
+        w = from_pairs(pairs)[0]
+    return require_finite(w)
 
 
-def expand_caratheodory(g: CaratheodoryGenerator, order: int) -> TruncatedSeries:
-    """Taylor expansion of a Caratheodory generator to the given order."""
-    _require([g], CaratheodoryGenerator, "Caratheodory generator", order)
+def expand_caratheodory(g: CaratheodoryGenerator, order: int) -> np.ndarray:
+    """Taylor coefficients c_0..c_order of a Caratheodory generator, ``(order+1,)``."""
+    _require([g], CaratheodoryGenerator, "Caratheodory generator")
+    require_order(order)
     if isinstance(g, HerglotzAtoms):
-        return TruncatedSeries(herglotz_block([g], order)[0])
+        return herglotz_block([g], order)[0]
     # CayleyOfSchwarz
-    return cayley_from_schwarz(expand_schwarz(g.inner, order), g.theta)
+    return cayley_block(expand_schwarz(g.inner, order)[None], [g.theta])[0, 0]
 
 
 # ---------------------------------------------------------------------------

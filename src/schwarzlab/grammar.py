@@ -11,13 +11,15 @@ Supported constructions::
 
 Scalars are arithmetic expressions over numbers, ``pi`` and the imaginary
 unit (``i`` or ``j``, also usable as a numeric suffix: ``0.5+0.25i``),
-with ``+ - * / **`` and parentheses.  Angles are radians.  The inner
-function of ``cayley``/``invcayley`` may be given positionally or as
-``inner=...``.
+with ``+ - * / **`` and parentheses; a parameter whose value is not
+finite (``1e400``, ``1e400-1e400``) is refused by name.  Angles are
+radians.  The inner function of ``cayley``/``invcayley`` may be given
+positionally or as ``inner=...``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 
@@ -225,10 +227,12 @@ class _Parser:
 
 
 def _as_scalar(value, what: str) -> complex:
-    if isinstance(value, complex):
-        return value
-    # named by its kind: the repr of a deeply nested generator overflows the stack
-    raise GeneratorParseError(f"{what} must be a number, got {type(value).__name__}")
+    if not isinstance(value, complex):
+        # named by its kind: the repr of a deeply nested generator overflows the stack
+        raise GeneratorParseError(f"{what} must be a number, got {type(value).__name__}")
+    if not cmath.isfinite(value):
+        raise GeneratorParseError(f"{what} must be finite")
+    return value
 
 
 def _as_real(value, what: str) -> float:

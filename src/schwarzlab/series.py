@@ -1,11 +1,15 @@
 """Truncated power-series arithmetic over complex coefficients.
 
-Series are stored densely: ``coeffs[k]`` is the coefficient of ``z**k``
-for ``k = 0..N``, where ``N`` is the truncation order;
-:class:`TruncatedSeries` is the one-row value type.  Within a fixed order
-everything is exact modulo ``z**(N+1)`` up to double-precision roundoff:
-the retained coefficients of a product depend only on the retained
-coefficients of its factors.
+Series are stored densely as complex arrays: ``coeffs[k]`` is the
+coefficient of ``z**k`` for ``k = 0..N``, where ``N`` is the truncation
+order; a block stacks rows of one order along its last axis.  Within a
+fixed order everything is exact modulo ``z**(N+1)`` up to
+double-precision roundoff: the retained coefficients of a product depend
+only on the retained coefficients of its factors.
+
+Every rule a coefficient input must meet is checked here:
+:func:`coefficient_block` (rank, exact constant term, order floor),
+:func:`require_order` and :func:`require_finite`.
 
 :func:`stacked_mul` multiplies whole stacks of series at once, and
 stacks of different orders raise :class:`OrderMismatchError`.  It keeps
@@ -17,8 +21,6 @@ product separately, as Python's complex ``*`` does (numpy's complex
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 class OrderMismatchError(ValueError):
@@ -26,36 +28,41 @@ class OrderMismatchError(ValueError):
 
 
 class CompositionDomainError(ValueError):
-    """A series substituted into another must vanish at the origin."""
+    """A series has the wrong constant term for its class.
+
+    A Schwarz series needs b_0 = 0 exactly, a Caratheodory series c_0 = 1.
+    """
 
 
-@dataclass(frozen=True, eq=False)
-class TruncatedSeries:
-    """Dense complex power series truncated at order ``len(coeffs) - 1``."""
+def require_order(order: int, floor: int = 1) -> None:
+    """Refuse a truncation order below ``floor``."""
+    if order < floor:
+        raise ValueError(f"need order >= {floor}")
 
-    coeffs: np.ndarray
 
-    def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=np.complex128)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("coefficients must form a non-empty 1-d sequence")
-        if not np.isfinite(arr).all():
-            raise ValueError("coefficients must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+def require_finite(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself, once every coefficient in it is finite."""
+    if not np.isfinite(arr).all():
+        raise ValueError("coefficients must be finite")
+    return arr
 
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
 
-    def __len__(self) -> int:
-        return len(self.coeffs)
+def coefficient_block(Z, constant: int, min_order: int = 1, ndim: int | None = 2) -> np.ndarray:
+    """``Z`` as a complex block of coefficient rows c_0..c_N along its last axis.
 
-    def __getitem__(self, k: int) -> complex:
-        return complex(self.coeffs[k])
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries(order={self.order}, coeffs={list(self.coeffs)!r})"
+    The block must have rank ``ndim`` (any positive rank for None), order
+    N >= ``min_order`` and, in every row, the constant term ``constant``
+    exactly: 0 for a Schwarz series, 1 for a Caratheodory series.  A wrong
+    constant term raises :class:`CompositionDomainError`.  Finiteness is
+    not required: a kernel reports a non-finite row as a failing slack.
+    """
+    Z = np.asarray(Z, dtype=np.complex128)
+    if Z.ndim < 1 or ndim not in (None, Z.ndim):
+        raise ValueError(f"need coefficient rows in a block of rank {ndim or '>= 1'}")
+    require_order(Z.shape[-1] - 1, min_order)
+    if (Z[..., 0] != constant).any():
+        raise CompositionDomainError(f"series must have constant term exactly {constant}")
+    return Z
 
 
 def pair_mul(a, b) -> tuple[np.ndarray, np.ndarray]:

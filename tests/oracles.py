@@ -89,7 +89,7 @@ def b4_centers_closed_form(b1, b2, b3, thetas):
 def schwarz_slacks(gen, w, radii, angles_per_radius, thetas):
     """Plain-Python slacks of one Schwarz function, per verify family.
 
-    Each list follows its kernel's column order: b_1..b_N; the pointwise
+    ``w`` lists its coefficients b_0..b_N as Python complex numbers.  Each list follows its kernel's column order: b_1..b_N; the pointwise
     grid radius by radius, ``angles_per_radius`` uniform angles each; the
     rotations ``thetas`` for the two b4 families.
     """
@@ -103,7 +103,7 @@ def schwarz_slacks(gen, w, radii, angles_per_radius, thetas):
     a1s, a2, a3 = gap_coefficients(b1, b2, b3)
     eq1, eq2 = ([1.0 - abs(b4 + ((a3 * z + a2) * z + a1) * z) for z in zs] for a1 in a1s)
     return {
-        "coefficient_bound": [1.0 - abs(w[k]) for k in range(1, w.order + 1)],
+        "coefficient_bound": [1.0 - abs(w[k]) for k in range(1, len(w))],
         "b2_bound": [(1.0 - abs(b1) ** 2) - abs(b2)],
         "b3_bound": [(1.0 - abs(b1) ** 3) - abs(b3)],
         "pointwise_contraction": [
@@ -132,7 +132,7 @@ def verify_oracle(cfg):
         VERIFY_RADII,
     )
     from schwarzlab.families import (
-        cayley_from_schwarz,
+        cayley_block,
         expand_caratheodory,
         expand_schwarz,
         harmonic_boundary_atoms,
@@ -162,7 +162,7 @@ def verify_oracle(cfg):
                 add(family, 2.0 - abs(p[s] - p[t] * p[s - t]), index)
 
     for idx, gen in enumerate(sample_schwarz(cfg.seed, cfg.samples, VERIFY_MAX_DEGREE)):
-        w = expand_schwarz(gen, cfg.order)
+        w = expand_schwarz(gen, cfg.order).tolist()
         checks = schwarz_slacks(
             gen, w, VERIFY_RADII, VERIFY_ANGLES_PER_RADIUS, VERIFY_B4_THETAS
         )
@@ -170,16 +170,16 @@ def verify_oracle(cfg):
             for slack in slacks:
                 add(family, slack, idx)
         for theta in VERIFY_CAYLEY_THETAS:
-            livingston("livingston_cayley", cayley_from_schwarz(w, theta), idx)
+            livingston("livingston_cayley", cayley_block([w], [theta])[0, 0].tolist(), idx)
 
     for idx, gen in enumerate(sample_herglotz(cfg.seed, cfg.samples)):
-        livingston("livingston_herglotz", expand_caratheodory(gen, cfg.order), idx)
+        livingston("livingston_herglotz", expand_caratheodory(gen, cfg.order).tolist(), idx)
 
     # c_k = 2 e^{i theta} forces c_nk = 2 e^{i n theta}; off the boundary
     # (|c_k| < 2 - tol) only |c_k| <= 2 is checked
     for k in (1, 2, 3):
         for theta in (0.0, 2.0 * math.pi / 5):
-            p = expand_caratheodory(harmonic_boundary_atoms(k, theta), cfg.order)
+            p = expand_caratheodory(harmonic_boundary_atoms(k, theta), cfg.order).tolist()
             if abs(p[k]) < 2.0 - tol:
                 add("harmonic_propagation", 2.0 - abs(p[k]), k)
                 continue
@@ -278,8 +278,7 @@ def scan_oracle(cfg, angles=None, margins=None):
     status = 0
     worst, worst_rank = math.inf, math.inf
     for idx, g in enumerate(sample_schwarz(cfg.seed, cfg.samples, 4)):
-        w = expand_schwarz(g, 4)
-        b = (w[1], w[2], w[3], w[4])
+        b = tuple(expand_schwarz(g, 4).tolist()[1:5])
         coeffs.append(b)
         margin = b4_margin_oracle(*b, angles) if margins is None else margins[idx]
         member = margin >= -tol

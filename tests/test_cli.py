@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,16 @@ class TestExpand:
         inner = "invcayley(theta=0, cayley(theta=0, " * 200 + "blaschke(phi=0, m=1)" + "))" * 200
         code, out, err = run_cli(capsys, ["expand", f"monomial(k={inner}, theta=0)"])
         assert (code, out, err) == (2, "", "error: k must be a number, got InverseCayley\n")
+
+    @pytest.mark.parametrize(
+        "spec, name",
+        [("monomial(k=1, theta=1e400)", "theta"), ("herglotz(atoms=[(1, 1e400)])", "angle")],
+    )
+    def test_non_finite_parameter_exits_2_without_warnings(self, capsys, spec, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_cli(capsys, ["expand", "--format", "csv", spec])
+        assert result == (2, "", f"error: {name} must be finite\n")
 
     def test_deep_workload_shape_is_unchanged(self, capsys):
         # three invcayley/cayley pairs at order 64, as in the benchmark's expand-deep;
@@ -510,7 +521,7 @@ def _scan_argv(cfg, fmt):
 @functools.lru_cache(maxsize=None)
 def _dense_scan_margins(seed, samples):
     """Joint-set margins of a scan corpus over 2^20 uniform angles."""
-    B = [expand_schwarz(g, 4).coeffs[1:5] for g in sample_schwarz(seed, samples, 4)]
+    B = [expand_schwarz(g, 4)[1:5] for g in sample_schwarz(seed, samples, 4)]
     return tuple(dense_b4_margins(np.array(B), 2**20).min(axis=1).tolist())
 
 
@@ -1105,6 +1116,15 @@ class TestPeakMemoryEstimate:
         assert run_cli(capsys, argv)[:2] == (0, "")
         cfg = RunConfig(command="region", target="b3", b1=0.5, resolution=16384, angles=64)
         assert 16384 * 960 < cli.estimate_peak_bytes(cfg) < cli.MAX_PEAK_BYTES / 32
+
+    def test_floors_stop_what_a_negative_estimate_lets_through(self):
+        # a negative resolution turns the estimate negative, below every cap,
+        # while 10^10 angles would need an 80 GB centre array: only the
+        # resolution floor, checked ahead of the estimate, refuses it
+        cfg = RunConfig(command="region", target="b3", b1=0.5, angles=10**10, resolution=-5)
+        assert cli.estimate_peak_bytes(cfg) < 0
+        with pytest.raises(ValueError, match="^resolution must be >= 16$"):
+            cfg.validate()
 
     def test_cli_exits_2_with_a_message(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_PEAK_BYTES", 1000)

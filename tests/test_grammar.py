@@ -95,6 +95,36 @@ def test_nested_value_is_named_by_its_kind():
         parse_generator("blaschke(phi=0, m=1, zeros=[[0.5]])")
 
 
+#: every numeric parameter of every head, with a slot for its value
+PARAMETER_SLOTS = [
+    ("monomial(k={}, theta=0)", "k"),
+    ("monomial(k=1, theta={})", "theta"),
+    ("extremal1(b1={}, theta=0)", "b1"),
+    ("extremal1(b1=0.5, theta={})", "theta"),
+    ("blaschke(phi={}, m=1)", "phi"),
+    ("blaschke(phi=0, m={})", "m"),
+    ("blaschke(phi=0, m=1, zeros=[0.5, {}])", "zero"),
+    ("herglotz(atoms=[({}, 0)])", "weight"),
+    ("herglotz(atoms=[(1, {})])", "angle"),
+    ("cayley(theta={}, monomial(k=1, theta=0))", "theta"),
+    ("invcayley(theta={}, herglotz(atoms=[(1, 0)]))", "theta"),
+]
+#: an overflowing literal, an overflowing product and inf - inf (nan)
+NON_FINITE = ["1e400", "1e200*1e200", "1e400-1e400"]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("template, name", PARAMETER_SLOTS, ids=[t for t, _ in PARAMETER_SLOTS])
+def test_non_finite_parameter_is_refused_by_name(template, name, value):
+    with pytest.raises(GeneratorParseError, match=f"^{name} must be finite$"):
+        parse_generator(template.format(value))
+
+
+def test_non_finite_imaginary_part_is_refused():
+    with pytest.raises(GeneratorParseError, match="^b1 must be finite$"):
+        parse_generator("extremal1(b1=0.5+1e400i, theta=0)")
+
+
 def test_power_operator_and_parens():
     g = parse_generator("monomial(k=1, theta=(1+1)**2/4)")
     assert g.theta == pytest.approx(1.0)

@@ -274,7 +274,7 @@ class TestAttainabilityScan:
         assert np.array_equal(b, B[:n]) and np.array_equal(m, margins[:n])
 
     def test_rotated_quartic_monomial_sits_on_boundary(self):
-        w = expand_schwarz(MonomialRotation(k=4, theta=1.1), 4)
+        w = expand_schwarz(MonomialRotation(k=4, theta=1.1), 4).tolist()
         margin = exact_margin(w[1], w[2], w[3], w[4])
         assert abs(margin) < 1e-12
 
@@ -328,8 +328,7 @@ class TestB4MarginMatchesCenters:
         tuples = []
         for seed in (1, 3, 42):
             for g in sample_schwarz(seed, 20, 4):
-                w = expand_schwarz(g, 4)
-                tuples.append((w[1], w[2], w[3], w[4]))
+                tuples.append(tuple(expand_schwarz(g, 4).tolist()[1:5]))
         rng = np.random.default_rng(7)
         for _ in range(20):
             z = rng.uniform(-1.5, 1.5, size=(4, 2))

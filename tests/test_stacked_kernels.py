@@ -25,7 +25,6 @@ from schwarzlab.families import (
     InvalidGeneratorError,
     MonomialRotation,
     cayley_block,
-    cayley_from_schwarz,
     evaluate_blaschke,
     evaluate_schwarz,
     expand_blaschke,
@@ -38,7 +37,6 @@ from schwarzlab.families import (
 from schwarzlab.series import (
     CompositionDomainError,
     OrderMismatchError,
-    TruncatedSeries,
     from_pairs,
     stacked_mul,
     to_pairs,
@@ -99,7 +97,7 @@ class TestRowsMatchOneRowCalls:
         assert W.shape == (len(gens), order + 1)
         for i, g in enumerate(gens):
             assert np.array_equal(bits(W[i]), bits(expand_blaschke([g], order)[0]))
-            assert np.array_equal(bits(W[i]), bits(expand_schwarz(g, order).coeffs))
+            assert np.array_equal(bits(W[i]), bits(expand_schwarz(g, order)))
 
     def test_short_row_is_not_multiplied_by_one(self):
         # multiplying the one-zero row by the series 1 in the second factor
@@ -121,8 +119,6 @@ class TestRowsMatchOneRowCalls:
         assert P.shape == (len(gens), len(thetas), order + 1)
         for i in range(len(gens)):
             for j, theta in enumerate(thetas):
-                one = cayley_from_schwarz(TruncatedSeries(W[i]), theta).coeffs
-                assert np.array_equal(bits(P[i, j]), bits(one))
                 assert np.array_equal(bits(P[i, j]), bits(cayley_block(W[i : i + 1], [theta])[0, 0]))
 
     @settings(deadline=None, max_examples=60)
@@ -309,7 +305,7 @@ class TestHerglotzBlock:
         assert P.shape == (len(gens), order + 1)
         for i, g in enumerate(gens):
             assert np.array_equal(bits(P[i]), bits(herglotz_block([g], order)[0]))
-            assert np.array_equal(bits(P[i]), bits(expand_caratheodory(g, order).coeffs))
+            assert np.array_equal(bits(P[i]), bits(expand_caratheodory(g, order)))
             assert np.array_equal(bits(P[i]), bits(herglotz_per_function(g, order)))
 
     @pytest.mark.parametrize("order", [4, 12, 40])
