@@ -80,6 +80,8 @@ class MonomialRotation:
     def __post_init__(self):
         if self.k < 1:
             raise InvalidGeneratorError("monomial power k must be >= 1")
+        if not math.isfinite(self.theta):
+            raise InvalidGeneratorError("monomial angle theta must be finite")
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,8 @@ class B2Extremal:
     theta: float
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.b1) and math.isfinite(self.theta)):
+            raise InvalidGeneratorError("extremal b1 and theta must be finite")
         if abs(self.b1) > 1.0 + B1_UNIT_TOL:
             raise InvalidGeneratorError("|b1| must be <= 1")
 
@@ -112,7 +116,8 @@ class FiniteBlaschke:
 
     def __post_init__(self):
         zeros = np.array(self.zeros, dtype=np.complex128).reshape(1, -1)
-        _check_blaschke(np.array([self.m]), np.array([zeros.shape[1]]), zeros)
+        counts = np.array([zeros.shape[1]])
+        _check_blaschke(np.array([self.phi]), np.array([self.m]), counts, zeros)
 
 
 @dataclass(frozen=True)
@@ -127,8 +132,9 @@ class HerglotzAtoms:
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        weights = np.array([w for w, _ in self.atoms], dtype=float).reshape(1, -1)
-        _check_herglotz(np.array([weights.shape[1]]), weights)
+        weights = np.array([[w for w, _ in self.atoms]], dtype=float)
+        angles = np.array([[t for _, t in self.atoms]], dtype=float)
+        _check_herglotz(np.array([weights.shape[1]]), weights, angles)
 
 
 def _used(counts: np.ndarray, width: int) -> np.ndarray:
@@ -136,18 +142,25 @@ def _used(counts: np.ndarray, width: int) -> np.ndarray:
     return np.arange(width) < counts[:, None]
 
 
-def _check_blaschke(m: np.ndarray, counts: np.ndarray, zeros: np.ndarray) -> None:
+def _check_blaschke(
+    phi: np.ndarray, m: np.ndarray, counts: np.ndarray, zeros: np.ndarray
+) -> None:
     """The Blaschke family's invariants, for every row of a padded stack.
 
-    Row s has power m[s] and the zeros zeros[s, :counts[s]]; the slots past
-    a row's count are never read.  Raises :class:`InvalidGeneratorError` on
-    the first failure in row-major order.
+    Row s has rotation phi[s], power m[s] and the zeros zeros[s, :counts[s]];
+    the slots past a row's count are never read.  Raises
+    :class:`InvalidGeneratorError`, naming the first zero beyond the cap in
+    row-major order.
     """
     if (m < 1).any():
         raise InvalidGeneratorError("Blaschke factor needs m >= 1 so that w(0) = 0")
-    # np.hypot is Python's abs; a nan modulus passes, as abs(a) > cap is false
-    moduli = np.hypot(zeros.real, zeros.imag, out=np.zeros(zeros.shape),
-                      where=_used(counts, zeros.shape[1]))
+    if not np.isfinite(phi).all():
+        raise InvalidGeneratorError("Blaschke rotation phi must be finite")
+    used = _used(counts, zeros.shape[1])
+    if (used & ~np.isfinite(zeros)).any():
+        raise InvalidGeneratorError("Blaschke zeros must be finite")
+    # np.hypot is Python's abs
+    moduli = np.hypot(zeros.real, zeros.imag, out=np.zeros(zeros.shape), where=used)
     over = np.flatnonzero(moduli > ZERO_MODULUS_CAP)
     if over.size:
         raise InvalidGeneratorError(
@@ -155,15 +168,18 @@ def _check_blaschke(m: np.ndarray, counts: np.ndarray, zeros: np.ndarray) -> Non
         )
 
 
-def _check_herglotz(counts: np.ndarray, weights: np.ndarray) -> None:
+def _check_herglotz(counts: np.ndarray, weights: np.ndarray, angles: np.ndarray) -> None:
     """The Herglotz family's invariants, for every row of a padded stack.
 
-    Row s has the weights weights[s, :counts[s]], summed left to right;
-    the slots past a row's count are never read.
+    Row s has the atoms (weights[s, j], angles[s, j]), j < counts[s], its
+    weights summed left to right; the slots past a row's count are never
+    read.
     """
     if (counts < 1).any():
         raise InvalidGeneratorError("atom list must be non-empty")
     used = _used(counts, weights.shape[1])
+    if (used & ~(np.isfinite(weights) & np.isfinite(angles))).any():
+        raise InvalidGeneratorError("atom weights and angles must be finite")
     w = np.where(used, weights, 0.0)
     if (used & (w <= 0)).any():
         raise InvalidGeneratorError("atom weights must be positive")
@@ -247,7 +263,7 @@ class BlaschkeStack(_Stack):
         _freeze(self, phi=(np.float64, 1), m=(np.intp, 1), counts=(np.intp, 1),
                 zeros=(np.complex128, 2))
         _check_counts(self, self.counts, self.zeros.shape[1])
-        _check_blaschke(self.m, self.counts, self.zeros)
+        _check_blaschke(self.phi, self.m, self.counts, self.zeros)
 
     @classmethod
     def of(cls, gens) -> "BlaschkeStack":
@@ -287,7 +303,7 @@ class HerglotzStack(_Stack):
         if self.angles.shape != self.weights.shape:
             raise ValueError("HerglotzStack weights and angles need one shape")
         _check_counts(self, self.counts, self.weights.shape[1])
-        _check_herglotz(self.counts, self.weights)
+        _check_herglotz(self.counts, self.weights, self.angles)
 
     @classmethod
     def of(cls, gens) -> "HerglotzStack":

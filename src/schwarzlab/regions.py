@@ -25,18 +25,27 @@ span of feasible columns per row (``RegionEstimate.spans``); no cell grid
 is built.  Chords are computed only on the band of rows that every disk
 reaches, found exactly from the extreme center ordinates.
 
-The band is screened in blocks of 16 rows: all chords are computed on the
-rows that end a block, and between them only those that a bound admits.
-L_j is convex in y and H_j concave (rounding past a tangent gives L_j =
-H_j = gx_j), so on a block [ya, yb] L_j <= max(L_j(ya), L_j(yb)) and lo >=
-LB = max_k L_k(clip(gy_k, ya, yb)) over the maximizers k of lo at ya and
-yb; alike for hi.  Float chord ends are within eps = 2.3 sqrt(u) r +
-2u(|gx| + 2r) of the exact ones (u = 2^-53; sqrt(u) from a square root
-near a tangent), so with slack = 1e-6 r + 1e-12 (max|gx| + r) > 4 eps a
-disk whose float max(L_j(ya), L_j(yb)) < LB - slack is strictly below the
-float lo on every row between: lo and hi stay bit-identical.  A block
-keeping over 3/4 of the disks is computed whole, the next twice as tall.
-Cost: O(band/16 * M + band * kept).
+The band is screened in blocks of ``_SCREEN_ROWS`` rows: all chords are
+computed on the rows that end a block, and between them only those of the
+disks that a supporting line admits.  L_j is convex in y and H_j concave
+(rounding past a tangent gives L_j = H_j = gx_j), so lo = max_j L_j is
+convex, and on a block [ya, yb] the tangent at either end to the L_k that
+sets lo there, of slope m = (y - gy_k)/s_k, lies below lo.  L_j minus a
+line is convex, so a disk whose L_j(ya) and L_j(yb) both lie below one such
+line by its slack lies below lo on every row between, and is dropped; each
+end's line may drop it.  Where s_k^2 < 64 u r^2 (u = 2^-53) leaves the
+slope unusable, that end's line is the constant LB = max_k L_k(clip(gy_k,
+ya, yb)) over the disks k that set lo at ya and yb.  hi is screened alike,
+H_j being concave.  Float chord ends, and so LB and a tangent's near end,
+are within eps = 2.3 sqrt(u) r + 2u(|gx| + 2r) of the exact ones (sqrt(u)
+from a square root near a tangent); a tangent's float value at its far
+end, h = yb - ya away, is within 2 eps + h |m| rho of the exact line, rho =
+8u (1 + r^2/s_k^2) bounding the relative error of the float slope and of
+the rise h m.  So a tangent's slack is slack + h |m| rho and LB's is slack,
+slack = 1e-6 r + 1e-12 (max|gx| + r) > 5 eps, and a dropped disk is
+strictly below the float lo on every row between: lo and hi stay
+bit-identical.  A block keeping over 3/4 of the disks is computed whole,
+the next twice as tall.  Cost: O(band/_SCREEN_ROWS * M + band * kept).
 """
 
 from __future__ import annotations
@@ -119,8 +128,11 @@ class RegionEstimate:
 #: Grid rows per rasterizer block are chosen so that each of the two block
 #: buffers (rows x disks) holds about this many doubles (256 KiB, L2-sized).
 CHUNK_DOUBLES = 32_768
-#: Band rows per screening block (see the module docstring).
-_SCREEN_ROWS = 16
+#: Band rows per screening block (see the module docstring): 32 was the
+#: fastest of 16 to 48 on the region-raster workload families.
+_SCREEN_ROWS = 32
+#: Unit roundoff of a double.
+_U = 2.0**-53
 
 
 def _chord_ends(ys, gx, gy, r2, buf, lo, hi) -> None:
@@ -137,6 +149,18 @@ def _chord_ends(ys, gx, gy, r2, buf, lo, hi) -> None:
         np.add(gx, s, out=e).min(axis=1, out=hi[k0 : k0 + rows])
 
 
+def _tangent(c, v, y, y1, gy_j, s_j, r2):
+    """The tangent at row y to disk j's chord end gx_j - c s_j(y) (c = 1 for
+    the lo end, -1 for the hi end), whose float value at y is v: its float
+    value at row y1 and that value's error budget |y1 - y| |m| rho beyond
+    2 eps (module docstring), or None where s_j^2 < 64 u r^2 leaves the
+    slope m = c (y - gy_j) / s_j unusable."""
+    if s_j * s_j < 64 * _U * r2:
+        return None
+    rise = c * (y - gy_j) / s_j * (y1 - y)
+    return v + rise, abs(rise) * 8 * _U * (1 + r2 / (s_j * s_j))
+
+
 def _screened_chord_ends(yband, gx, gy, radius):
     """lo, hi of each band row, screened per block."""
     n, m, r2 = len(yband), len(gx), radius * radius
@@ -145,29 +169,50 @@ def _screened_chord_ends(yband, gx, gy, radius):
     slack = 1e-6 * radius + 1e-12 * (float(np.abs(gx).max()) + radius)
 
     def end_row(k):
-        # every chord on band row k: half-chords, and the disks setting lo, hi
+        # every chord end on band row k; per end, the disk that sets lo or hi
+        # and its half-chord
         s = np.sqrt(r2 - (yband[k] - gy) ** 2)
-        jl, jh = int((gx - s).argmax()), int((gx + s).argmin())
-        lo[k], hi[k] = gx[jl] - s[jl], gx[jh] + s[jh]
-        return s, jl, jh
+        L, H = gx - s, gx + s
+        jl, jh = int(L.argmax()), int(H.argmin())
+        lo[k], hi[k] = L[jl], H[jh]
+        return float(yband[k]), ((L, jl, float(s[jl])), (H, jh, float(s[jh])))
+
+    def line(c, y, y1, v, j, s, binding):
+        # the values at y and y1, less c times its slack, of a line below lo
+        # (c = 1) or above hi (c = -1) on the whole block: the tangent at y to
+        # disk j's chord end, or, where its slope is unusable, the extreme over
+        # the block of the binding disks' chord ends, at clip(gy_k)
+        t = _tangent(c, v, y, y1, float(gy[j]), s, r2)
+        if t is None:
+            ya, yb = sorted((y, y1))
+            dy = [min(max(g, ya), yb) - g for g in gy[binding].tolist()]
+            v = c * max(c * x - math.sqrt(r2 - d * d) for x, d in zip(gx[binding].tolist(), dy))
+            t = v, 0.0
+        v1, err = t
+        sigma = c * (slack + err)
+        return v - sigma, v1 - sigma
 
     a, height = 0, _SCREEN_ROWS
-    s_a, la, ha = end_row(0) if n else (None, 0, 0)
+    end_a = end_row(0) if n else None
     while a < n - 1:
         b = min(a + height, n - 1)
-        s_b, lb, hb = end_row(b)
+        end_b = end_row(b)
         height = _SCREEN_ROWS
         if b > a + 1:
-            k = np.array([la, lb, ha, hb])
-            near = np.sqrt(r2 - (np.clip(gy[k], yband[a], yband[b]) - gy[k]) ** 2)
-            low, high = (gx[k[:2]] - near[:2]).max(), (gx[k[2:]] + near[2:]).min()
-            s_min = np.minimum(s_a, s_b)
-            keep = np.flatnonzero((gx - s_min >= low - slack) | (gx + s_min <= high + slack))
+            (ya, ends_a), (yb, ends_b) = end_a, end_b
+            keep = np.zeros(m, dtype=bool)
+            sides = zip((1, -1), (np.greater_equal, np.less_equal), ends_a, ends_b)
+            for c, reaches, (Ea, ja, sa), (Eb, jb, sb) in sides:
+                # a disk is dropped if both its block-end chord ends lie beyond one line
+                ta, tb = line(c, ya, yb, float(Ea[ja]), ja, sa, [ja, jb])
+                ub, ua = line(c, yb, ya, float(Eb[jb]), jb, sb, [ja, jb])
+                keep |= (reaches(Ea, ta) | reaches(Eb, tb)) & (reaches(Ea, ua) | reaches(Eb, ub))
+            keep = np.flatnonzero(keep)
             if len(keep) > 3 * m // 4:  # not worth a gather; screen less often
                 keep, height = slice(None), 2 * (b - a)
             rows = slice(a + 1, b)
             _chord_ends(yband[rows], gx[keep], gy[keep], r2, buf, lo[rows], hi[rows])
-        a, s_a, la, ha = b, s_b, lb, hb
+        a, end_a = b, end_b
     return lo, hi
 
 

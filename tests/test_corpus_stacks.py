@@ -179,6 +179,28 @@ class TestValidation:
             refusal(lambda: HerglotzAtoms(atoms))
         )
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_used_slots(self, value):
+        stack = sample_schwarz(8, 20, 6)
+        row = int(np.flatnonzero(stack.counts >= 2)[0])
+        phi, zeros = np.array(stack.phi), np.array(stack.zeros)
+        phi[row] = value
+        assert refusal(lambda: BlaschkeStack(phi, stack.m, stack.counts, stack.zeros)) == (
+            refusal(lambda: FiniteBlaschke(value, 1))
+        )
+        zeros[row, 1] = complex(0.1, value)
+        assert refusal(lambda: BlaschkeStack(stack.phi, stack.m, stack.counts, zeros)) == (
+            refusal(lambda: FiniteBlaschke(0.0, 1, (0.2, complex(0.1, value))))
+        )
+        atoms = sample_herglotz(9, 20)
+        for column in ("weights", "angles"):
+            arrays = {name: np.array(getattr(atoms, name)) for name in ("weights", "angles")}
+            arrays[column][11, 0] = value
+            pair = (value, 0.0) if column == "weights" else (1.0, value)
+            assert refusal(lambda: HerglotzStack(atoms.counts, **arrays)) == (
+                refusal(lambda: HerglotzAtoms((pair,)))
+            )
+
     def test_another_family_in_a_list(self):
         gens = [*sample_schwarz(3, 4, 6), MonomialRotation(1, 0.0)]
         for convert in (BlaschkeStack.of, lambda g: expand_blaschke(g, 6),

@@ -276,6 +276,25 @@ class TestValidation:
         with pytest.raises(InvalidGeneratorError, match="positive"):
             HerglotzAtoms(((1.2, 0.0), (-0.2, 1.0)))
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: MonomialRotation(1, math.inf), "theta must be finite"),
+            (lambda: MonomialRotation(2, math.nan), "theta must be finite"),
+            (lambda: B2Extremal(0.5, math.inf), "b1 and theta must be finite"),
+            (lambda: B2Extremal(complex(math.nan, 0.0), 0.0), "b1 and theta must be finite"),
+            (lambda: FiniteBlaschke(math.nan, 1, ()), "phi must be finite"),
+            (lambda: FiniteBlaschke(0.0, 1, (0.5, complex(math.nan, 0.1))), "zeros must be finite"),
+            (lambda: FiniteBlaschke(0.0, 1, (complex(0.0, math.inf),)), "zeros must be finite"),
+            (lambda: HerglotzAtoms(((1.0, math.inf),)), "weights and angles must be finite"),
+            (lambda: HerglotzAtoms(((math.nan, 0.0), (1.0, 0.5))), "weights and angles must be finite"),
+        ],
+    )
+    def test_non_finite_parameter(self, build, message):
+        # a nan passes every order comparison, so each is refused by name
+        with pytest.raises(InvalidGeneratorError, match=message):
+            build()
+
     def test_cayley_of_a_caratheodory_generator(self):
         with pytest.raises(InvalidGeneratorError, match="not a Schwarz generator"):
             CayleyOfSchwarz(inner=HerglotzAtoms(((1.0, 0.0),)), theta=0)

@@ -1,5 +1,6 @@
 """Tests for disk-intersection rasterization and the b3/b4 region explorers."""
 
+import itertools
 import math
 
 import numpy as np
@@ -503,11 +504,15 @@ def _band_rows(centers, radius, box, resolution):
 
 
 #: Families that stress the rasterizer's per-block screen; see _screen_case.
-SCREEN_CASES = [
+#: The last five bands are sized by the screen's block height R: R - 1, R,
+#: R + 1, R + 2 and 2R + 1 rows; bands of 15 to 18 rows fit in one block.
+_R = regions._SCREEN_ROWS
+SCREEN_CASES = list(dict.fromkeys([
     "coincident", "duplicates", "radius0.001", "radius2.5", "angles3", "angles7",
-    "band1", "band2", "band15", "band16", "band17", "band18", "band33",
-    "tangent", "wide",
-]
+    "band1", "band2", "band15", "band16", "band17", "band18",
+    *(f"band{k}" for k in (_R - 1, _R, _R + 1, _R + 2, 2 * _R + 1)),
+    "tangent", "pinned", "wide",
+]))
 
 
 def _screen_case(name):
@@ -540,6 +545,12 @@ def _screen_case(name):
         # y = -7/8 and 7/8, touch the disks centred at ordinates 1/8 and -1/8
         gy = np.concatenate([[0.125, -0.125], rng.uniform(-0.125, 0.125, 400)])
         gx = rng.uniform(-0.2, 0.2, len(gy))
+        return gx + 1j * gy, 1.0, BoundingBox(1j / 128, 2.0), 256
+    if name == "pinned":
+        # as "tangent", but the two touching disks set lo and hi on the rows
+        # they touch, where a chord end's slope is unbounded
+        gy = np.concatenate([[0.125, -0.125], rng.uniform(-0.1, 0.1, 400)])
+        gx = np.concatenate([[0.0, 0.0], rng.uniform(-0.2, 0.2, 400)])
         return gx + 1j * gy, 1.0, BoundingBox(1j / 128, 2.0), 256
     assert name == "wide"  # more disks than a block buffer holds doubles
     return circle_family(0.3, m=CHUNK_DOUBLES + 5).centers, 1.0, BoundingBox(0.01j, 1.3), 256
@@ -645,6 +656,16 @@ class TestRasterMatchesOracle:
         assert_same_estimate(got, raster_oracle(fam, box, resolution))
         assert got.feasible_area_cells > 0
 
+#: In the band65 grid two cells lie on a disk boundary to within an ulp:
+#: at (-0.5, 0), exactly 1 from the centre (0.5, 0) and inside every other
+#: disk, a neighbour's float chord end rounds one ulp past -0.5, and at
+#: (0.5 + ulp, 0), just outside the disk about (-0.5, 0), the float distance
+#: rounds to 1.  The full-grid chord oracle and the 16-row block-minimum
+#: screen give the same spans, so the cell test and the chord ends, not the
+#: screen, part there.
+_TIED_CELLS = pytest.mark.xfail(strict=True, reason="chord ends and distances round a tie apart")
+
+
 class TestRasterMatchesCellTest:
     """Every cell agrees with the direct test |x - gamma_j| <= 1 for all j."""
 
@@ -660,7 +681,14 @@ class TestRasterMatchesCellTest:
         assert np.array_equal(region_grid(est), brute)
         assert est.feasible_area_cells == int(brute.sum())
 
-    @pytest.mark.parametrize("name", [c for c in SCREEN_CASES if c != "wide"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            pytest.param(c, marks=_TIED_CELLS) if c == "band65" else c
+            for c in SCREEN_CASES
+            if c != "wide"
+        ],
+    )
     def test_screen_families(self, name):
         centers, radius, box, resolution = _screen_case(name)
         est = intersect_disk_family(DiskConstraintFamily(centers, radius), box, resolution)
@@ -709,16 +737,28 @@ class TestScreenDropsOnlyNonBindingDisks:
     @pytest.mark.parametrize("name", SCREEN_CASES)
     def test_screen_families(self, monkeypatch, name):
         dropped = self.dropped_disks(monkeypatch, *_screen_case(name))
-        # coincident centers tie everywhere; of six disks (three angles) more
-        # than three quarters may bind in every block; one or two band rows
-        # leave no row between block ends, and fifteen that span the whole
-        # band meet tangent rows at both block ends, where every disk may bind
-        assert (dropped == 0) == (name in ("coincident", "angles3", "band1", "band2", "band15"))
+        # coincident centers tie everywhere; one or two band rows leave no
+        # row between block ends, and fifteen that span the whole band meet
+        # tangent rows at both block ends, where every disk may bind
+        assert (dropped == 0) == (name in ("coincident", "band1", "band2", "band15"))
 
     @pytest.mark.parametrize("seed", range(1, 5))
     def test_workload_families(self, monkeypatch, seed):
         centers, box = _b4_family(_workload_b(seed), 4096, "both")
         assert self.dropped_disks(monkeypatch, centers, 1.0, box, 1024) > 0
+
+    #: Median disks kept per block over the workload families of seeds 1-4
+    #: (8192 disks, 92 blocks); 16-row blocks under the block-minimum bound
+    #: kept 3096.
+    MEDIAN_KEPT = 838
+
+    def test_supporting_lines_keep_few_disks(self, monkeypatch):
+        kept = []
+        for seed in range(1, 5):
+            centers, box = _b4_family(_workload_b(seed), 4096, "both")
+            blocks = self.screened_blocks(monkeypatch, centers, 1.0, box, 1024)
+            kept += [len(gx) for _, gx, _ in blocks]
+        assert np.median(kept) < 1.25 * self.MEDIAN_KEPT
 
     @pytest.mark.parametrize("seed", range(4))
     def test_box_of_a_few_ulps(self, monkeypatch, seed):
@@ -759,3 +799,45 @@ class TestChordEndErrorBound:
                         eps = 2.3 * math.sqrt(u) * radius + 2 * u * (abs(x) + 2 * radius)
                         assert abs(lo_f - (mpmath.mpf(x) - half)) <= eps
                         assert abs(hi_f - (mpmath.mpf(x) + half)) <= eps
+
+
+class TestTangentErrorBound:
+    """The float value of a screening tangent at the far block end is within
+    2 eps + h |m| rho of the exact tangent, rho = 8u(1 + r^2/s^2), h the
+    block height and m, s the float slope and half-chord, also from rows
+    next to the binding disk's tangent, where s^2 < 64 u r^2 refuses the
+    tangent: the error budget behind a supporting line's slack."""
+
+    def test_rows_approaching_tangency(self):
+        import mpmath
+
+        u = 2.0**-53
+        rng = np.random.default_rng(9)
+        used = refused = 0
+        for radius in (1e-3, 1.0, 2.5):
+            r2 = radius * radius
+            gx = rng.uniform(-3.0, 3.0, 12) * radius
+            gy = rng.uniform(-1.0, 1.0, 12) * radius
+            for k in range(1, 60, 2):
+                for side in (1.0, -1.0):  # the top and the bottom tangent row
+                    ys = gy + side * radius * (1.0 - 2.0**-k)
+                    s2 = r2 - (ys - gy) ** 2  # as the screen's end rows take it
+                    reach = s2 >= 0.0  # a band row reaches every disk
+                    half = np.sqrt(np.where(reach, s2, 0.0))
+                    rows = (a[reach].tolist() for a in (gx, ys, gy, half))
+                    for x, y, g, s in zip(*rows):
+                        eps = 2.3 * math.sqrt(u) * radius + 2 * u * (abs(x) + 2 * radius)
+                        steps = (radius / 32, -radius / 32, 0.7 * radius)
+                        for h, c in itertools.product(steps, (1, -1)):
+                            t = regions._tangent(c, x - c * s, y, y + h, g, s, r2)
+                            if t is None:
+                                assert s * s < 64 * u * r2
+                                refused += 1
+                                continue
+                            with mpmath.workdps(40):
+                                d = mpmath.mpf(y) - mpmath.mpf(g)
+                                exact_s = mpmath.sqrt(mpmath.mpf(radius) ** 2 - d * d)
+                                rise = c * d / exact_s * (mpmath.mpf(y + h) - mpmath.mpf(y))
+                                assert abs(t[0] - (x - c * exact_s + rise)) <= 2 * eps + t[1]
+                            used += 1
+        assert used > 0 and refused > 0

@@ -118,19 +118,23 @@ class TestEntryPoints:
 
 
 @pytest.mark.parametrize(
-    "expand, gen",
+    "expand, build, message",
     [
-        (expand_schwarz, MonomialRotation(1, math.inf)),
-        (expand_schwarz, B2Extremal(0.5, math.inf)),
-        (expand_schwarz, InverseCayley(HerglotzAtoms(((1.0, 0.5),)), math.inf)),
-        (expand_caratheodory, CayleyOfSchwarz(MonomialRotation(1, 0.0), math.inf)),
+        # a generator refuses a non-finite parameter when it is built
+        (expand_schwarz, lambda: MonomialRotation(1, math.inf), "theta must be finite"),
+        (expand_schwarz, lambda: B2Extremal(0.5, math.inf), "theta must be finite"),
+        # a Cayley wrapper's angle reaches the output, which is refused
+        (expand_schwarz, lambda: InverseCayley(HerglotzAtoms(((1.0, 0.5),)), math.inf),
+         "coefficients must be finite"),
+        (expand_caratheodory, lambda: CayleyOfSchwarz(MonomialRotation(1, 0.0), math.inf),
+         "coefficients must be finite"),
     ],
     ids=["monomial", "extremal", "invcayley", "cayley"],
 )
-def test_one_row_views_refuse_non_finite_output(expand, gen):
+def test_one_row_views_refuse_non_finite_output(expand, build, message):
     with np.errstate(invalid="ignore"):
-        with pytest.raises(ValueError, match="coefficients must be finite"):
-            expand(gen, 6)
+        with pytest.raises(ValueError, match=message):
+            expand(build(), 6)
 
 
 def test_one_row_views_return_coefficient_arrays():

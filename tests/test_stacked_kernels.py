@@ -172,8 +172,8 @@ class TestBatchValidation:
             expand_blaschke(sample_schwarz(3, 4, 6), 0)
 
     def test_non_finite_zero(self):
-        gens = list(sample_schwarz(3, 4, 6)) + [FiniteBlaschke(0.0, 1, (complex(math.nan, 0.0),))]
         with pytest.raises(ValueError, match="finite"):
+            gens = [*sample_schwarz(3, 4, 6), FiniteBlaschke(0.0, 1, (complex(math.nan, 0.0),))]
             expand_blaschke(gens, 6)
 
     def test_empty_batch(self):
