@@ -41,13 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from schwarzlab.families import (
-    BlaschkeStack,
-    FiniteBlaschke,
-    SchwarzGenerator,
-    evaluate_blaschke,
-    evaluate_schwarz,
-)
+from schwarzlab.families import BlaschkeStack, FiniteBlaschke, evaluate_blaschke
 from schwarzlab.series import coefficient_block, from_pairs, pair_mul, to_pairs
 
 INEQUALITY_TOL = 1e-9
@@ -118,15 +112,15 @@ def power_bound_kernel(W, k: int) -> BoundBlock:
 
 
 def pointwise_contraction_kernel(
-    gens: BlaschkeStack | Sequence[SchwarzGenerator],
+    gens: BlaschkeStack | Sequence[FiniteBlaschke],
     radii,
     angles_per_radius: int,
 ) -> BoundBlock:
     """|w(z)| <= |z| on a polar grid, by closed-form evaluation.
 
-    Columns run over the radii, and over the angles within each radius; a
-    stack or list of Blaschke products is evaluated at once by
-    ``evaluate_blaschke``, other generators one at a time.
+    Columns run over the radii, and over the angles within each radius; the
+    stack or list of finite Blaschke products is evaluated at once by
+    ``evaluate_blaschke``.
     """
     radii = [float(r) for r in radii]
     if any(not (0.0 < r < 1.0) for r in radii):
@@ -135,9 +129,7 @@ def pointwise_contraction_kernel(
         raise ValueError("need at least one angle per radius")
     phases = np.exp(2j * math.pi * np.arange(angles_per_radius) / angles_per_radius)
     z = (np.array(radii)[:, None] * phases).ravel()
-    blaschke = isinstance(gens, BlaschkeStack) or all(isinstance(g, FiniteBlaschke) for g in gens)
-    values = evaluate_blaschke(gens, z) if blaschke else [evaluate_schwarz(g, z) for g in gens]
-    return BoundBlock(np.abs(values), np.repeat(radii, angles_per_radius))
+    return BoundBlock(np.abs(evaluate_blaschke(gens, z)), np.repeat(radii, angles_per_radius))
 
 
 def b4_gap_polynomials(B) -> np.ndarray:

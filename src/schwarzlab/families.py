@@ -23,10 +23,11 @@ a list of generators is converted once by the stack's ``of``.
 ``expand_schwarz``, ``evaluate_schwarz`` and ``expand_caratheodory`` are
 one-row views of these kernels and of :func:`cayley_block`, and return
 one ``(order+1,)`` coefficient array.  :func:`inverse_cayley` solves
-(p + 1) v = p - 1 by one triangular recurrence, and the second-coefficient
-extremal has a geometric tail, built by the same doubling as a Blaschke
-factor's.  Coefficient inputs and outputs are checked by the rules of
-:mod:`schwarzlab.series`.
+(p + 1) v = p - 1 by one triangular recurrence.  The Schwarz leaves are
+the finite Blaschke products, which are dense in B: the rotations
+e^{i theta} z^k and the second-coefficient extremal
+(:func:`b2_extremal`) are built as such.  Coefficient inputs and outputs
+are checked by the rules of :mod:`schwarzlab.series`.
 """
 
 from __future__ import annotations
@@ -51,12 +52,11 @@ from schwarzlab.series import (
 )
 
 #: Roundoff allowed on |b1| <= 1 wherever it is required (the second-coefficient
-#: extremal, the region commands); |b1| within this distance of 1 also selects
-#: the extremal's rotation branch.
+#: extremal, the region commands); :func:`b2_extremal` builds the rotation
+#: b1/|b1| z when |b1| is within this distance of 1.
 B1_UNIT_TOL = 1e-12
 
-#: Validation cap on Blaschke zero moduli; sampled zeros stay within 0.9.
-ZERO_MODULUS_CAP = 0.95
+#: Sampled Blaschke zeros stay within this radius; a zero itself needs only |a| < 1.
 SAMPLING_ZERO_RADIUS = 0.9
 
 #: Herglotz atom weights must sum to 1 within this tolerance.
@@ -68,38 +68,6 @@ DEFAULT_MAX_ATOMS = 8
 
 class InvalidGeneratorError(ValueError):
     """Generator parameters violate the family's invariants."""
-
-
-@dataclass(frozen=True)
-class MonomialRotation:
-    """w(z) = e^{i theta} z^k, the equality family of the coefficient bound |b_k| <= 1."""
-
-    k: int
-    theta: float
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise InvalidGeneratorError("monomial power k must be >= 1")
-        if not math.isfinite(self.theta):
-            raise InvalidGeneratorError("monomial angle theta must be finite")
-
-
-@dataclass(frozen=True)
-class B2Extremal:
-    """Extremal family of |b2| <= 1 - |b1|^2.
-
-    For |b1| < 1 this is w(z) = (b1 z + e^{i theta} z^2)/(1 + e^{i theta}
-    conj(b1) z); at |b1| = 1 it degenerates to the rotation b1 * z.
-    """
-
-    b1: complex
-    theta: float
-
-    def __post_init__(self):
-        if not (cmath.isfinite(self.b1) and math.isfinite(self.theta)):
-            raise InvalidGeneratorError("extremal b1 and theta must be finite")
-        if abs(self.b1) > 1.0 + B1_UNIT_TOL:
-            raise InvalidGeneratorError("|b1| must be <= 1")
 
 
 @dataclass(frozen=True)
@@ -118,6 +86,26 @@ class FiniteBlaschke:
         zeros = np.array(self.zeros, dtype=np.complex128).reshape(1, -1)
         counts = np.array([zeros.shape[1]])
         _check_blaschke(np.array([self.phi]), np.array([self.m]), counts, zeros)
+
+
+def b2_extremal(b1: complex, theta: float) -> FiniteBlaschke:
+    """The extremal w of |b2| <= 1 - |b1|^2 with w_1 = b1, as a finite Blaschke product.
+
+    w(z) = (b1 z + e^{i theta} z^2)/(1 + e^{i theta} conj(b1) z) is
+    e^{i arg b1} z times the factor of the zero a = -b1 e^{-i theta}, with
+    |a| = |b1|; b1 = 0 gives e^{i theta} z^2, and |b1| within
+    :data:`B1_UNIT_TOL` of 1 the rotation e^{i arg b1} z.
+    """
+    b1, theta = complex(b1), float(theta)
+    if not (cmath.isfinite(b1) and math.isfinite(theta)):
+        raise InvalidGeneratorError("extremal b1 and theta must be finite")
+    if abs(b1) > 1.0 + B1_UNIT_TOL:
+        raise InvalidGeneratorError("|b1| must be <= 1")
+    if b1 == 0:
+        return FiniteBlaschke(theta, 2)
+    if abs(b1) >= 1.0 - B1_UNIT_TOL:
+        return FiniteBlaschke(cmath.phase(b1), 1)
+    return FiniteBlaschke(cmath.phase(b1), 1, (-b1 * cmath.exp(-1j * theta),))
 
 
 @dataclass(frozen=True)
@@ -149,8 +137,7 @@ def _check_blaschke(
 
     Row s has rotation phi[s], power m[s] and the zeros zeros[s, :counts[s]];
     the slots past a row's count are never read.  Raises
-    :class:`InvalidGeneratorError`, naming the first zero beyond the cap in
-    row-major order.
+    :class:`InvalidGeneratorError`.
     """
     if (m < 1).any():
         raise InvalidGeneratorError("Blaschke factor needs m >= 1 so that w(0) = 0")
@@ -161,11 +148,8 @@ def _check_blaschke(
         raise InvalidGeneratorError("Blaschke zeros must be finite")
     # np.hypot is Python's abs
     moduli = np.hypot(zeros.real, zeros.imag, out=np.zeros(zeros.shape), where=used)
-    over = np.flatnonzero(moduli > ZERO_MODULUS_CAP)
-    if over.size:
-        raise InvalidGeneratorError(
-            f"Blaschke zero modulus {moduli.flat[over[0]]:.4f} exceeds cap {ZERO_MODULUS_CAP}"
-        )
+    if (moduli >= 1.0).any():
+        raise InvalidGeneratorError("Blaschke zeros must lie in the open unit disk, |a| < 1")
 
 
 def _check_herglotz(counts: np.ndarray, weights: np.ndarray, angles: np.ndarray) -> None:
@@ -333,6 +317,8 @@ class CayleyOfSchwarz:
     def __post_init__(self):
         # the inner generator checked its own invariants when it was built
         _require([self.inner], SchwarzGenerator, "Schwarz generator")
+        if not math.isfinite(self.theta):
+            raise InvalidGeneratorError("theta must be finite")
 
 
 @dataclass(frozen=True)
@@ -344,9 +330,11 @@ class InverseCayley:
 
     def __post_init__(self):
         _require([self.inner], CaratheodoryGenerator, "Caratheodory generator")
+        if not math.isfinite(self.theta):
+            raise InvalidGeneratorError("theta must be finite")
 
 
-SchwarzGenerator = Union[MonomialRotation, B2Extremal, FiniteBlaschke, InverseCayley]
+SchwarzGenerator = Union[FiniteBlaschke, InverseCayley]
 CaratheodoryGenerator = Union[HerglotzAtoms, CayleyOfSchwarz]
 
 
@@ -514,26 +502,8 @@ def expand_schwarz(g: SchwarzGenerator, order: int) -> np.ndarray:
     if isinstance(g, FiniteBlaschke):
         return expand_blaschke([g], order)[0]
     _require([g], SchwarzGenerator, "Schwarz generator")
-    require_order(order)
-    if isinstance(g, InverseCayley):
-        return inverse_cayley(expand_caratheodory(g.inner, order), g.theta)
-    w = np.zeros(order + 1, dtype=np.complex128)
-    if isinstance(g, MonomialRotation):
-        if g.k <= order:
-            w[g.k] = np.exp(1j * g.theta)
-    elif abs(g.b1) >= 1.0 - B1_UNIT_TOL:  # B2Extremal at its rotation branch
-        w[1] = g.b1 / abs(g.b1)
-    else:
-        # w = (b1 z + e z^2)/(1 - t z) with e = e^{i theta}, t = -e conj(b1):
-        # w_1 = b1 and w_k = e (1 - |b1|^2) t^{k-2}
-        b1, rot = complex(g.b1), cmath.exp(1j * g.theta)
-        t, lead = -rot * b1.conjugate(), rot * (1.0 - abs(b1) ** 2)
-        pairs = np.zeros((order + 1, 2, 1))
-        pairs[1, :, 0] = b1.real, b1.imag
-        pairs[2:3, :, 0] = lead.real, lead.imag  # no row at order 1
-        _fill_geometric(pairs[2:], (t.real, t.imag))
-        w = from_pairs(pairs)[0]
-    return require_finite(w)
+    # InverseCayley
+    return inverse_cayley(expand_caratheodory(g.inner, order), g.theta)
 
 
 def expand_caratheodory(g: CaratheodoryGenerator, order: int) -> np.ndarray:
@@ -554,13 +524,6 @@ def evaluate_schwarz(g: SchwarzGenerator, z: np.ndarray | complex) -> np.ndarray
     """Evaluate the generator's function at points of the open disk."""
     _require([g], SchwarzGenerator, "Schwarz generator")
     z = np.asarray(z, dtype=np.complex128)
-    if isinstance(g, MonomialRotation):
-        return np.exp(1j * g.theta) * z**g.k
-    if isinstance(g, B2Extremal):
-        if abs(g.b1) >= 1.0 - B1_UNIT_TOL:
-            return (g.b1 / abs(g.b1)) * z
-        rot = np.exp(1j * g.theta)
-        return (g.b1 * z + rot * z**2) / (1.0 + rot * np.conj(g.b1) * z)
     if isinstance(g, FiniteBlaschke):
         return evaluate_blaschke([g], z.ravel())[0].reshape(z.shape)
     # InverseCayley

@@ -14,7 +14,9 @@ unit (``i`` or ``j``, also usable as a numeric suffix: ``0.5+0.25i``),
 with ``+ - * / **`` and parentheses; a parameter whose value is not
 finite (``1e400``, ``1e400-1e400``) is refused by name.  Angles are
 radians.  The inner function of ``cayley``/``invcayley`` may be given
-positionally or as ``inner=...``.
+positionally or as ``inner=...``.  ``monomial`` and ``extremal1`` build
+finite Blaschke products: ``FiniteBlaschke(theta, k)`` and
+:func:`~schwarzlab.families.b2_extremal`.
 """
 
 from __future__ import annotations
@@ -24,14 +26,14 @@ import math
 import re
 
 from schwarzlab.families import (
-    B2Extremal,
     CaratheodoryGenerator,
     CayleyOfSchwarz,
     FiniteBlaschke,
     HerglotzAtoms,
+    InvalidGeneratorError,
     InverseCayley,
-    MonomialRotation,
     SchwarzGenerator,
+    b2_extremal,
 )
 
 
@@ -261,11 +263,13 @@ def _build(head: str, positional: list, kwargs: dict, parser: _Parser):
     if head == "monomial":
         k = _as_int(_take(kwargs, positional, "k", parser), "k")
         theta = _as_real(_take(kwargs, positional, "theta", parser), "theta")
-        gen = MonomialRotation(k=k, theta=theta)
+        if k < 1:
+            raise InvalidGeneratorError("monomial power k must be >= 1")
+        gen = FiniteBlaschke(phi=theta, m=k)
     elif head == "extremal1":
         b1 = _as_scalar(_take(kwargs, positional, "b1", parser), "b1")
         theta = _as_real(_take(kwargs, positional, "theta", parser), "theta")
-        gen = B2Extremal(b1=b1, theta=theta)
+        gen = b2_extremal(b1, theta)
     elif head == "blaschke":
         phi = _as_real(_take(kwargs, positional, "phi", parser), "phi")
         m = _as_int(_take(kwargs, positional, "m", parser), "m")

@@ -2,7 +2,9 @@
 
 The series oracles are deliberately written as plain double loops / long
 division, sharing no code path with the library, so that tests compare
-two genuinely different routes to the same numbers.  The verify oracle
+two genuinely different routes to the same numbers; the extremal oracle
+keeps the second-coefficient extremal's hand-expanded geometric tail as
+the reference for the Blaschke product that builds it.  The verify oracle
 checks one function and one scalar check at a time in plain Python complex
 arithmetic, without the library's bound kernels, and accumulates slacks
 one by one, as the reference for the CLI's batched corpus checking.  The
@@ -62,6 +64,30 @@ def cayley_oracle(b, theta):
     one = np.zeros_like(u)
     one[0] = 1.0
     return division_oracle(one + u, one - u)
+
+
+def extremal_oracle(b1, theta, order):
+    """Coefficients w_0..w_order of the extremal of |b2| <= 1 - |b1|^2, by hand.
+
+    w = (b1 z + e z^2)/(1 - t z) with e = e^{i theta} and t = -e conj(b1),
+    so w_1 = b1 and w_k = e (1 - |b1|^2) t^{k-2}, each power one more
+    Python complex product; |b1| within ``B1_UNIT_TOL`` of 1 is the
+    rotation w = (b1/|b1|) z.
+    """
+    from schwarzlab.families import B1_UNIT_TOL
+
+    b1 = complex(b1)
+    w = [0j] * (order + 1)
+    if abs(b1) >= 1.0 - B1_UNIT_TOL:
+        w[1] = b1 / abs(b1)
+        return np.array(w)
+    e = complex(np.exp(1j * theta))
+    t, term = -e * b1.conjugate(), e * (1.0 - abs(b1) ** 2)
+    w[1] = b1
+    for k in range(2, order + 1):
+        w[k] = term
+        term *= t
+    return np.array(w)
 
 
 def gap_coefficients(b1, b2, b3):

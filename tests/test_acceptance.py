@@ -13,9 +13,9 @@ from schwarzlab.bounds import (
     power_bound_kernel,
 )
 from schwarzlab.families import (
-    B2Extremal,
+    FiniteBlaschke,
     HerglotzAtoms,
-    MonomialRotation,
+    b2_extremal,
     cayley_block,
     expand_blaschke,
     expand_caratheodory,
@@ -123,14 +123,14 @@ def test_criterion_3_caratheodory_corpus():
 
 def test_criterion_4_equality_cases():
     b1 = 0.5 * np.exp(1j * math.pi / 7)
-    w = expand_schwarz(B2Extremal(b1=complex(b1), theta=math.pi / 3), 4)
+    w = expand_schwarz(b2_extremal(b1, math.pi / 3), 4)
     lhs = abs(w[2])
     rhs = 1.0 - abs(w[1]) ** 2
     extremal_ok = abs(lhs - 0.75) < 1e-12 and abs(rhs - 0.75) < 1e-12
     monomial_ok = True
     for k in (1, 5, 12):
         for theta in EXACT_UNIT_THETAS:
-            w = expand_schwarz(MonomialRotation(k=k, theta=theta), 12)
+            w = expand_schwarz(FiniteBlaschke(theta, k), 12)
             monomial_ok = monomial_ok and abs(w[k]) == 1.0
     _report(
         4,

@@ -18,9 +18,11 @@ from schwarzlab.bounds import (
     power_bound_kernel,
 )
 from schwarzlab.families import (
-    B2Extremal,
+    FiniteBlaschke,
     HerglotzAtoms,
-    MonomialRotation,
+    InvalidGeneratorError,
+    InverseCayley,
+    b2_extremal,
     cayley_block,
     expand_blaschke,
     expand_caratheodory,
@@ -96,7 +98,7 @@ class TestLivingstonGap:
 
 class TestCoefficientBounds:
     def test_monomial_equality_at_its_power(self):
-        w = expand_schwarz(MonomialRotation(k=4, theta=1.9), 8)
+        w = expand_schwarz(FiniteBlaschke(1.9, 4), 8)
         block = coefficient_bound_kernel(one_row(w))
         assert block.slack.shape == (1, 8)
         for k, lhs, slack in zip(range(1, 9), block.lhs[0], block.slack[0]):
@@ -118,7 +120,7 @@ class TestCoefficientBounds:
 class TestSecondCoefficientBound:
     def test_extremal_family_attains_equality(self):
         b1 = 0.5 * np.exp(1j * math.pi / 7)
-        w = expand_schwarz(B2Extremal(b1=complex(b1), theta=math.pi / 3), 4)
+        w = expand_schwarz(b2_extremal(b1, math.pi / 3), 4)
         block = power_bound_kernel(one_row(w), 2)
         assert abs(block.lhs[0, 0] - 0.75) < 1e-12
         assert abs(block.rhs[0, 0] - 0.75) < 1e-12
@@ -136,7 +138,7 @@ class TestSecondCoefficientBound:
 
 class TestThirdCoefficientBound:
     def test_cubed_rotation_equality(self):
-        w = expand_schwarz(MonomialRotation(k=3, theta=0.4), 4)
+        w = expand_schwarz(FiniteBlaschke(0.4, 3), 4)
         block = power_bound_kernel(one_row(w), 3)
         assert abs(block.lhs[0, 0] - 1.0) < 1e-15
         assert block.rhs[0, 0] == 1.0
@@ -160,13 +162,13 @@ class TestThirdCoefficientBound:
 
 class TestPointwiseContraction:
     def test_rotation_attains_equality_everywhere(self):
-        gen = MonomialRotation(k=1, theta=2.2)
+        gen = FiniteBlaschke(2.2, 1)
         block = pointwise_contraction_kernel([gen], [0.3, 0.7], 8)
         assert block.slack.shape == (1, 16)
         assert attained(block.slack, POINTWISE)
 
     def test_square_monomial(self):
-        block = pointwise_contraction_kernel([MonomialRotation(k=2, theta=0.0)], [0.5], 4)
+        block = pointwise_contraction_kernel([FiniteBlaschke(0.0, 2)], [0.5], 4)
         assert np.all(np.abs(block.lhs - 0.25) < 1e-15)
         assert (block.rhs == 0.5).all()
 
@@ -177,7 +179,12 @@ class TestPointwiseContraction:
 
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
-            pointwise_contraction_kernel([MonomialRotation(k=1, theta=0.0)], [1.2], 4)
+            pointwise_contraction_kernel([FiniteBlaschke(0.0, 1)], [1.2], 4)
+
+    def test_rejects_a_non_blaschke_generator(self):
+        gen = InverseCayley(HerglotzAtoms(((1.0, 0.0),)), 0.0)
+        with pytest.raises(InvalidGeneratorError, match="^not a finite Blaschke product: InverseCayley$"):
+            pointwise_contraction_kernel([FiniteBlaschke(0.0, 1), gen], [0.5], 4)
 
 
 class TestHarmonicPropagation:

@@ -21,11 +21,11 @@ import schwarzlab.regions as regions
 from schwarzlab.bounds import BoundBlock
 from schwarzlab.families import (
     B1_UNIT_TOL,
-    B2Extremal,
     CayleyOfSchwarz,
     FiniteBlaschke,
     InvalidGeneratorError,
     InverseCayley,
+    b2_extremal,
     expand_caratheodory,
     expand_schwarz,
     sample_schwarz,
@@ -868,7 +868,7 @@ class TestSharedValidationConstants:
         RunConfig(command="region", target="b3", b1=inside).validate()
         regions.b3_region(inside, angle_samples=8, resolution=16)
         regions.b4_feasible_region(inside, 0j, 0j, angle_samples=8, resolution=16)
-        B2Extremal(b1=inside, theta=0.0)
+        b2_extremal(inside, 0.0)
         with pytest.raises(ValueError, match=r"\|b1\| <= 1"):
             RunConfig(command="region", target="b3", b1=outside).validate()
         with pytest.raises(ValueError, match=r"\|b1\| must be <= 1"):
@@ -876,7 +876,7 @@ class TestSharedValidationConstants:
         with pytest.raises(ValueError, match=r"\|b1\| must be <= 1"):
             regions.b4_feasible_region(outside, 0j, 0j, angle_samples=8, resolution=16)
         with pytest.raises(InvalidGeneratorError, match=r"\|b1\| must be <= 1"):
-            B2Extremal(b1=outside, theta=0.0)
+            b2_extremal(outside, 0.0)
 
 
 class TestOutputFile:

@@ -18,7 +18,7 @@ from schwarzlab.families import (
     HerglotzAtoms,
     HerglotzStack,
     InvalidGeneratorError,
-    MonomialRotation,
+    InverseCayley,
     evaluate_blaschke,
     expand_blaschke,
     harmonic_boundary_atoms,
@@ -155,13 +155,18 @@ class TestValidation:
         )
 
     def test_zero_beyond_the_cap(self):
+        # the cap on a zero's modulus is the unit circle: |a| < 1
         stack = sample_schwarz(8, 20, 6)
         row = int(np.flatnonzero(stack.counts >= 2)[0])
         zeros = np.array(stack.zeros)
-        zeros[row, 1] = 0.96
-        message = refusal(lambda: FiniteBlaschke(phi=0.0, m=1, zeros=(0.2, 0.96)))
-        assert message == "Blaschke zero modulus 0.9600 exceeds cap 0.95"
-        assert refusal(lambda: BlaschkeStack(stack.phi, stack.m, stack.counts, zeros)) == message
+        for modulus in (1.0, 1.5):
+            zeros[row, 1] = modulus
+            message = refusal(lambda: FiniteBlaschke(phi=0.0, m=1, zeros=(0.2, modulus)))
+            assert message == "Blaschke zeros must lie in the open unit disk, |a| < 1"
+            assert refusal(lambda: BlaschkeStack(stack.phi, stack.m, stack.counts, zeros)) == message
+        zeros[row, 1] = 0.99
+        BlaschkeStack(stack.phi, stack.m, stack.counts, zeros)
+        FiniteBlaschke(phi=0.0, m=1, zeros=(0.2, 0.99))
 
     @pytest.mark.parametrize(
         "atoms",
@@ -202,11 +207,11 @@ class TestValidation:
             )
 
     def test_another_family_in_a_list(self):
-        gens = [*sample_schwarz(3, 4, 6), MonomialRotation(1, 0.0)]
+        gens = [*sample_schwarz(3, 4, 6), InverseCayley(HerglotzAtoms(((1.0, 0.0),)), 0.0)]
         for convert in (BlaschkeStack.of, lambda g: expand_blaschke(g, 6),
                         lambda g: evaluate_blaschke(g, VERIFY_GRID)):
             with pytest.raises(InvalidGeneratorError,
-                               match="^not a finite Blaschke product: MonomialRotation$"):
+                               match="^not a finite Blaschke product: InverseCayley$"):
                 convert(gens)
         with pytest.raises(InvalidGeneratorError, match="^not a Herglotz atom sum: FiniteBlaschke$"):
             HerglotzStack.of([*sample_herglotz(3, 2), FiniteBlaschke(0.0, 1)])

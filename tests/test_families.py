@@ -1,5 +1,6 @@
 """Tests for generator families, expansions, evaluation, and the Cayley bridge."""
 
+import cmath
 import math
 
 import numpy as np
@@ -7,17 +8,16 @@ import pytest
 
 import schwarzlab.families as families
 from schwarzlab.families import (
-    B2Extremal,
+    B1_UNIT_TOL,
     CayleyOfSchwarz,
     FiniteBlaschke,
     HerglotzAtoms,
     InvalidGeneratorError,
     InverseCayley,
-    MonomialRotation,
+    b2_extremal,
     cayley_block,
     evaluate_caratheodory,
     evaluate_schwarz,
-    expand_blaschke,
     expand_caratheodory,
     expand_schwarz,
     harmonic_boundary_atoms,
@@ -25,11 +25,14 @@ from schwarzlab.families import (
     sample_herglotz,
     sample_schwarz,
 )
+from schwarzlab.grammar import parse_generator
 from schwarzlab.series import CompositionDomainError
 
 from oracles import (
+    blaschke_mp,
     cayley_oracle,
     division_oracle,
+    extremal_oracle,
     herglotz_mp,
     inverse_cayley_mp,
     max_abs_error,
@@ -88,7 +91,7 @@ def test_cayley_roundtrip_random_schwarz(theta):
 
 class TestExpandSchwarz:
     def test_extremal_half_hand_expansion(self):
-        w = expand_schwarz(B2Extremal(b1=0.5, theta=math.pi), 4)
+        w = expand_schwarz(b2_extremal(0.5, math.pi), 4)
         assert np.max(np.abs(w - EXTREMAL_HALF_PI)) < 1e-15
 
     def test_extremal_matches_division_oracle(self):
@@ -98,45 +101,42 @@ class TestExpandSchwarz:
         num = np.array([0.0, b1, rot, 0.0, 0.0, 0.0])
         den = np.array([1.0, rot * np.conj(b1), 0.0, 0.0, 0.0, 0.0])
         want = division_oracle(num, den)
-        got = expand_schwarz(B2Extremal(b1=b1, theta=theta), 5)
+        got = expand_schwarz(b2_extremal(b1, theta), 5)
         assert np.max(np.abs(got - want)) < 1e-14
 
     @pytest.mark.parametrize("order", [4, 12, 40])
     def test_extremal_is_a_one_zero_blaschke_product(self, order):
         # (b1 z + e^{i theta} z^2)/(1 + e^{i theta} conj(b1) z) equals
-        # z e^{i theta} (z - a)/(1 - conj(a) z) with a = -b1 e^{-i theta},
-        # the Blaschke product with phi = arg(b1), m = 1 and zero a
+        # e^{i arg b1} z (|a|/a)(a - z)/(1 - conj(a) z) with a = -b1 e^{-i theta}
         rng = np.random.default_rng(order)
         radii = 0.95 * np.sqrt(rng.uniform(0.01, 1.0, 40))
         b1s = radii * np.exp(2j * np.pi * rng.uniform(size=40))
         b1s[0] = 0.95j
         thetas = rng.uniform(0.0, 2.0 * np.pi, 40)
-        gens = [
-            FiniteBlaschke(phi=float(np.angle(b1)), m=1, zeros=(complex(-b1 * np.exp(-1j * t)),))
-            for b1, t in zip(b1s, thetas)
-        ]
-        want = expand_blaschke(gens, order)
-        for b1, t, row in zip(b1s, thetas, want):
-            got = expand_schwarz(B2Extremal(b1=complex(b1), theta=float(t)), order)
-            assert np.max(np.abs(got - row)) <= 2e-15
+        for b1, t in zip(b1s.tolist(), thetas.tolist()):
+            g = b2_extremal(b1, t)
+            assert (g.m, len(g.zeros)) == (1, 1)
+            assert math.isclose(abs(g.zeros[0]), abs(b1), rel_tol=1e-15)
+            got = expand_schwarz(g, order)
+            assert np.max(np.abs(got - extremal_oracle(b1, t, order))) <= 2e-15
 
     def test_extremal_unit_modulus_branch(self):
         b1 = np.exp(0.9j)
-        w = expand_schwarz(B2Extremal(b1=complex(b1), theta=0.3), 4)
+        w = expand_schwarz(b2_extremal(b1, 0.3), 4)
         want = np.zeros(5, dtype=complex)
         want[1] = b1 / abs(b1)
         assert np.max(np.abs(w - want)) < 1e-15
 
     def test_extremal_zero_b1_collapses_to_z_squared(self):
-        w = expand_schwarz(B2Extremal(b1=0.0, theta=0.0), 4)
+        w = expand_schwarz(b2_extremal(0.0, 0.0), 4)
         assert np.array_equal(w, np.array([0, 0, 1, 0, 0], dtype=complex))
 
     def test_monomial(self):
-        w = expand_schwarz(MonomialRotation(k=3, theta=0.0), 5)
+        w = expand_schwarz(FiniteBlaschke(0.0, 3), 5)
         assert np.array_equal(w, np.array([0, 0, 0, 1, 0, 0], dtype=complex))
 
     def test_monomial_beyond_order_is_zero(self):
-        w = expand_schwarz(MonomialRotation(k=7, theta=0.4), 5)
+        w = expand_schwarz(FiniteBlaschke(0.4, 7), 5)
         assert np.array_equal(w, np.zeros(6, dtype=complex))
 
     def test_blaschke_equals_extremal_up_to_sign_convention(self):
@@ -190,7 +190,7 @@ class TestExpandCaratheodory:
         assert np.allclose(p, [1, 0, 2, 0, 2], atol=1e-14)
 
     def test_cayley_of_schwarz_generator(self):
-        g = CayleyOfSchwarz(inner=MonomialRotation(k=1, theta=0.0), theta=0.0)
+        g = CayleyOfSchwarz(inner=FiniteBlaschke(0.0, 1), theta=0.0)
         p = expand_caratheodory(g, 5)
         assert np.allclose(p, [1, 2, 2, 2, 2, 2], atol=1e-14)
 
@@ -245,24 +245,74 @@ class TestFiftyDigitEnvelopes:
         assert err <= INVERSE_CAYLEY_BOUND[order]
 
 
+#: |b1| = |a| of the extremal's zero, up to 1e-6 from the unit circle, then
+#: on both sides of 1 - B1_UNIT_TOL, where the extremal becomes the rotation
+EXTREMAL_MODULI = (0.0, 0.5, 0.95, 0.97, 0.999, 1.0 - 1e-6,
+                   1.0 - 2.0 * B1_UNIT_TOL, 1.0 - 0.5 * B1_UNIT_TOL, 1.0 + 0.5 * B1_UNIT_TOL)
+#: 1.25 times the worst error over ``extremal_errors(seed, order)`` for
+#: seeds 0-199 at orders 12, 24 and 64, rounded up: 2.85e-16 against the
+#: Blaschke product's 50-digit expansion and 4.61e-16 against the
+#: extremal's hand expansion, at every order alike.
+EXTREMAL_MP_BOUND = 3.6e-16
+EXTREMAL_HAND_BOUND = 5.8e-16
+
+
+def extremal_errors(seed: int, order: int) -> tuple[float, float]:
+    """Worst errors of ``b2_extremal``'s expansion over 8 random
+    (arg b1, theta) per modulus of :data:`EXTREMAL_MODULI`: against the
+    50-digit expansion of the Blaschke product it builds, and against
+    :func:`oracles.extremal_oracle`."""
+    rng = np.random.default_rng(seed)
+    mp_err = hand_err = 0.0
+    for r in EXTREMAL_MODULI:
+        for arg, theta in rng.uniform(0.0, 2.0 * math.pi, (8, 2)).tolist():
+            b1 = r * cmath.exp(1j * arg)
+            g = b2_extremal(b1, theta)
+            w = expand_schwarz(g, order)
+            mp_err = max(mp_err, float(max_abs_error(w, blaschke_mp(g.phi, g.m, g.zeros, order))))
+            hand_err = max(hand_err, float(np.max(np.abs(w - extremal_oracle(b1, theta, order)))))
+    return mp_err, hand_err
+
+
+class TestSecondCoefficientExtremal:
+    @pytest.mark.parametrize("order", [12, 24, 64])
+    def test_error_envelope(self, order):
+        pytest.importorskip("mpmath")
+        mp_err, hand_err = extremal_errors(order, order)
+        assert mp_err <= EXTREMAL_MP_BOUND
+        assert hand_err <= EXTREMAL_HAND_BOUND
+
+    def test_branches(self):
+        assert b2_extremal(0.0, 0.7) == FiniteBlaschke(0.7, 2)
+        for r in (1.0 - 0.5 * B1_UNIT_TOL, 1.0, 1.0 + 0.5 * B1_UNIT_TOL):
+            assert b2_extremal(r * 1j, 0.7) == FiniteBlaschke(math.pi / 2, 1)
+        g = b2_extremal((1.0 - 2.0 * B1_UNIT_TOL) * 1j, 0.7)
+        assert (g.phi, g.m) == (math.pi / 2, 1) and abs(g.zeros[0]) < 1.0
+        with pytest.raises(InvalidGeneratorError, match=r"^\|b1\| must be <= 1$"):
+            b2_extremal((1.0 + 2.0 * B1_UNIT_TOL) * 1j, 0.7)
+
+
 class TestValidation:
     """Each generator checks its invariants when it is built."""
 
     def test_monomial_k_zero(self):
-        with pytest.raises(InvalidGeneratorError, match="k must be >= 1"):
-            MonomialRotation(k=0, theta=0.0)
+        # the monomial head checks its power before it builds FiniteBlaschke(theta, k)
+        with pytest.raises(InvalidGeneratorError, match="^monomial power k must be >= 1$"):
+            parse_generator("monomial(k=0, theta=0)")
 
     def test_extremal_b1_too_large(self):
         with pytest.raises(InvalidGeneratorError, match=r"\|b1\| must be <= 1"):
-            B2Extremal(b1=1.5, theta=0.0)
+            b2_extremal(1.5, 0.0)
 
     def test_blaschke_m_zero(self):
         with pytest.raises(InvalidGeneratorError, match="m >= 1"):
             FiniteBlaschke(phi=0.0, m=0, zeros=())
 
     def test_blaschke_zero_too_close_to_boundary(self):
-        with pytest.raises(InvalidGeneratorError, match="exceeds cap 0.95"):
-            FiniteBlaschke(phi=0.0, m=1, zeros=(0.99,))
+        # a zero needs only |a| < 1: 0.96 and 0.99 are Blaschke zeros, 1 is not
+        FiniteBlaschke(phi=0.0, m=1, zeros=(0.96, 0.99j))
+        with pytest.raises(InvalidGeneratorError, match=r"open unit disk, \|a\| < 1"):
+            FiniteBlaschke(phi=0.0, m=1, zeros=(0.99, 1.0))
 
     def test_herglotz_empty(self):
         with pytest.raises(InvalidGeneratorError, match="non-empty"):
@@ -279,10 +329,10 @@ class TestValidation:
     @pytest.mark.parametrize(
         "build, message",
         [
-            (lambda: MonomialRotation(1, math.inf), "theta must be finite"),
-            (lambda: MonomialRotation(2, math.nan), "theta must be finite"),
-            (lambda: B2Extremal(0.5, math.inf), "b1 and theta must be finite"),
-            (lambda: B2Extremal(complex(math.nan, 0.0), 0.0), "b1 and theta must be finite"),
+            (lambda: InverseCayley(HerglotzAtoms(((1.0, 0.5),)), math.inf), "theta must be finite"),
+            (lambda: CayleyOfSchwarz(FiniteBlaschke(0.0, 1), math.nan), "theta must be finite"),
+            (lambda: b2_extremal(0.5, math.inf), "b1 and theta must be finite"),
+            (lambda: b2_extremal(complex(math.nan, 0.0), 0.0), "b1 and theta must be finite"),
             (lambda: FiniteBlaschke(math.nan, 1, ()), "phi must be finite"),
             (lambda: FiniteBlaschke(0.0, 1, (0.5, complex(math.nan, 0.1))), "zeros must be finite"),
             (lambda: FiniteBlaschke(0.0, 1, (complex(0.0, math.inf),)), "zeros must be finite"),
@@ -301,7 +351,7 @@ class TestValidation:
 
     def test_inverse_cayley_of_a_schwarz_generator(self):
         with pytest.raises(InvalidGeneratorError, match="not a Caratheodory generator"):
-            InverseCayley(inner=MonomialRotation(1, 0.0), theta=0)
+            InverseCayley(inner=FiniteBlaschke(0.0, 1), theta=0)
 
     def test_nested_wrong_family_is_named_by_its_kind(self):
         # the repr of 200 nested pairs would overflow the stack
@@ -324,9 +374,9 @@ class TestValidation:
     )
     def test_entry_points_refuse_the_other_class(self, entry, arg, cls):
         others = (
-            [HerglotzAtoms(((1.0, 0.0),)), CayleyOfSchwarz(MonomialRotation(1, 0.0), 0.0)]
+            [HerglotzAtoms(((1.0, 0.0),)), CayleyOfSchwarz(FiniteBlaschke(0.0, 1), 0.0)]
             if cls == "Schwarz"
-            else [MonomialRotation(1, 0.0), InverseCayley(HerglotzAtoms(((1.0, 0.0),)), 0.0)]
+            else [FiniteBlaschke(0.0, 1), InverseCayley(HerglotzAtoms(((1.0, 0.0),)), 0.0)]
         )
         for g in others:
             with pytest.raises(InvalidGeneratorError, match=f"not a {cls} generator"):
@@ -335,7 +385,7 @@ class TestValidation:
 
 class TestEvaluation:
     def test_monomial_closed_form(self):
-        g = MonomialRotation(k=2, theta=0.0)
+        g = FiniteBlaschke(0.0, 2)
         z = np.array([0.5, 0.25j])
         assert np.allclose(evaluate_schwarz(g, z), z**2)
 

@@ -5,32 +5,29 @@ import math
 import pytest
 
 from schwarzlab.families import (
-    B2Extremal,
     InvalidGeneratorError,
     CayleyOfSchwarz,
     FiniteBlaschke,
     HerglotzAtoms,
     InverseCayley,
-    MonomialRotation,
+    b2_extremal,
 )
 from schwarzlab.grammar import GeneratorParseError, parse_generator
 
 
 def test_monomial():
     g = parse_generator("monomial(k=3, theta=0.5)")
-    assert g == MonomialRotation(k=3, theta=0.5)
+    assert g == FiniteBlaschke(phi=0.5, m=3)
 
 
 def test_pi_and_arithmetic():
     g = parse_generator("monomial(k=2, theta=2*pi/5)")
-    assert g.theta == pytest.approx(2 * math.pi / 5)
+    assert g.phi == pytest.approx(2 * math.pi / 5)
 
 
 def test_extremal_complex_literal_with_i_suffix():
     g = parse_generator("extremal1(b1=0.5+0.25i, theta=-pi/3)")
-    assert isinstance(g, B2Extremal)
-    assert g.b1 == 0.5 + 0.25j
-    assert g.theta == pytest.approx(-math.pi / 3)
+    assert g == b2_extremal(0.5 + 0.25j, -math.pi / 3)
 
 
 def test_j_suffix_and_bare_unit():
@@ -69,7 +66,7 @@ def test_deep_nesting():
         "invcayley(theta=0.2, cayley(theta=0.1, monomial(k=1, theta=0)))"
     )
     assert isinstance(g.inner, CayleyOfSchwarz)
-    assert isinstance(g.inner.inner, MonomialRotation)
+    assert g.inner.inner == FiniteBlaschke(phi=0.0, m=1)
 
 
 @pytest.mark.parametrize(
@@ -127,7 +124,7 @@ def test_non_finite_imaginary_part_is_refused():
 
 def test_power_operator_and_parens():
     g = parse_generator("monomial(k=1, theta=(1+1)**2/4)")
-    assert g.theta == pytest.approx(1.0)
+    assert g.phi == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize(
@@ -196,7 +193,7 @@ def test_class_partition():
     ]
     for text in schwarz:
         g = parse_generator(text)
-        assert isinstance(g, (MonomialRotation, B2Extremal, FiniteBlaschke, InverseCayley))
+        assert isinstance(g, (FiniteBlaschke, InverseCayley))
     for text in cara:
         g = parse_generator(text)
         assert isinstance(g, (HerglotzAtoms, CayleyOfSchwarz))

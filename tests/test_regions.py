@@ -24,7 +24,6 @@ from oracles import (
 )
 from schwarzlab.families import (
     FiniteBlaschke,
-    MonomialRotation,
     expand_blaschke,
     expand_schwarz,
     sample_schwarz,
@@ -275,7 +274,7 @@ class TestAttainabilityScan:
         assert np.array_equal(b, B[:n]) and np.array_equal(m, margins[:n])
 
     def test_rotated_quartic_monomial_sits_on_boundary(self):
-        w = expand_schwarz(MonomialRotation(k=4, theta=1.1), 4).tolist()
+        w = expand_schwarz(FiniteBlaschke(1.1, 4), 4).tolist()
         margin = exact_margin(w[1], w[2], w[3], w[4])
         assert abs(margin) < 1e-12
 

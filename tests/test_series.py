@@ -15,11 +15,11 @@ from schwarzlab.bounds import (
     power_bound_kernel,
 )
 from schwarzlab.families import (
-    B2Extremal,
     CayleyOfSchwarz,
+    FiniteBlaschke,
     HerglotzAtoms,
     InverseCayley,
-    MonomialRotation,
+    b2_extremal,
     cayley_block,
     expand_caratheodory,
     expand_schwarz,
@@ -120,26 +120,25 @@ class TestEntryPoints:
 @pytest.mark.parametrize(
     "expand, build, message",
     [
-        # a generator refuses a non-finite parameter when it is built
-        (expand_schwarz, lambda: MonomialRotation(1, math.inf), "theta must be finite"),
-        (expand_schwarz, lambda: B2Extremal(0.5, math.inf), "theta must be finite"),
-        # a Cayley wrapper's angle reaches the output, which is refused
+        # every generator, the Cayley wrappers too, refuses a non-finite
+        # angle when it is built, so no view computes on one
+        (expand_schwarz, lambda: FiniteBlaschke(math.inf, 1), "phi must be finite"),
+        (expand_schwarz, lambda: b2_extremal(0.5, math.inf), "theta must be finite"),
         (expand_schwarz, lambda: InverseCayley(HerglotzAtoms(((1.0, 0.5),)), math.inf),
-         "coefficients must be finite"),
-        (expand_caratheodory, lambda: CayleyOfSchwarz(MonomialRotation(1, 0.0), math.inf),
-         "coefficients must be finite"),
+         "theta must be finite"),
+        (expand_caratheodory, lambda: CayleyOfSchwarz(FiniteBlaschke(0.0, 1), math.inf),
+         "theta must be finite"),
     ],
     ids=["monomial", "extremal", "invcayley", "cayley"],
 )
 def test_one_row_views_refuse_non_finite_output(expand, build, message):
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(ValueError, match=message):
-            expand(build(), 6)
+    with pytest.raises(ValueError, match=message):
+        expand(build(), 6)
 
 
 def test_one_row_views_return_coefficient_arrays():
-    w = expand_schwarz(MonomialRotation(2, 0.0), 4)
-    p = expand_caratheodory(CayleyOfSchwarz(MonomialRotation(1, 0.0), 0.0), 4)
+    w = expand_schwarz(FiniteBlaschke(0.0, 2), 4)
+    p = expand_caratheodory(CayleyOfSchwarz(FiniteBlaschke(0.0, 1), 0.0), 4)
     assert w.shape == p.shape == (5,)
     assert w.dtype == p.dtype == np.complex128
 

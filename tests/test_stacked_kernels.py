@@ -19,11 +19,12 @@ from hypothesis import strategies as st
 
 import schwarzlab.cli as cli
 from schwarzlab.families import (
-    B2Extremal,
+    CayleyOfSchwarz,
     FiniteBlaschke,
     HerglotzAtoms,
     InvalidGeneratorError,
-    MonomialRotation,
+    InverseCayley,
+    b2_extremal,
     cayley_block,
     evaluate_blaschke,
     evaluate_schwarz,
@@ -52,14 +53,12 @@ def bits(arr):
 
 
 def on_cap(theta: float) -> complex:
-    """A zero of modulus 0.95, the validation cap, rounded inward until it passes."""
+    """A zero of modulus 0.95, the cap of the corpora below, rounded inward
+    until its modulus is at most 0.95."""
     a = 0.95 * cmath.exp(1j * theta)
-    while True:
-        try:
-            FiniteBlaschke(0.0, 1, (a,))
-            return a
-        except InvalidGeneratorError:
-            a = complex(np.nextafter(a.real, 0.0), np.nextafter(a.imag, 0.0))
+    while abs(a) > 0.95:
+        a = complex(np.nextafter(a.real, 0.0), np.nextafter(a.imag, 0.0))
+    return a
 
 
 angles = st.floats(0.0, 2.0 * math.pi, allow_nan=False)
@@ -153,15 +152,17 @@ class TestBatchValidation:
         "bad",
         [
             lambda: FiniteBlaschke(phi=0.0, m=0, zeros=()),
-            lambda: FiniteBlaschke(phi=0.0, m=1, zeros=(0.2, 0.96)),
-            lambda: MonomialRotation(k=2, theta=0.0),
-            lambda: B2Extremal(b1=0.3, theta=0.0),
+            lambda: FiniteBlaschke(phi=0.0, m=1, zeros=(0.2, 1.0)),
+            lambda: InverseCayley(CayleyOfSchwarz(FiniteBlaschke(0.0, 2), 0.0), 0.0),
+            lambda: InverseCayley(CayleyOfSchwarz(b2_extremal(0.3, 0.0), 0.0), 0.0),
         ],
         ids=["m0", "zero_beyond_cap", "monomial", "extremal"],
     )
     def test_one_invalid_generator_rejects_the_batch(self, position, bad):
         # an invalid Blaschke product is refused when built, another family
-        # by expand_blaschke
+        # by expand_blaschke, even where it is the same function as a
+        # Blaschke product: here a monomial or extremal through a Cayley
+        # round trip
         gens = list(sample_schwarz(3, 16, 6))
         with pytest.raises(InvalidGeneratorError):
             gens[position] = bad()
@@ -322,7 +323,7 @@ class TestHerglotzBlock:
         with pytest.raises(ValueError, match="order"):
             herglotz_block(sample_herglotz(1, 3), 0)
         with pytest.raises(InvalidGeneratorError, match="Herglotz"):
-            herglotz_block([*sample_herglotz(1, 3), MonomialRotation(1, 0.0)], 4)
+            herglotz_block([*sample_herglotz(1, 3), FiniteBlaschke(0.0, 1)], 4)
         with pytest.raises(ValueError, match="finite"):
             herglotz_block([HerglotzAtoms(((1.0, math.inf),))], 4)
 
@@ -367,7 +368,7 @@ class TestEvaluateBlaschke:
     def test_validation(self):
         assert evaluate_blaschke([], VERIFY_GRID).shape == (0, len(VERIFY_GRID))
         with pytest.raises(InvalidGeneratorError, match="Blaschke"):
-            evaluate_blaschke([B2Extremal(0.3, 0.0)], VERIFY_GRID)
+            evaluate_blaschke([InverseCayley(HerglotzAtoms(((1.0, 0.0),)), 0.0)], VERIFY_GRID)
 
 
 @pytest.mark.parametrize(
