@@ -11,19 +11,23 @@ empirically attained coefficients, without claiming the two sets agree.
 The scan returns the sampled block of b1..b4 and each sample's margin,
 neither rasterized nor sampled: 1 - max_theta |b4 - gamma(theta)| over
 both families is the exact signed distance to the constraint set
-(non-negative inside it), found from the roots of a trigonometric
-polynomial's derivative, so no angle count enters.  Membership (margin >=
--tol) is the caller's policy; the CLI applies ``--tol``.
+(non-negative inside it), found by :func:`~schwarzlab.series.circle_max`
+from the real roots of a tan-half-angle polynomial, so no angle count
+enters.  Membership (margin >= -tol) is the caller's policy; the CLI
+applies ``--tol``.
 
 Rasterization marks a cell feasible iff its center satisfies every disk
 constraint.  Because an intersection of disks is convex, each grid row y
 meets it in one interval [lo, hi], lo = max_j L_j(y), hi = min_j H_j(y),
 where L_j, H_j = gx_j -/+ sqrt(r^2 - (y - gy_j)^2) are the ends of disk
-j's chord; this is exactly equivalent to testing every cell center against
-every disk.  The rasterizer's output is that interval, rounded to one
-span of feasible columns per row (``RegionEstimate.spans``); no cell grid
-is built.  Chords are computed only on the band of rows that every disk
-reaches, found exactly from the extreme center ordinates.
+j's chord; this agrees with testing every cell center against every disk,
+except where a center lies on a disk boundary to within an ulp: the float
+chord ends and the float distances may round that tie apart (the strict
+xfail ``test_screen_families[band65]``).  The rasterizer's output is that
+interval, rounded to one span of feasible columns per row
+(``RegionEstimate.spans``); no cell grid is built.  Chords are computed
+only on the band of rows that every disk reaches, found exactly from the
+extreme center ordinates.
 
 The band is screened in blocks of ``_SCREEN_ROWS`` rows: all chords are
 computed on the rows that end a block, and between them only those of the
@@ -57,6 +61,7 @@ import numpy as np
 
 from schwarzlab.bounds import b4_gap_polynomials
 from schwarzlab.families import B1_UNIT_TOL, expand_blaschke, sample_schwarz
+from schwarzlab.series import circle_max
 
 #: Region angle-sample and grid defaults.  At these the b3 region's
 #: max-modulus error stays below 2/resolution + 10/M, under the 5e-3 scale of
@@ -340,48 +345,13 @@ def b4_feasible_region(
     )
 
 
-#: Points e^{i k pi/2} added to every row's candidates: they cover a constant
-#: |A| and rows whose roots are not computed.
-_FIXED_POINTS = np.array([1, 1j, -1, -1j])
-
-
 def _exact_margins(B: np.ndarray) -> np.ndarray:
-    """1 - max_theta |b4 - gamma_f(theta)| for each row (b1, b2, b3, b4) of B.
-
-    Returns an (S, 2) array, column f for family f (eq1, eq2); a row
-    holding nan or inf gets a nan or -inf margin.  b4 - gamma_f(theta) =
-    A(e^{i theta}), A(z) = sum_k a_k z^k the gap polynomial of
-    :func:`~schwarzlab.bounds.b4_gap_polynomials`.  G = |A|^2 = c_0 + 2 Re
-    sum_{d=1..3} C_d z^d, C_d = sum_k a_{k+d} conj(a_k), so G'(theta) = 0
-    iff z is a unimodular root of Q(z) = sum_d d (C_d z^{3+d} - conj(C_d)
-    z^{3-d}).  Rows are grouped by their top nonzero C_d (b1 = 0 leaves
-    d = 1), and the 2d roots of Q / z^{3-d} are companion-matrix
-    eigenvalues.  |A| is taken at every root projected onto the circle and
-    at the fixed points: all real points, so the maximum is never
-    overstated, and as G' = 0 at a maximizer, a root error moves it only at
-    second order.
-    """
+    """1 - max_theta |b4 - gamma_f(theta)| = 1 - circle_max(A_f) per row (b1, b2,
+    b3, b4) of B, A_f the gap polynomials of :func:`b4_gap_polynomials`: an
+    (S, 2) array, column f for family f (eq1, eq2); nan or inf rows get nan or
+    -inf."""
     with np.errstate(all="ignore"):  # non-finite rows stay non-finite
-        a = b4_gap_polynomials(B)
-        C = np.stack([(a[..., d:] * a[..., : 4 - d].conj()).sum(-1) for d in (1, 2, 3)], -1)
-        C = C.reshape(-1, 3)
-        top = np.where(C[:, 2] != 0, 3, np.where(C[:, 1] != 0, 2, (C[:, 0] != 0).astype(int)))
-        roots = np.ones((len(C), 6), dtype=complex)
-        for d in (1, 2, 3):
-            rows = np.flatnonzero(top == d)
-            lead = C[rows, d - 1 :: -1] * np.arange(d, 0, -1)  # d C_d, ..., 1 C_1
-            monic = np.hstack([lead[:, 1:], 0 * lead[:, :1], -lead[:, ::-1].conj()]) / lead[:, :1]
-            ok = np.isfinite(monic).all(axis=1)  # eigvals refuses nan and inf
-            comp = np.eye(2 * d, k=-1, dtype=complex) * np.ones((ok.sum(), 1, 1))
-            comp[:, 0] = -monic[ok]
-            roots[rows[ok], : 2 * d] = np.linalg.eigvals(comp)
-        roots = roots.reshape(-1, 12)
-        size = np.abs(roots)
-        z = np.hstack([np.ones_like(roots), np.broadcast_to(_FIXED_POINTS, (len(roots), 4))])
-        np.divide(roots, size, out=z[:, :12], where=(size > 0) & (size < np.inf))
-        z = z[:, None]
-        A = ((a[..., 3:] * z + a[..., 2:3]) * z + a[..., 1:2]) * z + a[..., :1]
-        return 1.0 - np.abs(A).max(axis=-1)
+        return 1.0 - circle_max(b4_gap_polynomials(B))
 
 
 #: Sampler degree cap for the scan corpus: degree 4 reaches every b4.

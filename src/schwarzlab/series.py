@@ -17,9 +17,13 @@ each row's bits independent of the rows stacked with it: it works on
 float (re, im) pairs, rounds each of the two products in a complex
 product separately, as Python's complex ``*`` does (numpy's complex
 ``*`` may fuse them), and sums each coefficient in a fixed order.
+
+:func:`circle_max` is the maximum of |polynomial| on the unit circle.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -146,3 +150,65 @@ def stacked_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         n = half
     return terms[0].copy()
 
+
+@functools.cache
+def _tan_half_table(D: int) -> np.ndarray:
+    """T with P = [Re C_1..C_D, Im C_1..C_D] @ T: rows d of the halves are
+    d Im w_d and d Re w_d, w_d = (1 + it)^{D+d} (1 - it)^{D-d}, t^0 first."""
+    w = [d * functools.reduce(np.convolve, [[1, 1j]] * (D + d) + [[1, -1j]] * (D - d))
+         for d in range(1, D + 1)]
+    return np.concatenate([np.imag(w), np.real(w)])
+
+
+def circle_max(A) -> np.ndarray:
+    """max |A(z)| on |z| = 1 for each coefficient row a_0..a_n of ``A`` (..., n+1).
+
+    G = |A(e^{i theta})|^2 = c_0 + 2 Re sum_d C_d e^{i d theta}, C_d = sum_k
+    a_{k+d} conj(a_k).  If C_D is a row's top nonzero C_d, then with t =
+    tan((theta - phi)/2), -(1 + t^2)^D G'/2 is the real polynomial P(t) =
+    Im sum_{d<=D} d C_d e^{i d phi} (1 + it)^{D+d} (1 - it)^{D-d} of degree
+    2D, t^{2D} coefficient -G'(phi + pi)/2.  phi + pi is the one of 2n + 2
+    equispaced angles where |G'| is largest, at least its root mean square,
+    so that coefficient is never small (at phi = 0 it is 0 for real rows).
+    Grouped by D, the roots are real companion eigenvalues, and |A| is taken
+    by Horner's rule at theta = phi + 2 arctan(Re t) and at 1, i, -1, -i:
+    real points, so the maximum is never overstated, and as G' = 0 at a
+    maximizer, a root error moves it only at second order.  Each row is
+    scaled by a power of 2, so no finite row overflows; a row holding nan or
+    inf gets nan or inf.  A row's bits do not depend on its batch.
+    """
+    A = np.asarray(A, dtype=np.complex128)
+    shape, n = A.shape[:-1], A.shape[-1] - 1
+    if n == 0:
+        return np.abs(A[..., 0])
+    a = A.reshape(-1, n + 1)
+    d = np.arange(1, n + 1)
+    psi = np.pi / (n + 1) * np.arange(2 * n + 2)
+    wave = np.exp(1j * np.outer(d, psi))
+    with np.errstate(all="ignore"):  # non-finite rows stay non-finite
+        scale = np.ldexp(1.0, np.clip(np.frexp(np.abs(a).max(axis=1))[1], -1020, 1020))
+        a = a / scale[:, None]
+        C = np.array([(a[:, k:] * a[:, : n + 1 - k].conj()).sum(-1) for k in d])
+        top = ((C != 0) * d[:, None]).max(axis=0)
+        # -G'(psi)/2 = sum_d d Im(C_d e^{i d psi}), term by term so that no
+        # row's bits depend on its batch; then the turn e^{i d phi}
+        slope = sum(k * (c.real[:, None] * w.imag + c.imag[:, None] * w.real)
+                    for k, c, w in zip(d, C, wave))
+        j = np.abs(slope).argmax(axis=1)
+        turn = wave[:, j] * (-1.0) ** d[:, None]
+        re, im = pair_mul((C.real, C.imag), (turn.real, turn.imag))
+        theta = np.repeat(psi[j, None] + np.pi, 2 * n, axis=1)
+        for D in range(1, n + 1):
+            rows = np.flatnonzero(top == D)
+            parts = np.concatenate([re[:D, rows], im[:D, rows]])
+            P = sum(p[:, None] * row for p, row in zip(parts, _tan_half_table(D)))
+            monic = P[:, -2::-1] / P[:, -1:]
+            ok = np.isfinite(monic).all(axis=1)  # eigvals refuses nan and inf
+            comp = np.eye(2 * D, k=-1) * np.ones((ok.sum(), 1, 1))
+            comp[:, 0] = -monic[ok]
+            theta[rows[ok], : 2 * D] += 2 * np.arctan(np.linalg.eigvals(comp).real)
+        z = np.hstack([np.exp(1j * theta), np.broadcast_to([1, 1j, -1, -1j], (len(a), 4))])
+        v = a[:, n:]
+        for k in range(n - 1, -1, -1):
+            v = v * z + a[:, k : k + 1]
+        return (np.abs(v).max(axis=1) * scale).reshape(shape)

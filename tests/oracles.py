@@ -13,7 +13,8 @@ shared angle table (an upper bound at every angle count M), equal bit for
 bit to the same margin over freshly built
 :func:`schwarzlab.regions.b4_centers`; a dense 2^20-angle maximum written
 as a real trigonometric polynomial; and a 50-digit mpmath maximum polished
-from a grid with ``findroot``.  Every b4 reference takes Horner's rule on
+from a grid with ``findroot`` (:func:`circle_max_mp`, any degree, also the
+reference for :func:`schwarzlab.series.circle_max`).  Every b4 reference takes Horner's rule on
 its own Python-complex gap coefficients (:func:`gap_coefficients`);
 :func:`b4_centers_closed_form` keeps the term-by-term center curves as an
 independent check of them.  The raster and RLE oracles
@@ -630,51 +631,64 @@ def max_abs_error(values, reference):
         )
 
 
+def circle_max_mp(a, grid=128, dps=MP_DIGITS):
+    """max_theta |A(e^{i theta})| in mpmath, A(z) = sum_k a_k z^k.
+
+    ``a`` holds a_0..a_n as floats, complex numbers (taken exactly) or mpc.
+    G = |A(e^{i theta})|^2 is evaluated on ``grid`` uniform angles; every
+    grid maximum is polished by Newton's method on G' with ``findroot``, a
+    polished angle counting only if it stays between the grid neighbours,
+    and the largest G over grid and polished angles is kept.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a = [mpmath.mpmathify(x) for x in a]
+
+        def G(t, order=0):
+            """d^order/dtheta^order of |A(e^{i theta})|^2, order <= 2."""
+            z = mpmath.expj(t)
+            terms = [x * z**k for k, x in enumerate(a)]
+            v = sum(terms)
+            if order == 0:
+                return v.real**2 + v.imag**2
+            dv = sum(1j * k * x for k, x in enumerate(terms))
+            if order == 1:
+                return 2 * (mpmath.conj(v) * dv).real
+            d2v = sum(-(k**2) * x for k, x in enumerate(terms))
+            return 2 * (abs(dv) ** 2 + (mpmath.conj(v) * d2v).real)
+
+        h = 2 * mpmath.pi / grid
+        ts = [k * h for k in range(grid)]
+        gs = [G(t) for t in ts]
+        best = max(gs)
+        for k in range(grid):
+            left, right = gs[k - 1], gs[(k + 1) % grid]
+            if gs[k] < max(left, right) or gs[k] == min(left, right):
+                continue
+            try:
+                t = mpmath.findroot(
+                    lambda t: G(t, 1), ts[k], solver="newton", df=lambda t: G(t, 2),
+                    verify=False,
+                )
+            except ZeroDivisionError:  # G'' = 0: G is constant up to rounding
+                continue
+            if abs(t - ts[k]) <= h:
+                best = max(best, G(t))
+        return mpmath.sqrt(best)
+
+
 def b4_margins_mp(b, grid=128, dps=MP_DIGITS):
     """(gamma1, gamma2) margins 1 - max_theta |b4 - gamma_f(theta)| in mpmath.
 
-    ``b`` = (b1, b2, b3, b4) floats, taken exactly.  G = |A(e^{i theta})|^2
-    is evaluated on ``grid`` uniform angles; every grid maximum is polished
-    by Newton's method on G' with ``findroot``, a polished angle counting
-    only if it stays between the grid neighbours, and the largest G over
-    grid and polished angles is kept.
+    ``b`` = (b1, b2, b3, b4) floats, taken exactly; the gap coefficients
+    are formed in mpmath and maximized by :func:`circle_max_mp`.
     """
     import mpmath
 
     with mpmath.workdps(dps):
         b1, b2, b3, b4 = (mpmath.mpc(complex(x)) for x in b)
-        h = 2 * mpmath.pi / grid
-        out = []
-        for a1 in (b2**2, 2 * b1 * b3 - b2**2):
-            a = [b4, a1, -(b1**2) * b2, -(b1**4)]
-
-            def G(t, order=0, a=a):
-                """d^order/dtheta^order of |A(e^{i theta})|^2, order <= 2."""
-                z = mpmath.expj(t)
-                v = ((a[3] * z + a[2]) * z + a[1]) * z + a[0]
-                if order == 0:
-                    return v.real**2 + v.imag**2
-                dv = 1j * z * ((3 * a[3] * z + 2 * a[2]) * z + a[1])
-                if order == 1:
-                    return 2 * (mpmath.conj(v) * dv).real
-                d2v = -z * ((9 * a[3] * z + 4 * a[2]) * z + a[1])
-                return 2 * (abs(dv) ** 2 + (mpmath.conj(v) * d2v).real)
-
-            ts = [k * h for k in range(grid)]
-            gs = [G(t) for t in ts]
-            best = max(gs)
-            for k in range(grid):
-                left, right = gs[k - 1], gs[(k + 1) % grid]
-                if gs[k] < max(left, right) or gs[k] == min(left, right):
-                    continue
-                try:
-                    t = mpmath.findroot(
-                        lambda t: G(t, 1), ts[k], solver="newton", df=lambda t: G(t, 2),
-                        verify=False,
-                    )
-                except ZeroDivisionError:  # G'' = 0: G is constant up to rounding
-                    continue
-                if abs(t - ts[k]) <= h:
-                    best = max(best, G(t))
-            out.append(1 - mpmath.sqrt(best))
-        return out
+        return [
+            1 - circle_max_mp([b4, a1, -(b1**2) * b2, -(b1**4)], grid, dps)
+            for a1 in (b2**2, 2 * b1 * b3 - b2**2)
+        ]

@@ -378,15 +378,17 @@ class TestExactMargins:
         assert np.abs(got - dense_b4_margins(B, 2**20)).max() <= 1e-10
 
     def test_agrees_with_50_digit_oracle(self):
-        # measured envelopes: 6.9e-16 over 30 samples at each of seeds 42
-        # and 1001-1010, 7.1e-15 over random tuples with |b_k| up to 2.1,
-        # 3.3e-16 where a tiny b1 spreads the companion coefficients
+        # measured envelopes: 3.8e-16 over 30 samples at each of seeds 42
+        # and 1001-1010, 3.6e-15 over random tuples with |b_k| up to 2.1,
+        # 3.3e-16 on the edge tuples: a tiny b1, real tuples whose P loses
+        # its degree unless turned, and imaginary parts far below roundoff
         corpus = _corpus([42], 40).tolist() + _corpus(range(1001, 1011), 5).tolist()
         rng = np.random.default_rng(9)
         z = rng.uniform(-1.5, 1.5, size=(20, 4)) + 1j * rng.uniform(-1.5, 1.5, size=(20, 4))
         edge = [(1e-20, 0.3, 0.2, 0.1), (1e-5, 0.3, 0.2j, 0.1), (0.999, 0.001, 0, 0),
-                (0.5, 0.75, 0, 0), (np.exp(0.7j), 0, 0, 0)]
-        for tuples, envelope in ((corpus, 2e-15), (z.tolist(), 2e-14), (edge, 1e-15)):
+                (0.5, 0.75, 0, 0), (np.exp(0.7j), 0, 0, 0), (0.5, 0.3, -0.2, 0.1),
+                (0.5, 0.3, 0.2, 0.1 + 1e-40j), (0.5 + 1e-300j, 0.75, 0, 0)]
+        for tuples, envelope in ((corpus, 1e-15), (z.tolist(), 1e-14), (edge, 1e-15)):
             got = regions._exact_margins(np.array(tuples))
             want = np.array([[float(m) for m in b4_margins_mp(b)] for b in tuples])
             assert np.abs(got - want).max() <= envelope
