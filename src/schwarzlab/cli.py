@@ -50,7 +50,6 @@ from schwarzlab.bounds import (
 from schwarzlab.families import (
     B1_UNIT_TOL,
     CaratheodoryGenerator,
-    InvalidGeneratorError,
     cayley_block,
     expand_blaschke,
     expand_caratheodory,
@@ -66,7 +65,6 @@ from schwarzlab.regions import (
     CHUNK_DOUBLES,
     DEFAULT_ANGLES,
     DEFAULT_RESOLUTION,
-    MEMBERSHIP_TOL,
     MIN_FAMILY_SIZE,
     MIN_RESOLUTION,
     RegionEstimate,
@@ -109,11 +107,13 @@ def _parse_complex_flag(text: str) -> complex:
     raise argparse.ArgumentTypeError(f"expected 're' or 're,im', got {text!r}")
 
 
+#: The settings that hold a complex number; the report echoes each as [re, im].
+_COMPLEX_SETTINGS = ("b1", "b2", "b3")
 #: The flag of each setting, as argparse keywords; RunConfig.validate checks the choices too.
 _FLAG_SPECS = {
     **dict.fromkeys(("order", "seed", "samples"), {"type": int}),
     "tol": {"type": float},
-    **dict.fromkeys(("b1", "b2", "b3"), {"type": _parse_complex_flag}),
+    **dict.fromkeys(_COMPLEX_SETTINGS, {"type": _parse_complex_flag}),
     "target": {"choices": ("b3", "b4")},
     "mode": {"choices": B4_MODES},
     "angles": {"type": int, "metavar": "M"},
@@ -123,10 +123,11 @@ _FLAG_SPECS = {
 }
 #: The settings every command reads.
 _EVERY_COMMAND = ("format", "out")
-#: The other settings each command reads.  Only these become its flags, are
-#: checked and are echoed; the rest must stay at their defaults.
+#: The other settings each command reads (expand's spec is its positional
+#: argument).  Only these become its flags, are checked and are echoed; the
+#: rest must stay at their defaults.
 COMMAND_SETTINGS = {
-    "expand": ("order",),
+    "expand": ("order", "spec"),
     "verify": ("order", "seed", "samples", "tol"),
     "region": ("b1", "b2", "b3", "target", "mode", "angles", "resolution"),
     "scan": ("seed", "samples", "tol"),
@@ -135,7 +136,8 @@ COMMAND_SETTINGS = {
 
 @dataclass
 class RunConfig:
-    """Validated CLI run configuration and the CLI's defaults, which unread settings keep."""
+    """One CLI request, expand's generator expression included, and the CLI's
+    defaults, which unread settings keep."""
 
     command: str
     order: int = 12
@@ -144,6 +146,7 @@ class RunConfig:
     tol: Optional[float] = None
     format: str = "json"
     out: Optional[str] = None
+    spec: Optional[str] = None
     b1: Optional[complex] = None
     b2: Optional[complex] = None
     b3: Optional[complex] = None
@@ -163,12 +166,12 @@ class RunConfig:
         min_order = 4 if self.command == "verify" else 1
         if self.order < min_order:
             raise ValueError(f"{self.command} needs order >= {min_order}")
-        floors = {"samples": 1, "angles": MIN_FAMILY_SIZE, "resolution": MIN_RESOLUTION}
+        floors = {"seed": 0, "samples": 1, "angles": MIN_FAMILY_SIZE, "resolution": MIN_RESOLUTION}
         for name, floor in floors.items():
             if getattr(self, name) < floor:
                 raise ValueError(f"{name} must be >= {floor}")
         for name in reads:
-            choices = _FLAG_SPECS[name].get("choices")
+            choices = _FLAG_SPECS.get(name, {}).get("choices")
             if choices and getattr(self, name) not in choices:
                 raise ValueError(f"{name} must be {', '.join(choices[:-1])} or {choices[-1]}")
         if self.command == "region":
@@ -242,42 +245,33 @@ def _finite(x) -> Optional[float]:
     return x if math.isfinite(x) else None
 
 
-def _flag2j(z: Optional[complex]) -> Optional[list]:
-    # a flag that the target or mode ignores may hold nan or inf
-    return None if z is None else [_finite(z.real), _finite(z.imag)]
+def _config_payload(cfg: RunConfig) -> dict:
+    """Every setting in field order, null where the command does not read it.
 
-
-def _config_payload(cfg: RunConfig, spec: Optional[str]) -> dict:
-    """Every setting, in one key order; one that the command does not read is null."""
-    payload = {
-        "order": cfg.order,
-        "seed": cfg.seed,
-        "samples": cfg.samples,
-        "tol": cfg.tol,
-        "format": cfg.format,
-        "out": cfg.out,
-        "spec": spec,
-        "b1": _flag2j(cfg.b1),
-        "b2": _flag2j(cfg.b2),
-        "b3": _flag2j(cfg.b3),
-        "target": cfg.target,
-        "mode": cfg.mode,
-        "angles": cfg.angles,
-        "resolution": cfg.resolution,
+    A complex setting is [re, im], a part that is not finite null: a flag
+    that the target or mode ignores may hold nan or inf.
+    """
+    reads = COMMAND_SETTINGS[cfg.command] + _EVERY_COMMAND
+    return {
+        f.name: None if value is None or f.name not in reads
+        else [_finite(value.real), _finite(value.imag)] if f.name in _COMPLEX_SETTINGS
+        else value
+        for f in fields(cfg)[1:]
+        for value in (getattr(cfg, f.name),)
     }
-    echoed = COMMAND_SETTINGS[cfg.command] + _EVERY_COMMAND + ("spec",)
-    return {key: value if key in echoed else None for key, value in payload.items()}
 
 
 # ---------------------------------------------------------------------------
 # expand
 # ---------------------------------------------------------------------------
 
-def _run_expand(cfg: RunConfig, spec: str) -> tuple[int, list]:
-    gen = parse_generator(spec)
+def _run_expand(cfg: RunConfig) -> tuple[int, list, None]:
+    if cfg.spec is None:
+        raise GeneratorParseError("expand needs a generator expression")
+    gen = parse_generator(cfg.spec)
     expand = expand_caratheodory if isinstance(gen, CaratheodoryGenerator) else expand_schwarz
     series = expand(gen, cfg.order)
-    return 0, [{"k": k, "value": _c2j(series[k])} for k in range(1, cfg.order + 1)]
+    return 0, [{"k": k, "value": _c2j(series[k])} for k in range(1, cfg.order + 1)], None
 
 
 # ---------------------------------------------------------------------------
@@ -403,17 +397,17 @@ def _region_payload(est: RegionEstimate, target: str, mode: Optional[str]) -> di
     }
 
 
-def _run_region(cfg: RunConfig) -> tuple[int, list]:
+def _run_region(cfg: RunConfig) -> tuple[int, list, None]:
     if cfg.target == "b3":
         est = b3_region(cfg.b1, angle_samples=cfg.angles, resolution=cfg.resolution)
-        return 0, [_region_payload(est, "b3", None)]
+        return 0, [_region_payload(est, "b3", None)], None
     b2 = cfg.b2 if cfg.b2 is not None else 0j
     b3 = cfg.b3 if cfg.b3 is not None else 0j
     est = b4_feasible_region(
         cfg.b1, b2, b3,
         angle_samples=cfg.angles, resolution=cfg.resolution, mode=cfg.mode,
     )
-    return 0, [_region_payload(est, "b4", cfg.mode)]
+    return 0, [_region_payload(est, "b4", cfg.mode)], None
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +415,7 @@ def _run_region(cfg: RunConfig) -> tuple[int, list]:
 # ---------------------------------------------------------------------------
 
 def _run_scan(cfg: RunConfig) -> tuple[int, list, Optional[float]]:
-    tol = cfg.tol if cfg.tol is not None else MEMBERSHIP_TOL
+    tol = cfg.tol if cfg.tol is not None else INEQUALITY_TOL
     B, margins = attainability_scan(cfg.seed, cfg.samples)
     # ranks a non-finite margin below every finite one, as verify does
     table = _SlackTable(tol)
@@ -622,21 +616,17 @@ def render_csv(command: str, results: list) -> str:
 # driver
 # ---------------------------------------------------------------------------
 
-def run(cfg: RunConfig, spec: Optional[str] = None) -> tuple[int, dict]:
-    """Execute one command; returns (exit_status, report payload)."""
+#: The runner of each command; each returns (exit_status, results, worst slack).
+_RUNNERS = {"expand": _run_expand, "verify": _run_verify, "region": _run_region, "scan": _run_scan}
+
+
+def run(cfg: RunConfig) -> tuple[int, dict]:
+    """Execute one request; returns (exit_status, report payload)."""
     cfg.validate()
-    worst = None
-    if cfg.command == "expand":
-        if spec is None:
-            raise GeneratorParseError("expand needs a generator expression")
-        status, results = _run_expand(cfg, spec)
-    elif cfg.command == "region":
-        status, results = _run_region(cfg)
-    else:
-        status, results, worst = (_run_verify if cfg.command == "verify" else _run_scan)(cfg)
+    status, results, worst = _RUNNERS[cfg.command](cfg)
     report = {
         "command": cfg.command,
-        "config": _config_payload(cfg, spec),
+        "config": _config_payload(cfg),
         "results": results,
         "worst_slack": worst,
         "exit_status": status,
@@ -714,10 +704,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = vars(_main_parser().parse_args(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    spec = args.pop("spec", None)
     cfg = RunConfig(**args)
     try:
-        status, report = run(cfg, spec)
+        status, report = run(cfg)
         # strict JSON refuses what overflows past the nulls set in the report
         text = (
             render_json(report)
@@ -727,7 +716,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if cfg.out:  # an unwritable path is refused like a bad setting
             with open(cfg.out, "w") as fh:
                 fh.write(text)
-    except (GeneratorParseError, InvalidGeneratorError, ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not cfg.out:

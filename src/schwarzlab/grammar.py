@@ -248,7 +248,10 @@ def _as_int(value, what: str) -> int:
     x = _as_real(value, what)
     if abs(x - round(x)) > 1e-9:
         raise GeneratorParseError(f"{what} must be an integer, got {x!r}")
-    return int(round(x))
+    n = int(round(x))
+    if not -(2**63) <= n < 2**63:  # the generators hold integers as int64
+        raise GeneratorParseError(f"{what} must fit in 64 bits, got {x!r}")
+    return n
 
 
 def _take(kwargs: dict, positional: list, key: str, parser: _Parser):

@@ -71,10 +71,6 @@ from schwarzlab.series import circle_max
 DEFAULT_ANGLES = 4096
 DEFAULT_RESOLUTION = 1024
 
-#: Scan membership tolerance: genuine class members may undershoot the
-#: analytic boundary by roundoff only, so violations beyond this flag bugs.
-MEMBERSHIP_TOL = 1e-6
-
 MIN_RESOLUTION = 16
 MIN_FAMILY_SIZE = 3
 
@@ -363,9 +359,10 @@ def attainability_scan(seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the ``(count, 4)`` complex block of b1..b4 and the ``(count,)``
     exact margins, the smaller of the two families'.  Class members satisfy
-    both families for every theta, so a margin below -MEMBERSHIP_TOL
-    indicates a bug in the expansion or the region code, not new
-    mathematics; the tolerance is the caller's to apply.
+    both families for every theta, so a margin below roundoff (the CLI's
+    ``--tol``, default :data:`~schwarzlab.bounds.INEQUALITY_TOL`) indicates
+    a bug in the expansion or the region code, not new mathematics; the
+    tolerance is the caller's to apply.
     """
     B = expand_blaschke(sample_schwarz(seed, count, SCAN_MAX_DEGREE), 4)[:, 1:]
     return B, _exact_margins(B).min(axis=1)  # np.min keeps a nan margin

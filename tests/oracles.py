@@ -296,10 +296,10 @@ def scan_oracle(cfg, angles=None, margins=None):
     uniform rotations, or from ``margins`` when given.  A non-finite margin
     is a failure and ranks below every finite one.
     """
+    from schwarzlab.bounds import INEQUALITY_TOL
     from schwarzlab.families import expand_schwarz, sample_schwarz
-    from schwarzlab.regions import MEMBERSHIP_TOL
 
-    tol = cfg.tol if cfg.tol is not None else MEMBERSHIP_TOL
+    tol = cfg.tol if cfg.tol is not None else INEQUALITY_TOL
     coeffs = []
     results = []
     status = 0

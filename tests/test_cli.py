@@ -254,7 +254,7 @@ def _oracle_json(cfg):
     status, results, worst = verify_oracle(cfg)
     report = {
         "command": "verify",
-        "config": _config_payload(cfg, None),
+        "config": _config_payload(cfg),
         "results": results,
         "worst_slack": float(worst),
         "exit_status": status,
@@ -503,7 +503,7 @@ def _scan_oracle_reports(cfg, margins=None):
     status, results, worst = scan_oracle(cfg, margins=margins)
     report = {
         "command": "scan",
-        "config": _config_payload(cfg, None),
+        "config": _config_payload(cfg),
         "results": results,
         "worst_slack": float(worst),
         "exit_status": status,
@@ -582,7 +582,7 @@ def _region_oracle_reports(monkeypatch, cfg):
     }
     report = {
         "command": "region",
-        "config": _config_payload(cfg, None),
+        "config": _config_payload(cfg),
         "results": [payload],
         "worst_slack": None,
         "exit_status": 0,
@@ -810,7 +810,7 @@ class TestRenderJson:
         ids=["expand", "verify", "scan"],
     )
     def test_other_reports(self, cfg, spec):
-        _, report = run(cfg, spec)
+        _, report = run(dataclasses.replace(cfg, spec=spec))
         assert render_json(report) == self.stock(report)
 
     @pytest.mark.parametrize(
@@ -941,9 +941,13 @@ class TestUnreadSettings:
     @pytest.mark.parametrize("command", READS)
     def test_unread_settings_echo_null_and_are_refused(self, command):
         cfg, spec = RUNS[command]
-        config = run(cfg, spec)[1]["config"]
+        cfg = dataclasses.replace(cfg, spec=spec)
+        config = run(cfg)[1]["config"]
         assert list(config) == ["order", "seed", "samples", "tol", "format", "out", "spec",
                                 "b1", "b2", "b3", "target", "mode", "angles", "resolution"]
+        assert config["spec"] == spec
+        if command == "region":  # a float b1, as the scripts pass it, echoes as [re, im]
+            assert config["b1"] == [0.5, 0.0]
         for name, value in OTHER_VALUES.items():
             if name in READS[command]:
                 assert config[name] is not None, name
@@ -958,6 +962,13 @@ class TestRunConfigValidation:
         cfg = RunConfig(command="verify")
         cfg.validate()
         assert cfg.order == 12 and cfg.seed == 42
+
+    @pytest.mark.parametrize("command", ["verify", "scan"])
+    def test_negative_seed_is_refused_by_name(self, capsys, command):
+        # refused before sampling, not by numpy's generator
+        code, out, err = run_cli(capsys, [command, "--seed", "-1"])
+        assert (code, out, err) == (2, "", "error: seed must be >= 0\n")
+        RunConfig(command=command, seed=0).validate()
 
     @pytest.mark.parametrize(
         "argv, flag",

@@ -117,6 +117,16 @@ def test_non_finite_parameter_is_refused_by_name(template, name, value):
         parse_generator(template.format(value))
 
 
+@pytest.mark.parametrize(
+    "text, name",
+    [("monomial(k=1e30, theta=0)", "k"), ("blaschke(phi=0, m=1e19)", "m"),
+     ("blaschke(phi=0, m=-1e19)", "m")],
+)
+def test_integer_parameter_beyond_int64_is_refused_by_name(text, name):
+    with pytest.raises(GeneratorParseError, match=f"^{name} must fit in 64 bits"):
+        parse_generator(text)
+
+
 def test_non_finite_imaginary_part_is_refused():
     with pytest.raises(GeneratorParseError, match="^b1 must be finite$"):
         parse_generator("extremal1(b1=0.5+1e400i, theta=0)")

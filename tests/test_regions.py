@@ -22,6 +22,7 @@ from oracles import (
     region_grid,
     sampled_b4_margin,
 )
+from schwarzlab.bounds import INEQUALITY_TOL
 from schwarzlab.families import (
     FiniteBlaschke,
     expand_blaschke,
@@ -265,7 +266,7 @@ class TestAttainabilityScan:
         B, margins = attainability_scan(seed=5, count=200)
         assert B.shape == (200, 4) and B.dtype == np.complex128
         assert margins.shape == (200,)
-        assert margins.min() >= -regions.MEMBERSHIP_TOL
+        assert margins.min() >= -INEQUALITY_TOL
 
     @pytest.mark.parametrize("n", [1, 2, 17, 99])
     def test_rows_do_not_depend_on_the_sample_count(self, n):
@@ -399,8 +400,8 @@ class TestExactMargins:
         B, margins = attainability_scan(seed=seed, count=250)
         for b, margin in zip(B.tolist(), margins.tolist()):
             sampled = sampled_b4_margin(table, *b, "both")
-            member = margin >= -regions.MEMBERSHIP_TOL
-            assert member == (sampled >= -regions.MEMBERSHIP_TOL), (seed, b, margin)
+            member = margin >= -INEQUALITY_TOL
+            assert member == (sampled >= -INEQUALITY_TOL), (seed, b, margin)
 
     def test_b1_zero_drops_the_degree(self):
         # A(z) = b4 + a1 z: the farthest point is |b4| + |a1| away
