@@ -206,8 +206,8 @@ def estimate_peak_bytes(cfg: RunConfig) -> int:
     series product at order N; per sampled function, for the corpora,
     coefficient blocks and report rows, 1.1 kB in verify (860 at most
     measured) and 3.55 kB in scan, whose report has a row per function
-    (2840 measured; scan reads no angle count); one verify block
-    (:func:`_verify_block`); and for a region 2 kB per grid
+    (2540 by tracemalloc, 2830 by ru_maxrss; scan reads no angle count); one
+    verify block (:func:`_verify_block`); and for a region 2 kB per grid
     row (its span, report rows and text; 960 at most measured), 64 per disk
     and the rasterizer's two block buffers of 8 bytes per (grid row, disk)
     in a block.
@@ -223,10 +223,6 @@ def estimate_peak_bytes(cfg: RunConfig) -> int:
     disks = cfg.angles * (2 if cfg.target == "b4" and cfg.mode == "both" else 1)
     block = min(cfg.resolution * disks, max(CHUNK_DOUBLES, disks))
     return 2048 * cfg.resolution + 16 * block + 64 * disks
-
-
-def _c2j(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
 
 
 def _c2csv(z: complex) -> str:
@@ -270,8 +266,8 @@ def _run_expand(cfg: RunConfig) -> tuple[int, list, None]:
         raise GeneratorParseError("expand needs a generator expression")
     gen = parse_generator(cfg.spec)
     expand = expand_caratheodory if isinstance(gen, CaratheodoryGenerator) else expand_schwarz
-    series = expand(gen, cfg.order)
-    return 0, [{"k": k, "value": _c2j(series[k])} for k in range(1, cfg.order + 1)], None
+    values = expand(gen, cfg.order)[1:].view(np.float64).reshape(-1, 2).tolist()
+    return 0, [{"k": k, "value": value} for k, value in enumerate(values, 1)], None
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +296,16 @@ class _SlackTable:
             {"bound": family, "checks": 0, "worst_slack": math.inf,
              "worst_index": -1, "violations": 0},
         )
-        finite = np.isfinite(slacks)
         row["checks"] += slacks.size
-        row["violations"] += int(np.count_nonzero(~finite | (slacks < -self.tol)))
-        rank = np.where(finite, slacks, -math.inf)
-        i = int(np.argmin(rank))
-        if rank.flat[i] < self._rank.get(family, math.inf):
-            self._rank[family] = rank.flat[i]
+        i = int(np.argmin(slacks))
+        low = slacks.flat[i]
+        # argmin stops at a nan and finds a -inf, so a finite min and max mean a finite block
+        if not (math.isfinite(low) and math.isfinite(slacks.max())):
+            i, low = int(np.argmin(np.isfinite(slacks))), -math.inf  # non-finite ranks lowest
+        if low < -self.tol:
+            row["violations"] += int(np.count_nonzero(~np.isfinite(slacks) | (slacks < -self.tol)))
+        if low < self._rank.get(family, math.inf):
+            self._rank[family] = low
             row["worst_slack"] = float(slacks.flat[i])
             row["worst_index"] = first_index + i // slacks.shape[1]
 
@@ -390,7 +389,7 @@ def _region_payload(est: RegionEstimate, target: str, mode: Optional[str]) -> di
         "feasible_area_cells": int(est.feasible_area_cells),
         "samples_used": int(est.samples_used),
         "resolution": int(est.resolution),
-        "box_center": _c2j(est.box.center),
+        "box_center": [float(est.box.center.real), float(est.box.center.imag)],
         "half_width": float(est.box.half_width),
         "quantization": float(est.quantization),
         "grid_rle": [[[a, b - a + 1]] if a <= b else [] for a, b in est.spans.tolist()],
@@ -422,13 +421,14 @@ def _run_scan(cfg: RunConfig) -> tuple[int, list, Optional[float]]:
     table.add("b4_margin", margins, 0)
     results = []
     status = 0
-    for idx, (b, margin) in enumerate(zip(B.tolist(), margins.tolist())):
+    pairs = B.view(np.float64).reshape(len(B), 4, 2).tolist()
+    for idx, (b, margin) in enumerate(zip(pairs, margins.tolist())):
         member = margin >= -tol
         results.append(
             {
                 "kind": "sample",
                 "index": idx,
-                "b": [_c2j(c) for c in b],
+                "b": b,
                 "member": member,
                 "margin": _finite(margin),
             }
@@ -461,55 +461,75 @@ def _run_scan(cfg: RunConfig) -> tuple[int, list, Optional[float]]:
 #: One [start, length] run of ``grid_rle`` as ``json.dumps(indent=2)`` writes it
 #: at its depth in a region report, results[0]["grid_rle"][iy][k].
 _RLE_RUN = "\n          [\n            {},\n            {}\n          ]"
-_RLE_MARK = "grid_rle rows"
-#: One scan sample row as ``json.dumps(indent=2)`` writes it at results[i].
-_SAMPLE_ROW = (
-    '{{\n      "kind": "sample",\n      "index": {},\n      "b": ['
-    + ",".join(["\n        [\n          {},\n          {}\n        ]"] * 4)
-    + '\n      ],\n      "member": {},\n      "margin": {}\n    }}'
-)
-_SAMPLE_MARK = "sample rows"
+#: What json writes where a bulk section is spliced in, and each leaf of a row template.
+_MARK = "rows"
+#: json's text for the leaves whose repr is not JSON; None for those json refuses.
+_JSON_WORDS = {"True": "true", "False": "false", "None": "null",
+               "inf": None, "-inf": None, "nan": None}
 
 
-def _sample_json(row: dict) -> str:
-    b = [x for pair in row["b"] for x in pair]
-    if not all(map(math.isfinite, b)):
-        raise ValueError(f"Out of range float values are not JSON compliant: {b!r}")
-    margin = row["margin"]
-    return _SAMPLE_ROW.format(
-        row["index"], *map(repr, b), "true" if row["member"] else "false",
-        "null" if margin is None else repr(margin),
-    )
+def _splice_rows(template: dict, columns: list[list]) -> str:
+    """Rows at results[i] as ``json.dumps(indent=2)`` writes them, in one join.
+
+    Row i holds ``columns[j][i]`` at the j-th _MARK of ``template``, and the
+    text after its last leaf opens row i + 1.  repr writes ints and floats
+    as json does; _JSON_WORDS replace bools and None and refuse non-finite floats.
+    """
+    segments = json.dumps(template, indent=2).replace("\n", "\n    ").split(json.dumps(_MARK))
+    k, n = len(columns), len(columns[0])
+    after = [*segments[1:-1], segments[-1] + ",\n    " + segments[0]]
+    parts = [segments[0]] * (2 * k * n + 1)
+    for j, column in enumerate(columns):
+        texts = list(map(repr, column))
+        if not _JSON_WORDS.keys().isdisjoint(texts):
+            texts = [_JSON_WORDS.get(text, text) for text in texts]
+            if None in texts:
+                raise ValueError("Out of range float values are not JSON compliant")
+        parts[2 * j + 1 :: 2 * k] = texts
+        parts[2 * j + 2 :: 2 * k] = [after[j]] * n
+    parts[-1] = segments[-1]
+    return "".join(parts)
 
 
 def render_json(report: dict) -> str:
     """``json.dumps(report, indent=2, allow_nan=False)`` plus a newline.
 
     ``indent`` makes json fall back to its pure-Python encoder, so the bulk
-    of a report (a region's ``grid_rle`` rows, a scan's sample rows, which
-    lead its results) is written from a template and spliced in where json
-    writes a placeholder.
+    of a report is written apart and spliced in where json writes a
+    placeholder: a region's ``grid_rle`` rows from a template, a scan's
+    sample rows and expand's coefficient rows by :func:`_splice_rows`.
     """
     results = report["results"]
     if report["command"] == "region":
-        mark = _RLE_MARK
-        head = dict(report, results=[dict(results[0], grid_rle=mark)])
+        head = dict(report, results=[dict(results[0], grid_rle=_MARK)])
         rows = ",\n        ".join(
             "[" + ",".join(_RLE_RUN.format(*run) for run in runs) + "\n        ]" if runs else "[]"
             for runs in results[0]["grid_rle"]
         )
         body = f"[\n        {rows}\n      ]"
-    elif report["command"] == "scan":
-        n = sum(row["kind"] == "sample" for row in results)
-        mark = _SAMPLE_MARK
-        head = dict(report, results=[mark, *results[n:]])
-        body = ",\n    ".join(map(_sample_json, results[:n]))
+    elif report["command"] in ("scan", "expand"):
+        if report["command"] == "scan":  # the sample rows lead the results
+            rows = results[: sum(row["kind"] == "sample" for row in results)]
+            b = [x for row in rows for pair in row["b"] for x in pair]
+            template = {"kind": "sample", "index": _MARK, "b": [[_MARK] * 2] * 4,
+                        "member": _MARK, "margin": _MARK}
+            columns = [[row["index"] for row in rows], *(b[j::8] for j in range(8)),
+                       [row["member"] for row in rows], [row["margin"] for row in rows]]
+        else:
+            rows, values = results, [x for row in results for x in row["value"]]
+            template = {"k": _MARK, "value": [_MARK] * 2}
+            columns = [[row["k"] for row in rows], values[0::2], values[1::2]]
+        head = dict(report, results=[_MARK, *results[len(rows) :]])
+        try:
+            body = _splice_rows(template, columns)
+        except ValueError:  # a non-finite leaf, which json refuses in its own words
+            return json.dumps(report, indent=2, allow_nan=False) + "\n"
     else:
         return json.dumps(report, indent=2, allow_nan=False) + "\n"
     # rpartition: an echoed flag such as --out may hold the same text, but
     # nothing after the placeholder does
     before, _, after = json.dumps(head, indent=2, allow_nan=False).rpartition(
-        json.dumps(mark)
+        json.dumps(_MARK)
     )
     return f"{before}{body}{after}\n"
 

@@ -54,6 +54,12 @@ from schwarzlab.grammar import parse_generator
 from schwarzlab.regions import B4_MODES, MIN_FAMILY_SIZE, MIN_RESOLUTION
 
 REPO = Path(__file__).resolve().parents[1]
+#: Three invcayley/cayley pairs over a Blaschke product, as in the benchmark's expand-deep.
+DEEP_SPEC = (
+    "cayley(theta=0.3, invcayley(theta=1.2, cayley(theta=0.4, invcayley(theta=2.0, "
+    "cayley(theta=0.1, invcayley(theta=0.5, cayley(theta=0.9, "
+    "blaschke(phi=1.0, m=1, zeros=[(0.3+0.4i), (-0.5+0.1i), 0.95, 0]))))))))"
+)
 
 # strip: in-process main() writes through sys.stdout; capsys captures it
 
@@ -785,9 +791,21 @@ class TestRenderJson:
     def stock(report):
         return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
+    @classmethod
+    def check(cls, report):
+        """render_json writes the stock text, or refuses the report as json does."""
+        try:
+            expected = cls.stock(report)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as refused:
+                render_json(report)
+            assert str(refused.value) == str(exc)
+        else:
+            assert render_json(report) == expected
+
     @pytest.mark.parametrize("resolution", [16, 17, 1024])
     @pytest.mark.parametrize("rows", ["computed", "empty", "full-width"])
-    @pytest.mark.parametrize("out", [None, "grid_rle rows"])
+    @pytest.mark.parametrize("out", [None, "grid_rle rows", cli._MARK])
     def test_region_reports(self, resolution, rows, out):
         cfg = RunConfig(command="region", target="b4", b1=0.3 + 0.1j, b2=0.2 - 0.1j,
                         b3=0.05 + 0j, angles=64, resolution=resolution, out=out)
@@ -801,17 +819,28 @@ class TestRenderJson:
         assert render_json(report) == self.stock(report)
 
     @pytest.mark.parametrize(
-        "cfg, spec",
+        "cfg, spec, values",
         [
-            (RunConfig(command="expand", order=6), "blaschke(phi=1.0, m=1, zeros=[0.3])"),
-            (RunConfig(command="verify", samples=3), None),
-            (RunConfig(command="scan", samples=3), None),
+            (RunConfig(command="expand", order=6), "blaschke(phi=1.0, m=1, zeros=[0.3])", None),
+            (RunConfig(command="verify", samples=3), None, None),
+            (RunConfig(command="scan", samples=3), None, None),
+            (RunConfig(command="expand", order=64), DEEP_SPEC, None),
+            (RunConfig(command="expand", order=3, out=cli._MARK), "monomial(k=1, theta=0)", None),
+            # a signed zero, the smallest subnormal, 1e16 and 1e-5 (repr switches
+            # to an exponent) and an integral float
+            (RunConfig(command="expand", order=3), "monomial(k=1, theta=0)",
+             [[-0.0, 5e-324], [1e16, 1e-5], [2.0, -0.0]]),
+            (RunConfig(command="expand", order=3), "monomial(k=1, theta=0)",
+             [[0.5, 0.0], [0.25, math.nan], [-math.inf, 1.0]]),
         ],
-        ids=["expand", "verify", "scan"],
+        ids=["expand", "verify", "scan", "expand-order-64", "expand-out-holds-the-mark",
+             "expand-edge-leaves", "expand-non-finite-leaf"],
     )
-    def test_other_reports(self, cfg, spec):
+    def test_other_reports(self, cfg, spec, values):
         _, report = run(dataclasses.replace(cfg, spec=spec))
-        assert render_json(report) == self.stock(report)
+        for row, value in zip(report["results"], values or []):
+            row["value"] = value
+        self.check(report)
 
     @pytest.mark.parametrize(
         "cfg",
@@ -819,7 +848,7 @@ class TestRenderJson:
             RunConfig(command="scan", samples=1),
             RunConfig(command="scan", samples=250),
             RunConfig(command="scan", seed=3, samples=5, tol=1e-18),
-            RunConfig(command="scan", seed=7, samples=40, out="sample rows"),
+            RunConfig(command="scan", seed=7, samples=40, out=cli._MARK),
         ],
         ids=["one-sample", "workload", "failing", "out-holds-the-mark"],
     )
@@ -838,6 +867,21 @@ class TestRenderJson:
         for render in (self.stock, render_json):
             with pytest.raises(ValueError, match="not JSON compliant"):
                 render(report)
+
+    @pytest.mark.parametrize("command", ["scan", "expand"])
+    @settings(deadline=None, max_examples=200)
+    @given(leaves=st.lists(st.floats(), min_size=8, max_size=8))
+    def test_drawn_leaves_match_stock(self, command, leaves):
+        # any float: signed zeros, subnormals, huge and tiny, and the non-finite ones json refuses
+        if command == "scan":
+            _, report = run(RunConfig(command="scan", seed=3, samples=2))
+            report["results"][0]["b"] = [leaves[k : k + 2] for k in range(0, 8, 2)]
+            report["results"][1].update(margin=leaves[0], member=leaves[1] > 0)
+        else:
+            _, report = run(RunConfig(command="expand", order=4, spec="monomial(k=1, theta=0)"))
+            for row, k in zip(report["results"], range(0, 8, 2)):
+                row["value"] = leaves[k : k + 2]
+        self.check(report)
 
 
 class TestSharedValidationConstants:
