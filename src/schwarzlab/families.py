@@ -20,10 +20,16 @@ that the dataclass runs on its one row.  The samplers return stacks, and
 :func:`expand_blaschke`, :func:`herglotz_block` and :func:`evaluate_blaschke`
 read their arrays, a row's bits not depending on the rows stacked with it;
 a list of generators is converted once by the stack's ``of``.
-``expand_schwarz``, ``evaluate_schwarz`` and ``expand_caratheodory`` are
-one-row views of these kernels and of :func:`cayley_block`, and return
-one ``(order+1,)`` coefficient array.  :func:`inverse_cayley` solves
-(p + 1) v = p - 1 by one triangular recurrence.  The Schwarz leaves are
+
+A Cayley or inverse Cayley node is a Moebius map, so a chain of them is
+one 2x2 matrix applied to its leaf.  ``expand_schwarz`` and
+``expand_caratheodory`` walk the chain without recursion, expand the leaf
+once (a one-row view of :func:`expand_blaschke` or :func:`herglotz_block`)
+and map it by one :func:`~schwarzlab.series.stacked_div`, returning one
+``(order+1,)`` coefficient array; ``evaluate_schwarz`` and
+``evaluate_caratheodory`` apply the same matrix to the leaf's closed-form
+value.  :func:`cayley_block` and :func:`inverse_cayley` are quotients by
+the same :func:`~schwarzlab.series.stacked_div`.  The Schwarz leaves are
 the finite Blaschke products, which are dense in B: the rotations
 e^{i theta} z^k and the second-coefficient extremal
 (:func:`b2_extremal`) are built as such.  Coefficient inputs and outputs
@@ -46,9 +52,9 @@ from schwarzlab.series import (
     pair_mul,
     require_finite,
     require_order,
+    stacked_div,
     stacked_mul,
     to_pairs,
-    with_turn,
 )
 
 #: Roundoff allowed on |b1| <= 1 wherever it is required (the second-coefficient
@@ -342,13 +348,26 @@ CaratheodoryGenerator = Union[HerglotzAtoms, CayleyOfSchwarz]
 # Cayley transform on truncated series
 # ---------------------------------------------------------------------------
 
+def _quotient(u: np.ndarray, v: np.ndarray, constant: int) -> np.ndarray:
+    """(constant + u)/(1 - v) of ``(N+1, 2, R)`` pair stacks u, v, whose
+    constant terms are replaced, by :func:`~schwarzlab.series.stacked_div`.
+
+    ``u`` is overwritten.  stacked_div negates the divisor 1 - v back, so
+    its recurrence multiplies by the bits of v itself.
+    """
+    b = np.multiply(v, -1.0)
+    b[0] = ((1.0,), (0.0,))
+    u[0] = ((constant,), (0.0,))
+    return stacked_div(u, b)
+
+
 def cayley_block(W, thetas) -> np.ndarray:
     """Cayley transforms of a stack of Schwarz series at several rotations.
 
     ``W`` is an ``(S, N+1)`` complex block of Schwarz coefficient rows
     (b_0 = 0 exactly); the result is ``(S, T, N+1)``, one Caratheodory
-    row p = (1 + u)/(1 - u), u = e^{i theta} w, per row and theta.  p
-    solves p (1 - u) = 1 + u, so p_0 = 1 and
+    row p = (1 + u)/(1 - u), u = e^{i theta} w, per row and theta, by one
+    :func:`~schwarzlab.series.stacked_div`: p_0 = 1 and
 
         p_k = 2 u_k + sum_{j=1..k-1} p_j u_{k-j},
 
@@ -358,39 +377,85 @@ def cayley_block(W, thetas) -> np.ndarray:
     W = require_finite(coefficient_block(W, 0))
     n = W.shape[1]
     rots = [cmath.exp(1j * float(t)) for t in thetas]
-    rot = (np.array([z.real for z in rots]), np.array([z.imag for z in rots]))
-    # u = e^{i theta_t} w_s, one row (s, t) per function and angle along the
-    # last axes; U[h, 2k:2k+2] holds the (re, im) of u_k (h = 0) and i*u_k
-    w = to_pairs(W)[..., None]
-    u = np.empty(w.shape[:-1] + (len(rots),))
+    rot = (np.array([[z.real] for z in rots]), np.array([[z.imag] for z in rots]))
+    # u = e^{i theta_t} w_s, one row (t, s) per angle and function, the
+    # functions along the contiguous last axis
+    w = to_pairs(W)[:, :, None]
+    u = np.empty((n, 2, len(rots), len(W)))
     u[:, 0], u[:, 1] = pair_mul(rot, (w[:, 0], w[:, 1]))
-    U = with_turn(u).reshape(2, 2 * n, -1)
-    # P[2k:2k+2] is final once the update of step k - 1 has run
-    P = U[0] + U[0]
-    P[:2] = ((1.0,), (0.0,))
-    terms = np.empty_like(U)
-    for k in range(1, n - 1):
-        m = 2 * (n - 1 - k)
-        np.multiply(U[:, 2 : 2 + m], P[2 * k : 2 * k + 2, None], out=terms[:, :m])
-        np.add(terms[0, :m], terms[1, :m], out=terms[0, :m])
-        np.add(P[2 * k + 2 :], terms[0, :m], out=P[2 * k + 2 :])
-    out = from_pairs(P.reshape(n, 2, -1)).reshape(len(W), len(rots), n)
-    return require_finite(out)
+    P = from_pairs(_quotient(u.reshape(n, 2, -1), u.reshape(n, 2, -1), 1))
+    return require_finite(P.reshape(len(rots), len(W), n).transpose(1, 0, 2).copy())
 
 
 def inverse_cayley(c, theta: float) -> np.ndarray:
     """w = e^{-i theta} (p - 1)/(p + 1) of one Caratheodory row c_0..c_N.
 
     Inverse of :func:`cayley_block` at theta; requires c_0 = 1 exactly.
-    v = (p - 1)/(p + 1) solves (p + 1) v = p - 1, so v_0 = 0 exactly and
-
-        v_k = (c_k - sum_{j=1..k-1} c_j v_{k-j}) / 2.
+    w is the quotient of (e^{-i theta}/2)(p - 1) by (p + 1)/2, whose
+    constant terms are 0 and 1, by one
+    :func:`~schwarzlab.series.stacked_div`.
     """
     c = coefficient_block(c, 1, ndim=1)
-    v = np.zeros(len(c), dtype=np.complex128)
-    for k in range(1, len(c)):
-        v[k] = 0.5 * (c[k] - np.dot(c[1:k], v[k - 1 : 0 : -1]))
-    return require_finite(np.exp(-1j * theta) * v)
+    return require_finite(_moebius_series(_inverse_matrix(theta), c[None], 1, 0)[0])
+
+
+# A Cayley chain is one Moebius map x -> (alpha x + beta)/(gamma x + delta) of
+# its leaf, held as the tuple (alpha, beta, gamma, delta) of Python complex
+# numbers, whose products are unfused.
+
+def _cayley_matrix(theta: float) -> tuple[complex, ...]:
+    """p = (e w + 1)/(-e w + 1), e = e^{i theta}."""
+    e = cmath.exp(1j * float(theta))
+    return e, 1, -e, 1
+
+
+def _inverse_matrix(theta: float) -> tuple[complex, ...]:
+    """w = (conj(e) p - conj(e))/(p + 1), e = e^{i theta}."""
+    e_bar = cmath.exp(-1j * float(theta))
+    return e_bar, -e_bar, 1, 1
+
+
+def _chain(g) -> tuple:
+    """The leaf under ``g``'s Cayley and inverse Cayley nodes, and the matrix
+    they compose to, or None if ``g`` is a leaf.
+
+    The nodes are walked from the outside in, without recursion, so a chain
+    of any depth is one matrix.  Each product is scaled by a power of 2,
+    exactly, to a largest part in [1/2, 1), so no depth overflows it.
+    """
+    M = None
+    while isinstance(g, (CayleyOfSchwarz, InverseCayley)):
+        N = (_cayley_matrix if isinstance(g, CayleyOfSchwarz) else _inverse_matrix)(g.theta)
+        if M is not None:
+            (a, b, c, d), (e, f, h, k) = M, N
+            N = (a * e + b * h, a * f + b * k, c * e + d * h, c * f + d * k)
+            power = math.frexp(max(max(abs(x.real), abs(x.imag)) for x in N))[1]
+            N = tuple(complex(math.ldexp(x.real, -power), math.ldexp(x.imag, -power)) for x in N)
+        M = N
+        g = g.inner
+    return g, M
+
+
+def _moebius_series(M: tuple[complex, ...], X: np.ndarray, x0: int, constant: int) -> np.ndarray:
+    """(alpha x + beta)/(gamma x + delta) of the complex ``(R, N+1)`` rows x of
+    ``X``, whose constant term is ``x0``, for ``M = (alpha, beta, gamma, delta)``.
+
+    ``M`` is divided by gamma x0 + delta, so the denominator's constant
+    term is 1; the numerator's, alpha x0 + beta, is the class constant
+    ``constant`` of the result, set exactly.  The other terms are alpha x_k
+    and gamma x_k.  A divisor equal to 1 is skipped: Python's complex
+    division by 1 can flip the sign of a zero part, and one Cayley node
+    over a Blaschke product then reads the numbers :func:`cayley_block` reads.
+    """
+    alpha, _, gamma, delta = M
+    d = gamma * x0 + delta
+    if d != 1:
+        alpha, gamma = alpha / d, gamma / d
+    x = to_pairs(X)
+    u, v = np.empty_like(x), np.empty_like(x)
+    u[:, 0], u[:, 1] = pair_mul((alpha.real, alpha.imag), (x[:, 0], x[:, 1]))
+    v[:, 0], v[:, 1] = pair_mul((-gamma.real, -gamma.imag), (x[:, 0], x[:, 1]))
+    return from_pairs(_quotient(u, v, constant))
 
 
 # ---------------------------------------------------------------------------
@@ -499,21 +564,28 @@ def expand_schwarz(g: SchwarzGenerator, order: int) -> np.ndarray:
     Coefficients are exact up to roundoff: truncated arithmetic drops
     only powers beyond the order, never corrupts retained ones.
     """
-    if isinstance(g, FiniteBlaschke):
-        return expand_blaschke([g], order)[0]
     _require([g], SchwarzGenerator, "Schwarz generator")
-    # InverseCayley
-    return inverse_cayley(expand_caratheodory(g.inner, order), g.theta)
+    return _expand(g, order, 0)
 
 
 def expand_caratheodory(g: CaratheodoryGenerator, order: int) -> np.ndarray:
     """Taylor coefficients c_0..c_order of a Caratheodory generator, ``(order+1,)``."""
     _require([g], CaratheodoryGenerator, "Caratheodory generator")
+    return _expand(g, order, 1)
+
+
+def _expand(g, order: int, constant: int) -> np.ndarray:
+    """The series of ``g``, whose class constant is ``constant``: its leaf's
+    row, or the leaf expanded once and mapped by the chain's matrix."""
     require_order(order)
-    if isinstance(g, HerglotzAtoms):
-        return herglotz_block([g], order)[0]
-    # CayleyOfSchwarz
-    return cayley_block(expand_schwarz(g.inner, order)[None], [g.theta])[0, 0]
+    leaf, M = _chain(g)
+    if isinstance(leaf, FiniteBlaschke):
+        X, x0 = expand_blaschke([leaf], order), 0
+    else:
+        X, x0 = herglotz_block([leaf], order), 1
+    if M is None:
+        return X[0]
+    return require_finite(_moebius_series(M, X, x0, constant)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -523,12 +595,31 @@ def expand_caratheodory(g: CaratheodoryGenerator, order: int) -> np.ndarray:
 def evaluate_schwarz(g: SchwarzGenerator, z: np.ndarray | complex) -> np.ndarray:
     """Evaluate the generator's function at points of the open disk."""
     _require([g], SchwarzGenerator, "Schwarz generator")
+    return _evaluate(g, z)
+
+
+def evaluate_caratheodory(g: CaratheodoryGenerator, z: np.ndarray | complex) -> np.ndarray:
+    """Evaluate the generator's function at points of the open disk."""
+    _require([g], CaratheodoryGenerator, "Caratheodory generator")
+    return _evaluate(g, z)
+
+
+def _evaluate(g, z) -> np.ndarray:
+    """``g`` at the points ``z``: its leaf's closed form, mapped by the
+    chain's matrix."""
     z = np.asarray(z, dtype=np.complex128)
-    if isinstance(g, FiniteBlaschke):
-        return evaluate_blaschke([g], z.ravel())[0].reshape(z.shape)
-    # InverseCayley
-    p = evaluate_caratheodory(g.inner, z)
-    return np.exp(-1j * g.theta) * (p - 1.0) / (p + 1.0)
+    leaf, M = _chain(g)
+    if isinstance(leaf, FiniteBlaschke):
+        x = evaluate_blaschke([leaf], z.ravel())[0].reshape(z.shape)
+    else:
+        x = np.zeros_like(z)
+        for w, a in leaf.atoms:
+            u = np.exp(1j * a) * z
+            x = x + w * (1.0 + u) / (1.0 - u)
+    if M is None:
+        return x
+    alpha, beta, gamma, delta = M
+    return (alpha * x + beta) / (gamma * x + delta)
 
 
 def evaluate_blaschke(gens: BlaschkeStack | Sequence[FiniteBlaschke], z) -> np.ndarray:
@@ -559,22 +650,6 @@ def evaluate_blaschke(gens: BlaschkeStack | Sequence[FiniteBlaschke], z) -> np.n
         r, aj, unit = rows[slot], a[slot, None], units[slot, None]
         acc[r] = acc[r] * unit * (aj - z) / (1.0 - np.conj(aj) * z)
     return acc[:, :n]
-
-
-def evaluate_caratheodory(g: CaratheodoryGenerator, z: np.ndarray | complex) -> np.ndarray:
-    """Evaluate the generator's function at points of the open disk."""
-    _require([g], CaratheodoryGenerator, "Caratheodory generator")
-    z = np.asarray(z, dtype=np.complex128)
-    if isinstance(g, HerglotzAtoms):
-        acc = np.zeros_like(z)
-        for w, a in g.atoms:
-            u = np.exp(1j * a) * z
-            acc = acc + w * (1.0 + u) / (1.0 - u)
-        return acc
-    # CayleyOfSchwarz
-    w = evaluate_schwarz(g.inner, z)
-    u = np.exp(1j * g.theta) * w
-    return (1.0 + u) / (1.0 - u)
 
 
 # ---------------------------------------------------------------------------

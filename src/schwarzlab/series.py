@@ -11,12 +11,13 @@ Every rule a coefficient input must meet is checked here:
 :func:`coefficient_block` (rank, exact constant term, order floor),
 :func:`require_order` and :func:`require_finite`.
 
-:func:`stacked_mul` multiplies whole stacks of series at once, and
-stacks of different orders raise :class:`OrderMismatchError`.  It keeps
-each row's bits independent of the rows stacked with it: it works on
-float (re, im) pairs, rounds each of the two products in a complex
-product separately, as Python's complex ``*`` does (numpy's complex
-``*`` may fuse them), and sums each coefficient in a fixed order.
+:func:`stacked_mul` multiplies and :func:`stacked_div` divides whole
+stacks of series at once, and stacks of different orders raise
+:class:`OrderMismatchError`.  Both keep each row's bits independent of
+the rows stacked with it: they work on float (re, im) pairs, round each
+of the two products in a complex product separately, as Python's complex
+``*`` does (numpy's complex ``*`` may fuse them), and sum each
+coefficient in a fixed order.
 
 :func:`circle_max` is the maximum of |polynomial| on the unit circle.
 """
@@ -149,6 +150,46 @@ def stacked_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.add(terms[: n - half], terms[half:n], out=terms[: n - half])
         n = half
     return terms[0].copy()
+
+
+def stacked_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise truncated quotients q = a/b of two stacks of series.
+
+    ``a`` and ``b`` are ``(N+1, 2, R)`` float stacks (see :func:`to_pairs`).
+    Every row of ``b`` has b_0 = 1 exactly and every row of ``a`` a real
+    a_0 (in this lab the class constant of the quotient, 0 for a Schwarz
+    series and 1 for a Caratheodory series), so q_0 = a_0 and
+
+        q_k = a_k - a_0 b_k + sum_{j=1..k-1} q_j (-b_{k-j}),
+
+    a_0 b_k a real scaling (a_k - b_k exactly when a_0 = 1).  The sum is
+    taken column by column: once q_j is final, its unfused complex products
+    with -b_1, -b_2, .. are added to every later coefficient, so each sum
+    runs in increasing j and a row's bits do not depend on the rows stacked
+    with it.
+    """
+    if a.shape != b.shape or a.ndim != 3 or a.shape[0] == 0 or a.shape[1] != 2:
+        raise OrderMismatchError(f"stack shapes differ: {a.shape} vs {b.shape}")
+    if (b[0] != ((1.0,), (0.0,))).any():
+        raise CompositionDomainError("a divisor must have constant term exactly 1")
+    if a[0, 1].any():
+        raise CompositionDomainError("a dividend must have a real constant term")
+    n, _, rows = a.shape
+    q = np.empty(a.shape)
+    q[0] = a[0]
+    np.subtract(a[1:], b[1:] * a[0, 0], out=q[1:])
+    flat = q.reshape(2 * n, rows)
+    # T[h, 2j : 2j + 2] holds the pair of -b_j (h = 0) and of -i b_j (h = 1), so
+    # q_{k+1+i} gains re(q_k) T[0, 2 + 2i] + im(q_k) T[1, 2 + 2i], the pair of
+    # q_k (-b_{1+i}), once q_k is final
+    T = with_turn(np.multiply(b, -1.0)).reshape(2, 2 * n, rows)
+    terms = np.empty_like(T)
+    for k in range(1, n - 1):
+        m = 2 * (n - 1 - k)
+        np.multiply(T[:, 2 : 2 + m], flat[2 * k : 2 * k + 2, None], out=terms[:, :m])
+        np.add(terms[0, :m], terms[1, :m], out=terms[0, :m])
+        np.add(flat[2 * k + 2 :], terms[0, :m], out=flat[2 * k + 2 :])
+    return q
 
 
 @functools.cache

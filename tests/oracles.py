@@ -4,7 +4,11 @@ The series oracles are deliberately written as plain double loops / long
 division, sharing no code path with the library, so that tests compare
 two genuinely different routes to the same numbers; the extremal oracle
 keeps the second-coefficient extremal's hand-expanded geometric tail as
-the reference for the Blaschke product that builds it.  The verify oracle
+the reference for the Blaschke product that builds it.  The column oracle
+keeps the Cayley transform's column recurrence in plain numpy, the
+bit-for-bit reference for the stacked quotient, and :func:`chain_mp`
+composes the 50-digit transforms node by node, the reference for a
+Cayley chain expanded as one Moebius map.  The verify oracle
 checks one function and one scalar check at a time in plain Python complex
 arithmetic, without the library's bound kernels, and accumulates slacks
 one by one, as the reference for the CLI's batched corpus checking.  The
@@ -27,6 +31,7 @@ spans.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -54,6 +59,32 @@ def division_oracle(num, den):
             s -= complex(den[j]) * q[k - j]
         q[k] = s / complex(den[0])
     return np.array(q)
+
+
+def cayley_columns_oracle(W, thetas):
+    """(S, T, N+1) Cayley transforms of Schwarz rows ``W`` by the column
+    recurrence p_0 = 1, p_k = 2 u_k + sum_{j=1..k-1} p_j u_{k-j}.
+
+    u = e^{i theta} w and every term p_j u_{k-j} are unfused pair
+    products, and once p_j is final its terms are added to every later
+    coefficient, so each sum runs in increasing j: the bit-for-bit
+    reference for :func:`schwarzlab.families.cayley_block`.
+    """
+    W = np.asarray(W, dtype=complex)
+    wr, wi = W.real.T[:, :, None], W.imag.T[:, :, None]
+    rots = [cmath.exp(1j * float(t)) for t in thetas]
+    er = np.array([e.real for e in rots])
+    ei = np.array([e.imag for e in rots])
+    ur, ui = er * wr - ei * wi, er * wi + ei * wr
+    pr, pi = ur + ur, ui + ui
+    pr[0], pi[0] = 1.0, 0.0
+    n = len(pr)
+    for k in range(1, n - 1):
+        pr[k + 1 :] += ur[1 : n - k] * pr[k] + -ui[1 : n - k] * pi[k]
+        pi[k + 1 :] += ui[1 : n - k] * pr[k] + ur[1 : n - k] * pi[k]
+    out = np.empty(pr.shape[1:] + pr.shape[:1], dtype=complex)
+    out.real, out.imag = np.moveaxis(pr, 0, -1), np.moveaxis(pi, 0, -1)
+    return out
 
 
 def cayley_oracle(b, theta):
@@ -572,15 +603,15 @@ def blaschke_mp(phi, m, zeros, order, dps=MP_DIGITS):
 def cayley_mp(w, theta, dps=MP_DIGITS):
     """(1 + u)/(1 - u), u = e^{i theta} w, from p (1 - u) = 1 + u in mpmath.
 
-    ``w`` lists float coefficients from z^0 (w[0] == 0); they are taken
-    exactly, so the result isolates the error of a float transform of
-    the same ``w``.
+    ``w`` lists float, complex or ``mpc`` coefficients from z^0 (w[0] == 0);
+    they are taken exactly, so the result isolates the error of a float
+    transform of the same ``w``.
     """
     import mpmath
 
     with mpmath.workdps(dps):
         rot = mpmath.expj(mpmath.mpf(float(theta)))
-        u = [rot * mpmath.mpc(complex(c)) for c in w]
+        u = [rot * mpmath.mpc(c) for c in w]
         p = [mpmath.mpc(1)]
         for k in range(1, len(u)):
             p.append(u[k] + sum(u[j] * p[k - j] for j in range(1, k + 1)))
@@ -590,14 +621,14 @@ def cayley_mp(w, theta, dps=MP_DIGITS):
 def inverse_cayley_mp(p, theta, dps=MP_DIGITS):
     """e^{-i theta} (p - 1)/(p + 1) by long division in mpmath.
 
-    ``p`` lists float coefficients from z^0 (p[0] == 1); they are taken
-    exactly, so the result isolates the error of a float inverse
-    transform of the same ``p``.
+    ``p`` lists float, complex or ``mpc`` coefficients from z^0 (p[0] == 1);
+    they are taken exactly, so the result isolates the error of a float
+    inverse transform of the same ``p``.
     """
     import mpmath
 
     with mpmath.workdps(dps):
-        c = [mpmath.mpc(complex(v)) for v in p]
+        c = [mpmath.mpc(v) for v in p]
         num = [c[0] - 1] + c[1:]
         den = [c[0] + 1] + c[1:]
         q = []
@@ -619,6 +650,31 @@ def herglotz_mp(atoms, order, dps=MP_DIGITS):
         return [mpmath.mpc(1)] + [
             2 * sum(w * mpmath.expj(k * a) for w, a in pairs) for k in range(1, order + 1)
         ]
+
+
+def chain_mp(g, order, dps=MP_DIGITS):
+    """Taylor coefficients c_0..c_order of a generator in mpmath, as ``mpc``.
+
+    The leaf is expanded by :func:`blaschke_mp` or :func:`herglotz_mp`, and
+    each Cayley or inverse Cayley node, from the inside out, by
+    :func:`cayley_mp` or :func:`inverse_cayley_mp` on the ``dps``-digit
+    series below it: one transform per node, where the library composes
+    the chain into one map.
+    """
+    from schwarzlab.families import CayleyOfSchwarz, FiniteBlaschke, InverseCayley
+
+    nodes = []
+    while isinstance(g, (CayleyOfSchwarz, InverseCayley)):
+        nodes.append(g)
+        g = g.inner
+    if isinstance(g, FiniteBlaschke):
+        series = blaschke_mp(g.phi, g.m, g.zeros, order, dps)
+    else:
+        series = herglotz_mp(g.atoms, order, dps)
+    for node in reversed(nodes):
+        step = cayley_mp if isinstance(node, CayleyOfSchwarz) else inverse_cayley_mp
+        series = step(series, node.theta, dps)
+    return series
 
 
 def max_abs_error(values, reference):

@@ -173,7 +173,8 @@ class TestExpand:
         series = expand_caratheodory(gen, 64)
         assert values == [complex(series[k]) for k in range(1, 65)]
         collapsed = expand_caratheodory(CayleyOfSchwarz(inner=blaschke, theta=-2.0), 64)
-        assert max(abs(v - collapsed[k]) for k, v in enumerate(values, 1)) < 1e-10
+        # measured 7.9e-15: the chain is expanded as one Moebius map
+        assert max(abs(v - collapsed[k]) for k, v in enumerate(values, 1)) < 1e-14
 
 
 class TestVerify:

@@ -9,11 +9,13 @@ import pytest
 import schwarzlab.families as families
 from schwarzlab.families import (
     B1_UNIT_TOL,
+    CaratheodoryGenerator,
     CayleyOfSchwarz,
     FiniteBlaschke,
     HerglotzAtoms,
     InvalidGeneratorError,
     InverseCayley,
+    SchwarzGenerator,
     b2_extremal,
     cayley_block,
     evaluate_caratheodory,
@@ -31,6 +33,7 @@ from schwarzlab.series import CompositionDomainError
 from oracles import (
     blaschke_mp,
     cayley_oracle,
+    chain_mp,
     division_oracle,
     extremal_oracle,
     herglotz_mp,
@@ -205,7 +208,9 @@ class TestExpandCaratheodory:
 #: corpora below: Herglotz expansion 2.90e-15, 1.41e-14, 2.62e-14 and the
 #: inverse Cayley transform 1.65e-16, 2.19e-16, 2.73e-16 at orders 4, 12,
 #: 40.  The Herglotz error grows with k because k * alpha is rounded
-#: before the exponential.
+#: before the exponential.  As a stacked quotient whose dividend carries
+#: the rotation, the inverse transform measured 2.29e-16, 2.98e-16 and
+#: 2.92e-16.
 HERGLOTZ_BOUND = {4: 5.8e-15, 12: 2.9e-14, 40: 5.3e-14}
 INVERSE_CAYLEY_BOUND = {4: 3.3e-16, 12: 4.4e-16, 40: 5.5e-16}
 ENVELOPE_THETAS = (0.0, 1.0, 2.0, math.pi)
@@ -243,6 +248,82 @@ class TestFiftyDigitEnvelopes:
             for theta in ENVELOPE_THETAS
         )
         assert err <= INVERSE_CAYLEY_BOUND[order]
+
+
+def random_chain(seed: int, depth: int, leaf: str):
+    """``depth`` Cayley and inverse Cayley nodes at angles uniform in [0, 2 pi)
+    over the first function of ``sample_schwarz(seed, 1, 6)`` (leaf
+    "blaschke") or of ``sample_herglotz(seed, 1)`` (leaf "herglotz")."""
+    rng = np.random.default_rng(seed)
+    g = sample_schwarz(seed, 1, 6)[0] if leaf == "blaschke" else sample_herglotz(seed, 1)[0]
+    for theta in rng.uniform(0.0, 2.0 * math.pi, depth).tolist():
+        g = (CayleyOfSchwarz if isinstance(g, SchwarzGenerator) else InverseCayley)(g, theta)
+    return g
+
+
+def expand_any(g, order: int) -> np.ndarray:
+    expand = expand_caratheodory if isinstance(g, CaratheodoryGenerator) else expand_schwarz
+    return expand(g, order)
+
+
+#: 1.25 times the worst error against the 50-digit composition over
+#: ``random_chain(1000 order + s, 1 + s % 15, leaf)``, s = 0..149, rounded
+#: up.  Measured at orders 12, 40, 64: 6.41e-15, 3.30e-14, 4.87e-14 over
+#: Blaschke leaves and 1.35e-13, 3.18e-12, 6.88e-12 over Herglotz leaves,
+#: whose expansion error the chain carries (a transform per node measured
+#: 8.15e-15, 5.00e-14, 1.63e-13 and 1.42e-13, 3.26e-12, 7.08e-12).
+CHAIN_BOUND = {
+    ("blaschke", 12): 8.1e-15, ("blaschke", 40): 4.2e-14, ("blaschke", 64): 6.1e-14,
+    ("herglotz", 12): 1.7e-13, ("herglotz", 40): 4.0e-12, ("herglotz", 64): 8.6e-12,
+}
+#: The chains each test draws: depths 1-15 at every order.
+CHAIN_DRAWS = {12: 30, 40: 15, 64: 15}
+
+#: Per pair count, 1.25 times the worst |expansion - rotated leaf| at order
+#: 64 and |value - rotated leaf value| at 16 points of radius 0.9 over the
+#: chains at numpy seeds 0-199, rounded up: 4.28e-15 and 4.58e-15 for 600
+#: pairs, 5.89e-15 and 6.37e-15 for 1200 (with the recursion limit raised,
+#: a recursive expansion per node measured 7.03e-15 and 8.32e-15 for 600
+#: pairs at seeds 0-19).
+DEEP_BOUND = {600: (5.4e-15, 5.8e-15), 1200: (7.4e-15, 8.0e-15)}
+
+
+class TestCayleyChains:
+    """A chain of Cayley and inverse Cayley nodes is one Moebius map of its leaf."""
+
+    @pytest.mark.parametrize("leaf", ["blaschke", "herglotz"])
+    @pytest.mark.parametrize("order", [12, 40, 64])
+    def test_against_50_digit_composition(self, order, leaf):
+        pytest.importorskip("mpmath")
+        err = max(
+            max_abs_error(expand_any(g, order), chain_mp(g, order))
+            for g in (random_chain(1000 * order + s, 1 + s % 15, leaf)
+                      for s in range(CHAIN_DRAWS[order]))
+        )
+        assert err <= CHAIN_BOUND[leaf, order]
+
+    @pytest.mark.parametrize("pairs", [600, 1200])
+    def test_pairs_collapse_to_a_rotation(self, pairs):
+        # invcayley(t1, cayley(t2, w)) = e^{i (t2 - t1)} w: built through the
+        # dataclasses, the pairs nest deeper than the parser allows, and each
+        # pair doubles the chain's matrix, past the float range at 1200
+        # pairs but for its scaling
+        mpmath = pytest.importorskip("mpmath")
+        leaf = FiniteBlaschke(1.0, 1, (0.3 + 0.4j, -0.5 + 0.1j, 0.95, 0))
+        angles = np.random.default_rng(pairs).uniform(0.0, 2.0 * math.pi, (pairs, 2)).tolist()
+        g = leaf
+        for inner, outer in angles:
+            g = InverseCayley(CayleyOfSchwarz(g, inner), outer)
+        with mpmath.workdps(50):
+            turn = mpmath.fsum(mpmath.mpf(t2) - mpmath.mpf(t1) for t2, t1 in angles)
+            rot = complex(mpmath.expj(turn))
+        z = 0.9 * np.exp(2j * math.pi * np.arange(16) / 16)
+        series_err = np.max(np.abs(expand_schwarz(g, 64) - rot * expand_schwarz(leaf, 64)))
+        value_err = np.max(np.abs(evaluate_schwarz(g, z) - rot * evaluate_schwarz(leaf, z)))
+        series_bound, value_bound = DEEP_BOUND[pairs]
+        assert series_err <= series_bound
+        assert value_err <= value_bound
+
 
 
 #: |b1| = |a| of the extremal's zero, up to 1e-6 from the unit circle, then

@@ -1,5 +1,5 @@
 """Tests for the stacked kernels: expand_blaschke, cayley_block, herglotz_block,
-evaluate_blaschke and stacked_mul.
+evaluate_blaschke, stacked_mul and stacked_div.
 
 A row of a stacked kernel must equal, bit for bit, what the kernel gives
 for that row alone, so batched and one-at-a-time runs report the same
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import schwarzlab.cli as cli
@@ -39,13 +39,26 @@ from schwarzlab.series import (
     CompositionDomainError,
     OrderMismatchError,
     from_pairs,
+    stacked_div,
     stacked_mul,
     to_pairs,
 )
 
-from oracles import blaschke_mp, cayley_mp, convolve_oracle, max_abs_error
+from oracles import (
+    blaschke_mp,
+    cayley_columns_oracle,
+    cayley_mp,
+    convolve_oracle,
+    division_oracle,
+    max_abs_error,
+)
 
 CAYLEY_THETAS = (0.0, 1.0, 2.0, math.pi)
+
+#: Error of stacked_div against the long-division oracle per unit of
+#: (N + 1)(1 + max |q_k|): at most 4.1e-17 over the draws of
+#: test_stacked_div at numpy seeds 0-2999, three rows each.
+DIV_ENVELOPE = 1e-16
 
 
 def bits(arr):
@@ -120,6 +133,20 @@ class TestRowsMatchOneRowCalls:
             for j, theta in enumerate(thetas):
                 assert np.array_equal(bits(P[i, j]), bits(cayley_block(W[i : i + 1], [theta])[0, 0]))
 
+    @settings(deadline=None, max_examples=80)
+    @given(
+        blaschke,
+        st.integers(1, 20),
+        st.one_of(angles, st.sampled_from([0.0, -0.0, math.pi / 2, math.pi])),
+    )
+    # dividing the matrix by 1 would flip the sign of a zero part here
+    @example(FiniteBlaschke(math.pi, 1, (0j,)), 8, 0.0)
+    def test_one_cayley_node_is_a_cayley_block_row(self, g, order, theta):
+        # the chain's matrix of one node is read as it is, so its expansion
+        # is the row of cayley_block, exact zeros of either sign included
+        row = cayley_block(expand_blaschke([g], order), [theta])[0, 0]
+        assert np.array_equal(bits(expand_caratheodory(CayleyOfSchwarz(g, theta), order)), bits(row))
+
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 20), st.integers(1, 40), st.integers(0, 2**32 - 1))
     def test_stacked_mul(self, n, rows, seed):
@@ -135,6 +162,24 @@ class TestRowsMatchOneRowCalls:
             assert np.array_equal(bits(C[r]), bits(one[0]))
             assert np.max(np.abs(C[r] - convolve_oracle(A[r], B[r]))) < 1e-14 * n
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 20), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_stacked_div(self, n, rows, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
+        # divisors 1 + v with sum |v_k| about 1/3, so 1/b stays small
+        B = (rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))) / (4 * n)
+        A[rng.random(size=A.shape) < 0.2] = -0.0
+        B[rng.random(size=B.shape) < 0.2] = 0.0
+        A[:, 0] = rng.choice([0.0, -0.0, 1.0, rng.normal()], size=rows)
+        B[:, 0] = 1.0
+        Q = from_pairs(stacked_div(to_pairs(A), to_pairs(B)))
+        for r in range(rows):
+            one = from_pairs(stacked_div(to_pairs(A[r : r + 1]), to_pairs(B[r : r + 1])))
+            assert np.array_equal(bits(Q[r]), bits(one[0]))
+            want = division_oracle(A[r], B[r])
+            assert np.max(np.abs(Q[r] - want)) <= DIV_ENVELOPE * n * (1 + np.max(np.abs(want)))
+
     def test_strided_operands(self):
         # views that are not contiguous along the rows give the same bits
         rng = np.random.default_rng(5)
@@ -144,6 +189,29 @@ class TestRowsMatchOneRowCalls:
         for r in range(12):
             assert np.array_equal(bits(stacked_mul(a[..., r : r + 1], b[..., r : r + 1])[..., 0]),
                                   bits(whole[..., r]))
+
+    def test_strided_quotient_operands(self):
+        # views that are not contiguous along the rows, and operands in
+        # Fortran order, give the same bits
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(9, 2, 12))
+        b = rng.normal(size=(9, 2, 12)) / 9
+        a[0, 1] = 0.0
+        b[0] = ((1.0,), (0.0,))
+        whole = stacked_div(a, b)
+        assert np.array_equal(bits(stacked_div(np.asfortranarray(a), np.asfortranarray(b))),
+                              bits(whole))
+        for r in range(12):
+            assert np.array_equal(bits(stacked_div(a[..., r : r + 1], b[..., r : r + 1])[..., 0]),
+                                  bits(whole[..., r]))
+
+
+@pytest.mark.parametrize("seed", [42, *range(1001, 1011)])
+def test_cayley_block_equals_the_column_recurrence(seed):
+    # the verify corpus at its order and angles, bit for bit
+    W = expand_blaschke(sample_schwarz(seed, 100, cli.VERIFY_MAX_DEGREE), 12)
+    want = cayley_columns_oracle(W, cli.VERIFY_CAYLEY_THETAS)
+    assert np.array_equal(bits(cayley_block(W, cli.VERIFY_CAYLEY_THETAS)), bits(want))
 
 
 class TestBatchValidation:
@@ -201,6 +269,28 @@ class TestBatchValidation:
     def test_stacked_mul_shapes_must_match(self):
         with pytest.raises(OrderMismatchError):
             stacked_mul(np.zeros((3, 2, 4)), np.zeros((4, 2, 4)))
+
+    def test_stacked_div_shapes_must_match(self):
+        b = np.zeros((4, 2, 4))
+        b[0, 0] = 1.0
+        with pytest.raises(OrderMismatchError):
+            stacked_div(np.zeros((3, 2, 4)), b)
+
+    @pytest.mark.parametrize("constant", [1 + 2.0**-52, -1.0, 1j, math.nan])
+    def test_stacked_div_needs_a_unit_divisor_in_every_row(self, constant):
+        a, b = np.zeros((5, 2, 6)), np.zeros((5, 2, 6))
+        b[0, 0] = 1.0
+        stacked_div(a, b)
+        b[:, :, 3] = to_pairs([[constant, 0.5, 0, 0, 0]])[..., 0]
+        with pytest.raises(CompositionDomainError, match="divisor must have constant term exactly 1"):
+            stacked_div(a, b)
+
+    def test_stacked_div_needs_a_real_dividend_constant(self):
+        a, b = np.zeros((5, 2, 6)), np.zeros((5, 2, 6))
+        b[0, 0] = 1.0
+        a[0, 1, 2] = 1e-300
+        with pytest.raises(CompositionDomainError, match="dividend must have a real constant term"):
+            stacked_div(a, b)
 
 
 def _corpus(seed: int, count: int) -> list[FiniteBlaschke]:
