@@ -27,7 +27,6 @@ numbers overflow.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import json
 import math
@@ -48,7 +47,6 @@ from schwarzlab.bounds import (
     power_bound_kernel,
 )
 from schwarzlab.families import (
-    B1_UNIT_TOL,
     CaratheodoryGenerator,
     cayley_block,
     expand_blaschke,
@@ -65,13 +63,13 @@ from schwarzlab.regions import (
     CHUNK_DOUBLES,
     DEFAULT_ANGLES,
     DEFAULT_RESOLUTION,
-    MIN_FAMILY_SIZE,
-    MIN_RESOLUTION,
+    REGION_TARGETS,
     RegionEstimate,
     attainability_frontier,
     attainability_scan,
     b3_region,
     b4_feasible_region,
+    check_region_settings,
 )
 
 #: Pointwise grid used by `verify`: 8 radii, 16 angles per radius.
@@ -114,7 +112,7 @@ _FLAG_SPECS = {
     **dict.fromkeys(("order", "seed", "samples"), {"type": int}),
     "tol": {"type": float},
     **dict.fromkeys(_COMPLEX_SETTINGS, {"type": _parse_complex_flag}),
-    "target": {"choices": ("b3", "b4")},
+    "target": {"choices": REGION_TARGETS},
     "mode": {"choices": B4_MODES},
     "angles": {"type": int, "metavar": "M"},
     "resolution": {"type": int, "metavar": "R"},
@@ -166,25 +164,14 @@ class RunConfig:
         min_order = 4 if self.command == "verify" else 1
         if self.order < min_order:
             raise ValueError(f"{self.command} needs order >= {min_order}")
-        floors = {"seed": 0, "samples": 1, "angles": MIN_FAMILY_SIZE, "resolution": MIN_RESOLUTION}
-        for name, floor in floors.items():
+        for name, floor in {"seed": 0, "samples": 1}.items():
             if getattr(self, name) < floor:
                 raise ValueError(f"{name} must be >= {floor}")
-        for name in reads:
-            choices = _FLAG_SPECS.get(name, {}).get("choices")
-            if choices and getattr(self, name) not in choices:
-                raise ValueError(f"{name} must be {', '.join(choices[:-1])} or {choices[-1]}")
-        if self.command == "region":
-            if self.b1 is None:
-                raise ValueError("region needs --b1")
-            # flags the target or mode ignores are only echoed (null if not finite)
-            used = 1 if self.target == "b3" else 2 if self.mode == "eq1" else 3
-            for flag in ("b1", "b2", "b3")[:used]:
-                z = getattr(self, flag)
-                if z is not None and not cmath.isfinite(z):
-                    raise ValueError(f"--{flag} must be finite")
-            if abs(self.b1) > 1.0 + B1_UNIT_TOL:
-                raise ValueError("region needs |b1| <= 1")
+        if self.format not in _FLAG_SPECS["format"]["choices"]:
+            raise ValueError("format must be csv or json")
+        if self.command == "region":  # a flag the target or mode ignores is only echoed
+            check_region_settings(self.target, self.b1, self.angles, self.resolution,
+                                  self.b2, self.b3, self.mode)
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError("tol must be finite and positive")
         peak = estimate_peak_bytes(self)
@@ -398,14 +385,9 @@ def _region_payload(est: RegionEstimate, target: str, mode: Optional[str]) -> di
 
 def _run_region(cfg: RunConfig) -> tuple[int, list, None]:
     if cfg.target == "b3":
-        est = b3_region(cfg.b1, angle_samples=cfg.angles, resolution=cfg.resolution)
-        return 0, [_region_payload(est, "b3", None)], None
-    b2 = cfg.b2 if cfg.b2 is not None else 0j
-    b3 = cfg.b3 if cfg.b3 is not None else 0j
-    est = b4_feasible_region(
-        cfg.b1, b2, b3,
-        angle_samples=cfg.angles, resolution=cfg.resolution, mode=cfg.mode,
-    )
+        return 0, [_region_payload(b3_region(cfg.b1, cfg.angles, cfg.resolution), "b3", None)], None
+    b2, b3 = (0j if b is None else b for b in (cfg.b2, cfg.b3))
+    est = b4_feasible_region(cfg.b1, b2, b3, cfg.angles, cfg.resolution, cfg.mode)
     return 0, [_region_payload(est, "b4", cfg.mode)], None
 
 
@@ -655,8 +637,10 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
 
 
 #: Flags that take a complex value "re" or "re,im".
-_COMPLEX_FLAGS = ("--b1", "--b2", "--b3")
-_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+_COMPLEX_FLAGS = tuple(f"--{name}" for name in _COMPLEX_SETTINGS)
+#: A value that starts with "-": a number, or a signed inf, infinity or nan
+#: in any case, as float() reads them.
+_NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _join_negative_values(argv) -> list[str]:

@@ -21,15 +21,17 @@ that the dataclass runs on its one row.  The samplers return stacks, and
 read their arrays, a row's bits not depending on the rows stacked with it;
 a list of generators is converted once by the stack's ``of``.
 
-A Cayley or inverse Cayley node is a Moebius map, so a chain of them is
-one 2x2 matrix applied to its leaf.  ``expand_schwarz`` and
-``expand_caratheodory`` walk the chain without recursion, expand the leaf
-once (a one-row view of :func:`expand_blaschke` or :func:`herglotz_block`)
-and map it by one :func:`~schwarzlab.series.stacked_div`, returning one
-``(order+1,)`` coefficient array; ``evaluate_schwarz`` and
-``evaluate_caratheodory`` apply the same matrix to the leaf's closed-form
-value.  :func:`cayley_block` and :func:`inverse_cayley` are quotients by
-the same :func:`~schwarzlab.series.stacked_div`.  The Schwarz leaves are
+A Cayley or inverse Cayley node is a Moebius map, written once as the 2x2
+matrix of ``_cayley_matrix`` or ``_inverse_matrix``, and one map,
+``_moebius_series``, applies a matrix to series by one
+:func:`~schwarzlab.series.stacked_div`.  A chain of nodes is one matrix:
+``expand_schwarz`` and ``expand_caratheodory`` walk it without recursion,
+expand the leaf once (a one-row view of :func:`expand_blaschke` or
+:func:`herglotz_block`) and map it, returning one ``(order+1,)``
+coefficient array; ``evaluate_schwarz`` and ``evaluate_caratheodory``
+apply the same matrix to the leaf's closed-form value.
+:func:`cayley_block` and :func:`inverse_cayley` map by it too, the former
+with one matrix per row.  The Schwarz leaves are
 the finite Blaschke products, which are dense in B: the rotations
 e^{i theta} z^k and the second-coefficient extremal
 (:func:`b2_extremal`) are built as such.  Coefficient inputs and outputs
@@ -348,26 +350,14 @@ CaratheodoryGenerator = Union[HerglotzAtoms, CayleyOfSchwarz]
 # Cayley transform on truncated series
 # ---------------------------------------------------------------------------
 
-def _quotient(u: np.ndarray, v: np.ndarray, constant: int) -> np.ndarray:
-    """(constant + u)/(1 - v) of ``(N+1, 2, R)`` pair stacks u, v, whose
-    constant terms are replaced, by :func:`~schwarzlab.series.stacked_div`.
-
-    ``u`` is overwritten.  stacked_div negates the divisor 1 - v back, so
-    its recurrence multiplies by the bits of v itself.
-    """
-    b = np.multiply(v, -1.0)
-    b[0] = ((1.0,), (0.0,))
-    u[0] = ((constant,), (0.0,))
-    return stacked_div(u, b)
-
-
 def cayley_block(W, thetas) -> np.ndarray:
     """Cayley transforms of a stack of Schwarz series at several rotations.
 
     ``W`` is an ``(S, N+1)`` complex block of Schwarz coefficient rows
     (b_0 = 0 exactly); the result is ``(S, T, N+1)``, one Caratheodory
-    row p = (1 + u)/(1 - u), u = e^{i theta} w, per row and theta, by one
-    :func:`~schwarzlab.series.stacked_div`: p_0 = 1 and
+    row p = (1 + u)/(1 - u), u = e^{i theta} w, per row and theta: the
+    matrix of :func:`_cayley_matrix` at each theta, applied to W tiled
+    across the angles by one :func:`_moebius_series`.  p_0 = 1 and
 
         p_k = 2 u_k + sum_{j=1..k-1} p_j u_{k-j},
 
@@ -375,25 +365,19 @@ def cayley_block(W, thetas) -> np.ndarray:
     a row's bits do not depend on the rows or angles stacked with it.
     """
     W = require_finite(coefficient_block(W, 0))
-    n = W.shape[1]
-    rots = [cmath.exp(1j * float(t)) for t in thetas]
-    rot = (np.array([[z.real] for z in rots]), np.array([[z.imag] for z in rots]))
-    # u = e^{i theta_t} w_s, one row (t, s) per angle and function, the
-    # functions along the contiguous last axis
-    w = to_pairs(W)[:, :, None]
-    u = np.empty((n, 2, len(rots), len(W)))
-    u[:, 0], u[:, 1] = pair_mul(rot, (w[:, 0], w[:, 1]))
-    P = from_pairs(_quotient(u.reshape(n, 2, -1), u.reshape(n, 2, -1), 1))
-    return require_finite(P.reshape(len(rots), len(W), n).transpose(1, 0, 2).copy())
+    M = np.array([_cayley_matrix(t) for t in thetas], dtype=np.complex128).reshape(-1, 4)
+    # one row (s, t) per function and angle
+    P = _moebius_series(np.tile(M, (len(W), 1)).T, np.repeat(W, len(M), axis=0), 0, 1)
+    return require_finite(P.reshape(len(W), len(M), W.shape[1]))
 
 
 def inverse_cayley(c, theta: float) -> np.ndarray:
     """w = e^{-i theta} (p - 1)/(p + 1) of one Caratheodory row c_0..c_N.
 
     Inverse of :func:`cayley_block` at theta; requires c_0 = 1 exactly.
-    w is the quotient of (e^{-i theta}/2)(p - 1) by (p + 1)/2, whose
-    constant terms are 0 and 1, by one
-    :func:`~schwarzlab.series.stacked_div`.
+    The matrix of :func:`_inverse_matrix`, applied by one
+    :func:`_moebius_series`: the quotient of (e^{-i theta}/2)(p - 1) by
+    (p + 1)/2, whose constant terms are 0 and 1.
     """
     c = coefficient_block(c, 1, ndim=1)
     return require_finite(_moebius_series(_inverse_matrix(theta), c[None], 1, 0)[0])
@@ -436,26 +420,30 @@ def _chain(g) -> tuple:
     return g, M
 
 
-def _moebius_series(M: tuple[complex, ...], X: np.ndarray, x0: int, constant: int) -> np.ndarray:
+def _moebius_series(M, X: np.ndarray, x0: int, constant: int) -> np.ndarray:
     """(alpha x + beta)/(gamma x + delta) of the complex ``(R, N+1)`` rows x of
-    ``X``, whose constant term is ``x0``, for ``M = (alpha, beta, gamma, delta)``.
+    ``X``, whose constant term is ``x0``, for ``M = (alpha, beta, gamma, delta)``
+    of numbers or of one value per row.
 
     ``M`` is divided by gamma x0 + delta, so the denominator's constant
     term is 1; the numerator's, alpha x0 + beta, is the class constant
     ``constant`` of the result, set exactly.  The other terms are alpha x_k
-    and gamma x_k.  A divisor equal to 1 is skipped: Python's complex
-    division by 1 can flip the sign of a zero part, and one Cayley node
-    over a Blaschke product then reads the numbers :func:`cayley_block` reads.
+    and gamma x_k, and one :func:`~schwarzlab.series.stacked_div` divides:
+    it negates the divisor back, so it multiplies by the bits of (-gamma) x.
+    A divisor equal to 1 is skipped, as complex division by 1 can flip the
+    sign of a zero part.
     """
     alpha, _, gamma, delta = M
     d = gamma * x0 + delta
-    if d != 1:
+    if np.any(d != 1):
         alpha, gamma = alpha / d, gamma / d
     x = to_pairs(X)
-    u, v = np.empty_like(x), np.empty_like(x)
-    u[:, 0], u[:, 1] = pair_mul((alpha.real, alpha.imag), (x[:, 0], x[:, 1]))
-    v[:, 0], v[:, 1] = pair_mul((-gamma.real, -gamma.imag), (x[:, 0], x[:, 1]))
-    return from_pairs(_quotient(u, v, constant))
+    a, b = np.empty_like(x), np.empty_like(x)
+    a[:, 0], a[:, 1] = pair_mul((alpha.real, alpha.imag), (x[:, 0], x[:, 1]))
+    b[:, 0], b[:, 1] = pair_mul((-gamma.real, -gamma.imag), (x[:, 0], x[:, 1]))
+    np.multiply(b, -1.0, out=b)
+    a[0], b[0] = ((constant,), (0.0,)), ((1.0,), (0.0,))
+    return from_pairs(stacked_div(a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ A theta-parameterized family of unit disks |x - gamma(theta)| <= 1 pins a
 coefficient to the intersection of the family.  For the third coefficient
 the centers are gamma(theta) = e^{i 2 theta} b1^3 and the intersection
 collapses to the disk |b3| <= 1 - |b1|^3.  For the fourth coefficient two
-families arise (from the gaps c4 - c1 c3 and c4 - c2^2); the exact shape
-of their joint intersection over all admissible (b1, b2, b3) is unknown,
-so this module reports the rasterized constraint region and, separately,
+families arise (from the gaps c4 - c1 c3 and c4 - c2^2); their joint
+intersection is a necessary condition, not the attainable set (for given
+(b1, b2, b3) a closed disk, by Schur's algorithm, not computed here), so
+this module reports the rasterized constraint region and, separately,
 empirically attained coefficients, without claiming the two sets agree.
 The scan returns the sampled block of b1..b4 and each sample's margin,
 neither rasterized nor sampled: 1 - max_theta |b4 - gamma(theta)| over
@@ -73,6 +74,7 @@ DEFAULT_RESOLUTION = 1024
 
 MIN_RESOLUTION = 16
 MIN_FAMILY_SIZE = 3
+REGION_TARGETS = ("b3", "b4")
 
 #: Fourth-coefficient constraint families: gamma1, gamma2, or both jointly.
 B4_MODES = ("eq1", "eq2", "both")
@@ -276,11 +278,31 @@ def _uniform_thetas(m: int) -> np.ndarray:
     return 2.0 * math.pi * np.arange(m) / m
 
 
-def _unit_disk_region(b1, centers_at, angle_samples, resolution) -> RegionEstimate:
-    """Rasterize the unit disks about ``centers_at(thetas)`` at uniform thetas, in the box
-    of half-width 1 + max |center| about 0; |b1| > 1 is refused before any center is built."""
+def check_region_settings(target, b1, angle_samples, resolution, b2=None, b3=None, mode="both"):
+    """The one check of region settings: target, mode, b1 and the b2, b3 they read finite
+    where given, |b1| <= 1, and the angle and resolution floors."""
+    if target not in REGION_TARGETS:
+        raise ValueError(f"target must be b3 or b4, got {target!r}")
+    if mode not in B4_MODES:
+        raise ValueError(f"mode must be eq1, eq2 or both, got {mode!r}")
+    if b1 is None:
+        raise ValueError("region needs b1")
+    read = 1 if target == "b3" else 2 if mode == "eq1" else 3
+    for name, z in zip(("b1", "b2", "b3")[:read], (b1, b2, b3)):
+        if z is not None and not np.isfinite(z):
+            raise ValueError(f"{name} must be finite")
     if abs(b1) > 1.0 + B1_UNIT_TOL:
         raise ValueError("|b1| must be <= 1")
+    if angle_samples < MIN_FAMILY_SIZE:
+        raise ValueError(f"angles must be >= {MIN_FAMILY_SIZE}")
+    if resolution < MIN_RESOLUTION:
+        raise ValueError(f"resolution must be >= {MIN_RESOLUTION}")
+
+
+def _unit_disk_region(centers_at, target, b1, angle_samples, resolution, *b2_b3_mode):
+    """Rasterize the unit disks about ``centers_at(thetas)`` at uniform thetas, in the box of
+    half-width 1 + max |center| about 0, once :func:`check_region_settings` passes the settings."""
+    check_region_settings(target, b1, angle_samples, resolution, *b2_b3_mode)
     centers = centers_at(_uniform_thetas(angle_samples)).ravel()
     family = DiskConstraintFamily(centers=centers, radius=1.0)
     hw = 1.0 + float(np.max(np.abs(centers)))
@@ -302,7 +324,7 @@ def b3_region(
     Converges to the disk |x| <= 1 - |b1|^3 as angle_samples and
     resolution grow.
     """
-    return _unit_disk_region(b1, lambda thetas: b3_centers(b1, thetas), angle_samples, resolution)
+    return _unit_disk_region(lambda t: b3_centers(b1, t), "b3", b1, angle_samples, resolution)
 
 
 def b4_centers(b1: complex, b2: complex, b3: complex, thetas: np.ndarray) -> np.ndarray:
@@ -333,12 +355,9 @@ def b4_feasible_region(
     or their joint intersection ("both").  The bounding box is centered
     at 0 with half-width 1 + max_j |gamma(theta_j)|.
     """
-    if mode not in B4_MODES:
-        raise ValueError(f"mode must be eq1, eq2 or both, got {mode!r}")
-    rows = slice(None) if mode == "both" else B4_MODES.index(mode)
-    return _unit_disk_region(
-        b1, lambda thetas: b4_centers(b1, b2, b3, thetas)[rows], angle_samples, resolution
-    )
+    rows = {"eq1": 0, "eq2": 1}.get(mode, slice(None))  # a bad mode is refused first
+    return _unit_disk_region(lambda t: b4_centers(b1, b2, b3, t)[rows], "b4", b1,
+                             angle_samples, resolution, b2, b3, mode)
 
 
 def _exact_margins(B: np.ndarray) -> np.ndarray:

@@ -431,7 +431,7 @@ class TestRegion:
                      "--angles", "64", "--resolution", "16"],
         )
         assert code == 2 and out == ""
-        assert "|b1| <= 1" in err
+        assert "|b1| must be <= 1" in err
 
     def test_negative_complex_value_as_separate_token(self, capsys):
         tail = ["--angles", "128", "--resolution", "32"]
@@ -763,12 +763,18 @@ class TestNonFiniteRegionSettings:
             (["--target", "b4", "--mode", "both", "--b1=0.3", "--b2=-inf"], "--b2"),
             (["--target", "b4", "--mode", "eq2", "--b1=0.3", "--b3", "nan"], "--b3"),
             (["--target", "b4", "--mode", "both", "--b1=0.3", "--b3=0,-inf"], "--b3"),
+            # a signed non-finite value as a separate token is a value, not an option
+            (["--target", "b3", "--b1", "-inf"], "--b1"),
+            (["--target", "b3", "--b1", "-Infinity,0"], "--b1"),
+            (["--target", "b4", "--b1", "0.3", "--b2", "-inf,0"], "--b2"),
+            (["--target", "b4", "--b1", "0.3", "--b3", "-nan"], "--b3"),
+            (["--target", "b4", "--b1", "0.3", "--b3", "-NaN,1"], "--b3"),
         ],
     )
     def test_non_finite_read_flag_exits_2(self, capsys, flags, name):
         code, out, err = run_cli(capsys, ["region", *flags, *self.SMALL])
         assert (code, out) == (2, "")
-        assert err == f"error: {name} must be finite\n"
+        assert err == f"error: {name.removeprefix('--')} must be finite\n"
 
     def test_b3_ignored_by_eq1_is_null(self, capsys):
         argv = ["region", "--target", "b4", "--mode", "eq1", "--b1=0.3", "--b3", "nan"]
@@ -914,7 +920,7 @@ class TestSharedValidationConstants:
         regions.b3_region(inside, angle_samples=8, resolution=16)
         regions.b4_feasible_region(inside, 0j, 0j, angle_samples=8, resolution=16)
         b2_extremal(inside, 0.0)
-        with pytest.raises(ValueError, match=r"\|b1\| <= 1"):
+        with pytest.raises(ValueError, match=r"\|b1\| must be <= 1"):
             RunConfig(command="region", target="b3", b1=outside).validate()
         with pytest.raises(ValueError, match=r"\|b1\| must be <= 1"):
             regions.b3_region(outside, angle_samples=8, resolution=16)
@@ -1069,7 +1075,7 @@ def test_corpus_verification_script_runs():
     [
         (("map_b4_region.py", "--samples", "5", "--resolution", "8"),
          "resolution must be >= 16"),
-        (("b3_region_convergence.py", "--b1", "1.5"), "region needs |b1| <= 1"),
+        (("b3_region_convergence.py", "--b1", "1.5"), "|b1| must be <= 1"),
         # refused after settings that pass: every run is checked before the first row
         (("map_b4_region.py", "--samples", "0"), "samples must be >= 1"),
         (("b3_region_convergence.py", "--resolutions", "128", "8"),
