@@ -441,8 +441,10 @@ def _run_scan(cfg: RunConfig) -> tuple[int, list, Optional[float]]:
 # ---------------------------------------------------------------------------
 
 #: One [start, length] run of ``grid_rle`` as ``json.dumps(indent=2)`` writes it
-#: at its depth in a region report, results[0]["grid_rle"][iy][k].
-_RLE_RUN = "\n          [\n            {},\n            {}\n          ]"
+#: at its depth in a region report, results[0]["grid_rle"][iy][k], and the
+#: non-empty row that holds it.
+_RLE_RUN = "\n          [\n            %d,\n            %d\n          ]"
+_RLE_ROW = "[" + _RLE_RUN + "\n        ]"
 #: What json writes where a bulk section is spliced in, and each leaf of a row template.
 _MARK = "rows"
 #: json's text for the leaves whose repr is not JSON; None for those json refuses.
@@ -478,17 +480,18 @@ def render_json(report: dict) -> str:
 
     ``indent`` makes json fall back to its pure-Python encoder, so the bulk
     of a report is written apart and spliced in where json writes a
-    placeholder: a region's ``grid_rle`` rows from a template, a scan's
+    placeholder: a region's ``grid_rle`` rows by one ``%`` format, a scan's
     sample rows and expand's coefficient rows by :func:`_splice_rows`.
     """
     results = report["results"]
     if report["command"] == "region":
         head = dict(report, results=[dict(results[0], grid_rle=_MARK)])
-        rows = ",\n        ".join(
-            "[" + ",".join(_RLE_RUN.format(*run) for run in runs) + "\n        ]" if runs else "[]"
-            for runs in results[0]["grid_rle"]
-        )
-        body = f"[\n        {rows}\n      ]"
+        grid = results[0]["grid_rle"]
+        runs = [row[0] for row in grid if row]
+        if len(runs) != sum(map(len, grid)):  # a convex set meets a row in one run
+            raise ValueError("a grid_rle row holds more than one run")
+        rows = ",\n        ".join([_RLE_ROW if row else "[]" for row in grid])
+        body = f"[\n        {rows}\n      ]" % tuple(x for run in runs for x in run)
     elif report["command"] in ("scan", "expand"):
         if report["command"] == "scan":  # the sample rows lead the results
             rows = results[: sum(row["kind"] == "sample" for row in results)]

@@ -31,7 +31,7 @@ expand the leaf once (a one-row view of :func:`expand_blaschke` or
 coefficient array; ``evaluate_schwarz`` and ``evaluate_caratheodory``
 apply the same matrix to the leaf's closed-form value.
 :func:`cayley_block` and :func:`inverse_cayley` map by it too, the former
-with one matrix per row.  The Schwarz leaves are
+with one matrix per angle.  The Schwarz leaves are
 the finite Blaschke products, which are dense in B: the rotations
 e^{i theta} z^k and the second-coefficient extremal
 (:func:`b2_extremal`) are built as such.  Coefficient inputs and outputs
@@ -356,8 +356,8 @@ def cayley_block(W, thetas) -> np.ndarray:
     ``W`` is an ``(S, N+1)`` complex block of Schwarz coefficient rows
     (b_0 = 0 exactly); the result is ``(S, T, N+1)``, one Caratheodory
     row p = (1 + u)/(1 - u), u = e^{i theta} w, per row and theta: the
-    matrix of :func:`_cayley_matrix` at each theta, applied to W tiled
-    across the angles by one :func:`_moebius_series`.  p_0 = 1 and
+    matrices of :func:`_cayley_matrix` at the thetas, applied to the rows
+    of W by one :func:`_moebius_series`, which forms each u once.  p_0 = 1 and
 
         p_k = 2 u_k + sum_{j=1..k-1} p_j u_{k-j},
 
@@ -366,9 +366,8 @@ def cayley_block(W, thetas) -> np.ndarray:
     """
     W = require_finite(coefficient_block(W, 0))
     M = np.array([_cayley_matrix(t) for t in thetas], dtype=np.complex128).reshape(-1, 4)
-    # one row (s, t) per function and angle
-    P = _moebius_series(np.tile(M, (len(W), 1)).T, np.repeat(W, len(M), axis=0), 0, 1)
-    return require_finite(P.reshape(len(W), len(M), W.shape[1]))
+    P = _moebius_series(M.T[..., None], W, 0, 1)
+    return require_finite(P.reshape(len(M), *W.shape).transpose(1, 0, 2))
 
 
 def inverse_cayley(c, theta: float) -> np.ndarray:
@@ -423,25 +422,30 @@ def _chain(g) -> tuple:
 def _moebius_series(M, X: np.ndarray, x0: int, constant: int) -> np.ndarray:
     """(alpha x + beta)/(gamma x + delta) of the complex ``(R, N+1)`` rows x of
     ``X``, whose constant term is ``x0``, for ``M = (alpha, beta, gamma, delta)``
-    of numbers or of one value per row.
+    of numbers or of ``(T, 1)`` columns: a ``(T R, N+1)`` block, row (t, r)
+    that of row r by matrix t.
 
     ``M`` is divided by gamma x0 + delta, so the denominator's constant
     term is 1; the numerator's, alpha x0 + beta, is the class constant
     ``constant`` of the result, set exactly.  The other terms are alpha x_k
     and gamma x_k, and one :func:`~schwarzlab.series.stacked_div` divides:
-    it negates the divisor back, so it multiplies by the bits of (-gamma) x.
-    A divisor equal to 1 is skipped, as complex division by 1 can flip the
-    sign of a zero part.
+    it negates the divisor back, so it multiplies by the bits of (-gamma) x,
+    which are those of alpha x where -gamma is alpha bit for bit, as in a
+    Cayley matrix.  A divisor equal to 1 is skipped, as complex division by
+    1 can flip the sign of a zero part.
     """
     alpha, _, gamma, delta = M
     d = gamma * x0 + delta
     if np.any(d != 1):
         alpha, gamma = alpha / d, gamma / d
-    x = to_pairs(X)
-    a, b = np.empty_like(x), np.empty_like(x)
-    a[:, 0], a[:, 1] = pair_mul((alpha.real, alpha.imag), (x[:, 0], x[:, 1]))
-    b[:, 0], b[:, 1] = pair_mul((-gamma.real, -gamma.imag), (x[:, 0], x[:, 1]))
-    np.multiply(b, -1.0, out=b)
+    x = to_pairs(X)[:, :, None]
+
+    def times(c):  # the pair stack of c x, rows (t, r)
+        return np.stack(pair_mul(c, (x[:, 0], x[:, 1])), axis=1).reshape(len(x), 2, -1)
+
+    a = times((alpha.real, alpha.imag))
+    same = np.array_equal(*(np.array(v, ndmin=1).view(np.int64) for v in (-gamma, alpha)))
+    b = np.multiply(a if same else times((-gamma.real, -gamma.imag)), -1.0)
     a[0], b[0] = ((constant,), (0.0,)), ((1.0,), (0.0,))
     return from_pairs(stacked_div(a, b))
 

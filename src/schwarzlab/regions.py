@@ -32,25 +32,26 @@ extreme center ordinates.
 
 The band is screened in blocks of ``_SCREEN_ROWS`` rows: all chords are
 computed on the rows that end a block, and between them only those of the
-disks that a supporting line admits.  L_j is convex in y and H_j concave
-(rounding past a tangent gives L_j = H_j = gx_j), so lo = max_j L_j is
-convex, and on a block [ya, yb] the tangent at either end to the L_k that
-sets lo there, of slope m = (y - gy_k)/s_k, lies below lo.  L_j minus a
-line is convex, so a disk whose L_j(ya) and L_j(yb) both lie below one such
-line by its slack lies below lo on every row between, and is dropped; each
-end's line may drop it.  Where s_k^2 < 64 u r^2 (u = 2^-53) leaves the
-slope unusable, that end's line is the constant LB = max_k L_k(clip(gy_k,
-ya, yb)) over the disks k that set lo at ya and yb.  hi is screened alike,
-H_j being concave.  Float chord ends, and so LB and a tangent's near end,
-are within eps = 2.3 sqrt(u) r + 2u(|gx| + 2r) of the exact ones (sqrt(u)
-from a square root near a tangent); a tangent's float value at its far
-end, h = yb - ya away, is within 2 eps + h |m| rho of the exact line, rho =
-8u (1 + r^2/s_k^2) bounding the relative error of the float slope and of
-the rise h m.  So a tangent's slack is slack + h |m| rho and LB's is slack,
-slack = 1e-6 r + 1e-12 (max|gx| + r) > 5 eps, and a dropped disk is
-strictly below the float lo on every row between: lo and hi stay
-bit-identical.  A block keeping over 3/4 of the disks is computed whole,
-the next twice as tall.  Cost: O(band/_SCREEN_ROWS * M + band * kept).
+disks that the block ends do not rule out.  The screen rests on a lemma: for
+two disks of one radius r and f(t) = sqrt(r^2 - t^2), L_j(y) - L_k(y) =
+(gx_j - gx_k) - f(y - gy_j) + f(y - gy_k) is monotone in y wherever both
+chords exist, as f'(t) = -t/f(t) strictly decreases; so is H_j - H_k.  On a
+block [ya, yb] let the binding disks be those that set lo at ya and at yb.
+A disk j that one of them, k, beats by the slack at both ends (L_j <
+L_k - slack) is beaten on every row between and cannot set lo there; hi is
+screened alike by the disks that set it, and the block's inner rows are
+computed over the disks that either side keeps.  Rounding: every chord
+exists on the exact rows [Y0, Y1] = [max gy - r, min gy + r], and a band
+row y lies within 3u r of them (u = 2^-53; rounding can make a chord exist
+at a band-edge row just outside), so each float chord end at y is within
+eps = 4.8 sqrt(u) r + 2u(|gx| + 2r) of the exact one at clip(y, Y0, Y1):
+2.3 sqrt(u) r from a square root near a tangent, sqrt(6u) r for the clip.
+The lemma holds on the clipped rows, which keep their order, so a disk
+beaten by float values at both ends is beaten by more than slack - 4 eps
+> 0 in float on every row between, as slack = 1e-6 r + 1e-12 (max|gx| + r)
+exceeds 4 eps: lo and hi stay bit-identical.  Coincident centres tie at
+every row, and every disk is kept.  Cost: O(band/_SCREEN_ROWS * M + band *
+kept).
 """
 
 from __future__ import annotations
@@ -131,11 +132,9 @@ class RegionEstimate:
 #: Grid rows per rasterizer block are chosen so that each of the two block
 #: buffers (rows x disks) holds about this many doubles (256 KiB, L2-sized).
 CHUNK_DOUBLES = 32_768
-#: Band rows per screening block (see the module docstring): 32 was the
-#: fastest of 16 to 48 on the region-raster workload families.
+#: Band rows per screening block (see the module docstring): 32 to 64 took
+#: the same time on the region-raster workload families, 16 about 1.5 times it.
 _SCREEN_ROWS = 32
-#: Unit roundoff of a double.
-_U = 2.0**-53
 
 
 def _chord_ends(ys, gx, gy, r2, buf, lo, hi) -> None:
@@ -152,70 +151,39 @@ def _chord_ends(ys, gx, gy, r2, buf, lo, hi) -> None:
         np.add(gx, s, out=e).min(axis=1, out=hi[k0 : k0 + rows])
 
 
-def _tangent(c, v, y, y1, gy_j, s_j, r2):
-    """The tangent at row y to disk j's chord end gx_j - c s_j(y) (c = 1 for
-    the lo end, -1 for the hi end), whose float value at y is v: its float
-    value at row y1 and that value's error budget |y1 - y| |m| rho beyond
-    2 eps (module docstring), or None where s_j^2 < 64 u r^2 leaves the
-    slope m = c (y - gy_j) / s_j unusable."""
-    if s_j * s_j < 64 * _U * r2:
-        return None
-    rise = c * (y - gy_j) / s_j * (y1 - y)
-    return v + rise, abs(rise) * 8 * _U * (1 + r2 / (s_j * s_j))
-
-
 def _screened_chord_ends(yband, gx, gy, radius):
-    """lo, hi of each band row, screened per block."""
+    """lo, hi of each band row, screened per block (module docstring)."""
     n, m, r2 = len(yband), len(gx), radius * radius
     buf = np.empty((2, min(max(1, CHUNK_DOUBLES // m), n) * m))
     lo, hi = np.empty((2, n))
     slack = 1e-6 * radius + 1e-12 * (float(np.abs(gx).max()) + radius)
 
     def end_row(k):
-        # every chord end on band row k; per end, the disk that sets lo or hi
-        # and its half-chord
+        # -L and H on band row k (a disk binds where its entry is least), and
+        # the disks that bind there
         s = np.sqrt(r2 - (yband[k] - gy) ** 2)
-        L, H = gx - s, gx + s
-        jl, jh = int(L.argmax()), int(H.argmin())
-        lo[k], hi[k] = L[jl], H[jh]
-        return float(yband[k]), ((L, jl, float(s[jl])), (H, jh, float(s[jh])))
+        E = np.subtract(s, gx), np.add(gx, s)
+        j = [int(e.argmin()) for e in E]
+        lo[k], hi[k] = gx[j[0]] - s[j[0]], E[1][j[1]]
+        return E, j
 
-    def line(c, y, y1, v, j, s, binding):
-        # the values at y and y1, less c times its slack, of a line below lo
-        # (c = 1) or above hi (c = -1) on the whole block: the tangent at y to
-        # disk j's chord end, or, where its slope is unusable, the extreme over
-        # the block of the binding disks' chord ends, at clip(gy_k)
-        t = _tangent(c, v, y, y1, float(gy[j]), s, r2)
-        if t is None:
-            ya, yb = sorted((y, y1))
-            dy = [min(max(g, ya), yb) - g for g in gy[binding].tolist()]
-            v = c * max(c * x - math.sqrt(r2 - d * d) for x, d in zip(gx[binding].tolist(), dy))
-            t = v, 0.0
-        v1, err = t
-        sigma = c * (slack + err)
-        return v - sigma, v1 - sigma
-
-    a, height = 0, _SCREEN_ROWS
     end_a = end_row(0) if n else None
-    while a < n - 1:
-        b = min(a + height, n - 1)
+    for a in range(0, n - 1, _SCREEN_ROWS):
+        b = min(a + _SCREEN_ROWS, n - 1)
         end_b = end_row(b)
-        height = _SCREEN_ROWS
         if b > a + 1:
-            (ya, ends_a), (yb, ends_b) = end_a, end_b
-            keep = np.zeros(m, dtype=bool)
-            sides = zip((1, -1), (np.greater_equal, np.less_equal), ends_a, ends_b)
-            for c, reaches, (Ea, ja, sa), (Eb, jb, sb) in sides:
-                # a disk is dropped if both its block-end chord ends lie beyond one line
-                ta, tb = line(c, ya, yb, float(Ea[ja]), ja, sa, [ja, jb])
-                ub, ua = line(c, yb, ya, float(Eb[jb]), jb, sb, [ja, jb])
-                keep |= (reaches(Ea, ta) | reaches(Eb, tb)) & (reaches(Ea, ua) | reaches(Eb, ub))
-            keep = np.flatnonzero(keep)
-            if len(keep) > 3 * m // 4:  # not worth a gather; screen less often
-                keep, height = slice(None), 2 * (b - a)
+            # a disk that one side's binding disk beats by the slack at both
+            # block ends is beaten on every row between, on that side
+            beaten = []
+            for Ea, ja, Eb, jb in zip(*end_a, *end_b):
+                beat = np.zeros(m, dtype=bool)
+                for k in {ja, jb}:
+                    beat |= (Ea > Ea[k] + slack) & (Eb > Eb[k] + slack)
+                beaten.append(beat)
+            keep = np.flatnonzero(~(beaten[0] & beaten[1]))
             rows = slice(a + 1, b)
             _chord_ends(yband[rows], gx[keep], gy[keep], r2, buf, lo[rows], hi[rows])
-        a, end_a = b, end_b
+        end_a = end_b
     return lo, hi
 
 

@@ -825,6 +825,13 @@ class TestRenderJson:
         assert any(payload["grid_rle"]) == (rows != "empty")
         assert render_json(report) == self.stock(report)
 
+    def test_several_runs_in_a_region_row_are_refused(self):
+        # as _boundary_lines refuses them: a convex set meets a row in one run
+        _, report = run(RunConfig(command="region", target="b3", b1=0.5 + 0j, resolution=16))
+        report["results"][0]["grid_rle"][3] = [[1, 3], [6, 1]]
+        with pytest.raises(ValueError, match="more than one run"):
+            render_json(report)
+
     @pytest.mark.parametrize(
         "cfg, spec, values",
         [

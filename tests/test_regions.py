@@ -1,6 +1,5 @@
 """Tests for disk-intersection rasterization and the b3/b4 region explorers."""
 
-import itertools
 import math
 
 import numpy as np
@@ -739,10 +738,9 @@ class TestScreenDropsOnlyNonBindingDisks:
     @pytest.mark.parametrize("name", SCREEN_CASES)
     def test_screen_families(self, monkeypatch, name):
         dropped = self.dropped_disks(monkeypatch, *_screen_case(name))
-        # coincident centers tie everywhere; one or two band rows leave no
-        # row between block ends, and fifteen that span the whole band meet
-        # tangent rows at both block ends, where every disk may bind
-        assert (dropped == 0) == (name in ("coincident", "band1", "band2", "band15"))
+        # coincident centers tie everywhere, and one or two band rows leave
+        # no row between block ends
+        assert (dropped == 0) == (name in ("coincident", "band1", "band2"))
 
     @pytest.mark.parametrize("seed", range(1, 5))
     def test_workload_families(self, monkeypatch, seed):
@@ -750,17 +748,28 @@ class TestScreenDropsOnlyNonBindingDisks:
         assert self.dropped_disks(monkeypatch, centers, 1.0, box, 1024) > 0
 
     #: Median disks kept per block over the workload families of seeds 1-4
-    #: (8192 disks, 92 blocks); 16-row blocks under the block-minimum bound
-    #: kept 3096.
-    MEDIAN_KEPT = 838
+    #: (8192 disks, 92 blocks); supporting lines at the block ends kept 838,
+    #: and 16-row blocks under the block-minimum bound 3096.
+    MEDIAN_KEPT = 130
 
-    def test_supporting_lines_keep_few_disks(self, monkeypatch):
+    def test_binding_disk_screen_keeps_few_disks(self, monkeypatch):
         kept = []
         for seed in range(1, 5):
             centers, box = _b4_family(_workload_b(seed), 4096, "both")
             blocks = self.screened_blocks(monkeypatch, centers, 1.0, box, 1024)
             kept += [len(gx) for _, gx, _ in blocks]
         assert np.median(kept) < 1.25 * self.MEDIAN_KEPT
+
+    def test_nearly_coincident_centres(self, monkeypatch):
+        # |b1| ~ 0.003: the centres of both families lie within 0.0019 of
+        # each other, and supporting lines at the block ends kept every disk
+        b = (-0.000996 + 0.003137j, -0.030413 - 0.00197j, -0.119648 - 0.046799j)
+        m = 4096
+        centers, box = _b4_family(b, m, "both")
+        fam = DiskConstraintFamily(centers, 1.0)
+        assert_same_estimate(intersect_disk_family(fam, box, 1024), raster_oracle(fam, box, 1024))
+        blocks = self.screened_blocks(monkeypatch, centers, 1.0, box, 1024)
+        assert np.median([len(gx) for _, gx, _ in blocks]) < m / 8
 
     @pytest.mark.parametrize("seed", range(4))
     def test_box_of_a_few_ulps(self, monkeypatch, seed):
@@ -802,44 +811,63 @@ class TestChordEndErrorBound:
                         assert abs(lo_f - (mpmath.mpf(x) - half)) <= eps
                         assert abs(hi_f - (mpmath.mpf(x) + half)) <= eps
 
-
-class TestTangentErrorBound:
-    """The float value of a screening tangent at the far block end is within
-    2 eps + h |m| rho of the exact tangent, rho = 8u(1 + r^2/s^2), h the
-    block height and m, s the float slope and half-chord, also from rows
-    next to the binding disk's tangent, where s^2 < 64 u r^2 refuses the
-    tangent: the error budget behind a supporting line's slack."""
-
-    def test_rows_approaching_tangency(self):
+    def test_band_edge_rows(self):
+        # a band row, found by the float test, lies within 3u r of the exact
+        # rows [Y0, Y1] where every chord exists, and its float chord ends
+        # are within 4.8 sqrt(u) r + 2u(|gx| + 2r) of the exact ones at the
+        # clipped row, also where rounding makes a chord exist past a tangent
         import mpmath
 
         u = 2.0**-53
-        rng = np.random.default_rng(9)
-        used = refused = 0
+        rng = np.random.default_rng(6)
+        outside = 0
         for radius in (1e-3, 1.0, 2.5):
-            r2 = radius * radius
-            gx = rng.uniform(-3.0, 3.0, 12) * radius
-            gy = rng.uniform(-1.0, 1.0, 12) * radius
-            for k in range(1, 60, 2):
-                for side in (1.0, -1.0):  # the top and the bottom tangent row
-                    ys = gy + side * radius * (1.0 - 2.0**-k)
-                    s2 = r2 - (ys - gy) ** 2  # as the screen's end rows take it
-                    reach = s2 >= 0.0  # a band row reaches every disk
-                    half = np.sqrt(np.where(reach, s2, 0.0))
-                    rows = (a[reach].tolist() for a in (gx, ys, gy, half))
-                    for x, y, g, s in zip(*rows):
-                        eps = 2.3 * math.sqrt(u) * radius + 2 * u * (abs(x) + 2 * radius)
-                        steps = (radius / 32, -radius / 32, 0.7 * radius)
-                        for h, c in itertools.product(steps, (1, -1)):
-                            t = regions._tangent(c, x - c * s, y, y + h, g, s, r2)
-                            if t is None:
-                                assert s * s < 64 * u * r2
-                                refused += 1
-                                continue
-                            with mpmath.workdps(40):
-                                d = mpmath.mpf(y) - mpmath.mpf(g)
-                                exact_s = mpmath.sqrt(mpmath.mpf(radius) ** 2 - d * d)
-                                rise = c * d / exact_s * (mpmath.mpf(y + h) - mpmath.mpf(y))
-                                assert abs(t[0] - (x - c * exact_s + rise)) <= 2 * eps + t[1]
-                            used += 1
-        assert used > 0 and refused > 0
+            gx = rng.uniform(-3.0, 3.0, 40) * radius
+            gy = rng.uniform(-0.5, 0.5, 40) * radius
+            with mpmath.workdps(40):
+                r = mpmath.mpf(radius)
+                Y0, Y1 = mpmath.mpf(gy.max()) - r, mpmath.mpf(gy.min()) + r
+                ys = []
+                for edge, inward in ((Y0, 1.0), (Y1, -1.0)):
+                    y = float(edge)
+                    for _ in range(6):  # the float rows nearest the edge, outward
+                        ys.append(y)
+                        y = math.nextafter(y, -inward * math.inf)
+                    ys += [float(edge + inward * r * 2.0**-k) for k in range(1, 50, 4)]
+                for y in ys:
+                    far = max(abs(y - gy.min()), abs(y - gy.max()))
+                    if radius * radius - far * far < 0.0:  # not a band row
+                        continue
+                    yc = min(max(mpmath.mpf(y), Y0), Y1)
+                    assert abs(mpmath.mpf(y) - yc) <= 3 * u * radius
+                    outside += yc != y
+                    s = np.sqrt(radius * radius - (y - gy) ** 2)
+                    for x, g, lo_f, hi_f in zip(gx, gy, gx - s, gx + s):
+                        half = mpmath.sqrt(r**2 - (yc - mpmath.mpf(g)) ** 2)
+                        eps = 4.8 * math.sqrt(u) * radius + 2 * u * (abs(x) + 2 * radius)
+                        assert abs(lo_f - (mpmath.mpf(x) - half)) <= eps
+                        assert abs(hi_f - (mpmath.mpf(x) + half)) <= eps
+        assert outside > 0
+
+
+class TestEqualRadiusChordEndsCrossOnce:
+    """The lemma behind the screen: for two disks of one radius, L_j - L_k
+    and H_j - H_k are monotone in y on the rows where both chords exist."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_differences_are_monotone(self, seed):
+        import mpmath
+
+        rng = np.random.default_rng(seed)
+        radius = (1e-3, 1.0, 2.5, 0.37)[seed]
+        with mpmath.workdps(30):
+            r = mpmath.mpf(radius)
+            for _ in range(20):
+                # L_j - L_k and H_k - H_j are D below plus a constant
+                yj, yk = rng.uniform(-0.9, 0.9, 2) * radius
+                a, b = max(yj, yk) - r, min(yj, yk) + r
+                ys = [a + (b - a) * mpmath.mpf(i) / 200 for i in range(201)]
+                f = [[mpmath.sqrt(max(r**2 - (y - g) ** 2, 0)) for y in ys] for g in (yk, yj)]
+                D = [p - q for p, q in zip(*f)]
+                steps = [q - p for p, q in zip(D, D[1:])]
+                assert all(d >= 0 for d in steps) or all(d <= 0 for d in steps)
